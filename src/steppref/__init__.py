@@ -29,6 +29,7 @@ from .pipeline import (  # noqa: F401
     build_granular_pairs,
     build_pairs,
     build_rft,
+    explore_all,
     explore_first_pit,
     sweep_exploration_size,
     token_edit_distance,

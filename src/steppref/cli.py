@@ -20,6 +20,7 @@ import argparse
 import json
 import platform
 import sys
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .corpus import (
     RationaleRecord,
     file_sha256,
     read_dataset,
+    write_atomic,
     write_dataset,
 )
 from .genclient import ProviderHandle, SamplingConfig
@@ -49,7 +51,8 @@ class ValidationFailure(Exception):
 
 
 class _StageIO:
-    """Tracks written files so a failing stage can remove partial outputs."""
+    """Writes each output atomically and tracks it, so a failing stage can
+    remove the outputs it already wrote."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -63,8 +66,11 @@ class _StageIO:
         self.written.append(p)
         return p
 
+    def write_bytes(self, name: str, data: bytes) -> None:
+        write_atomic(self.register(name), data)
+
     def write_text(self, name: str, text: str) -> None:
-        self.register(name).write_text(text, encoding="utf-8")
+        self.write_bytes(name, text.encode("utf-8"))
 
     def write_json(self, name: str, obj: dict) -> None:
         self.write_text(
@@ -252,26 +258,27 @@ def _run_explore(args: argparse.Namespace, io: _StageIO) -> None:
     cfg = ExploreConfig(k=int(args.k), temperature=float(args.temperature),
                         seed=int(args.seed))
     by_id = {p.id: p for p in problems}
-    rows = []
-    for idx, record in enumerate(d_pair):
-        problem = by_id.get(record.problem_id)
-        if problem is None:
+    for record in d_pair:
+        if record.problem_id not in by_id:
             raise ValidationFailure(
                 f"pair record references unknown problem {record.problem_id}"
             )
-        try:
-            pit = pipeline.explore_first_pit(problem, record.rejected, provider, cfg)
-        except pipeline.ExplorationError as e:
-            rows.append({"id": record.problem_id, "record_index": idx,
-                         "error": str(e), "partial": e.partial})
-            continue
-        rows.append({
-            "id": record.problem_id,
-            "record_index": idx,
-            "pit_index": pit.pit_index,
-            "per_step_success": [list(t) for t in pit.per_step_success],
-            "rescue_present": pit.rescue is not None,
-        })
+    explored = pipeline.explore_all(problems, d_pair, provider, cfg.k,
+                                    cfg.temperature, cfg.seed)
+    rows = []
+    for idx, (record, found) in enumerate(zip(d_pair, explored)):
+        row = {"id": record.problem_id, "record_index": idx}
+        if found is None:
+            row.update(error="empty-rejected", partial=[])
+        elif isinstance(found, pipeline.ExplorationError):
+            row.update(error=str(found), partial=found.partial)
+        else:
+            pit = pipeline.read_pit(found, cfg.k, len(record.rejected.steps),
+                                    by_id[record.problem_id], cfg.seed)
+            row.update(pit_index=pit.pit_index,
+                       per_step_success=[list(t) for t in pit.per_step_success],
+                       rescue_present=pit.rescue is not None)
+        rows.append(row)
     fingerprint = {"stage": "explore", "k": cfg.k, "temperature": cfg.temperature,
                    "seed": cfg.seed}
     io.write_jsonl("pits.jsonl", rows)
@@ -359,7 +366,9 @@ def _run_train(args: argparse.Namespace, io: _StageIO) -> None:
     lines = ["epoch\tloss\treward_accuracy"]
     lines += [f"{e}\t{l:.12g}\t{r:.12g}" for e, l, r in history]
     io.write_text("train_history.tsv", "\n".join(lines) + "\n")
-    np.save(io.register("policy.npy"), policy.logits)
+    buf = BytesIO()
+    np.save(buf, policy.logits)
+    io.write_bytes("policy.npy", buf.getvalue())
     io.write_json(
         "policy_meta.json",
         {

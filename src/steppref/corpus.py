@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -285,7 +286,22 @@ def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path
     out = [_dumps({"kind": header.kind, "created_with": header.created_with,
                    "source_hash": header.source_hash})]
     out.extend(_dumps(record_to_dict(r)) for r in records)
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace `path` by `data` through a temp file in the same directory and
+    os.replace: a reader never sees a half-written file, and a write that
+    fails part-way leaves the old file intact and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def file_sha256(path: str | Path) -> str:

@@ -11,9 +11,16 @@ Providers:
     also means the first k completions of a larger draw are always the
     same as a smaller draw (nested sampling falls out for free).
 
-``sample_batch`` fans prompts out over a thread pool bounded by the
-provider's ``max_in_flight``; per-prompt failures are reported in place so
-one bad prompt never aborts the batch.
+``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
+provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
+First-pit exploration sends all unresolved prefixes of one depth as one
+batch, so its HTTP requests overlap. Each per-prompt failure is a
+``GenClientError`` reported in place, so one bad prompt never aborts the
+batch: a transport failure after retries (``ProviderError``), a short
+response, or a prompt the synthetic provider cannot continue (``PromptError``:
+a question off the template, or a malformed or off-problem prefix step).
+When every prompt fails, ``BatchError`` is raised; its ``results`` still hold
+each prompt's own error.
 """
 
 from __future__ import annotations
@@ -58,8 +65,17 @@ class ShortResponseError(GenClientError):
     """The endpoint keeps returning fewer choices than requested."""
 
 
+class PromptError(GenClientError):
+    """The synthetic provider cannot continue this prompt: the question is not
+    a template question, or a prefix step is malformed or off the problem."""
+
+
 class BatchError(GenClientError):
-    """Every prompt in a batch failed."""
+    """Every prompt in a batch failed; `results` holds each prompt's error."""
+
+    def __init__(self, message: str, results: list[GenClientError]):
+        super().__init__(message)
+        self.results = results
 
 
 @dataclass(frozen=True)
@@ -112,17 +128,20 @@ class ProviderHandle:
 
 def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -> list[str]:
     lines = prompt.split("\n")
-    problem = synthworld.problem_from_question(lines[0])
     prefix = [ln for ln in lines[1:] if ln.strip()]
     if sampling.temperature == 0:
         # Greedy decoding of the toy solver is its error-free chain.
         cfg = dataclasses.replace(cfg, epsilon=0.0)
     base = sampling.seed if sampling.seed is not None else 0
-    out = []
-    for i in range(sampling.n):
-        draw = stable_seed(base, prompt, i)
-        out.append(synthworld.complete_from(problem, prefix, cfg, draw))
-    return out
+    try:
+        problem = synthworld.problem_from_question(lines[0])
+        return [
+            synthworld.complete_from(problem, prefix, cfg, stable_seed(base, prompt, i))
+            for i in range(sampling.n)
+        ]
+    except (synthworld.QuestionParseError, synthworld.StepGrammarError,
+            synthworld.PrefixError) as e:
+        raise PromptError(str(e)) from e
 
 
 def _auth_headers() -> dict[str, str]:
@@ -210,10 +229,15 @@ def sample_batch(
         except GenClientError as e:
             results[i] = e
 
-    with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
-        list(pool.map(work, range(len(prompts))))
+    if provider.kind == KIND_SYNTH:
+        # The toy solver is pure Python: threads would only take turns on the
+        # interpreter lock, so its prompts run inline.
+        for i in range(len(prompts)):
+            work(i)
+    else:
+        with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
+            list(pool.map(work, range(len(prompts))))
 
-    failures = sum(1 for r in results if isinstance(r, GenClientError))
-    if failures == len(prompts):
-        raise BatchError(f"all {failures} prompts failed")
+    if all(isinstance(r, GenClientError) for r in results):
+        raise BatchError(f"all {len(prompts)} prompts failed", results)
     return results

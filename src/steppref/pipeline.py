@@ -7,12 +7,15 @@
    token edit distance; every rationale is used at most once, at most
    `max_pairs_per_problem` pairs per problem, and rejected payloads are
    stored without their conclusion line.
-3. explore_first_pit: step-level rollouts. For each prefix of the rejected
-   rationale, draw k completions and count how many reach the gold answer;
-   the first prefix with zero successes marks the pit. Rollouts stop there.
+3. explore_all: step-level rollouts for all rejected rationales at once.
+   Round i draws k completions from the i-step prefix of every rationale
+   still on the frontier, in one `sample_batch`, and counts those that reach
+   the gold answer. A rationale leaves at its first zero-success step (the
+   pit), after its last step, or on a provider failure (its own
+   ExplorationError). read_pit reads the pit at any k up to the explored one.
 4. build_granular_pairs / sweep_exploration_size: reassemble pairs at step
    granularity around the pit, with the Table-2-style ablation variants and
-   a nested exploration-size sweep.
+   a nested exploration-size sweep that explores once at max(ks).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .extraction import (
     strip_conclusion,
     style_for,
 )
-from .genclient import GenClientError, ProviderHandle, SamplingConfig
+from .genclient import BatchError, GenClientError, ProviderHandle, SamplingConfig
 from .rng import rng_for
 
 VARIANT_FULL = "full"
@@ -162,7 +165,10 @@ def build_rft(
     out = RftBuild()
     if not problems:
         return out
-    results = genclient.sample_batch(provider, [p.question for p in problems], cfg)
+    try:
+        results = genclient.sample_batch(provider, [p.question for p in problems], cfg)
+    except BatchError as e:
+        results = e.results
     for problem, result in zip(problems, results):
         if isinstance(result, GenClientError):
             out.skipped.append(SkipEntry(problem.id, f"provider-error: {result}"))
@@ -248,46 +254,93 @@ def build_pairs(
     return pairs
 
 
-def _explore_table(
-    problem: Problem,
-    rejected: Rationale,
+# Per explored step, the k (completion, reached-gold) rollouts; rows stop
+# after the first step whose rollouts all fail.
+Rollouts = list[list[tuple[str, bool]]]
+
+
+def explore_all(
+    problems: list[Problem],
+    d_pair: list[PairRecord],
     explorer: ProviderHandle,
     k: int,
     temperature: float,
     seed: int,
-) -> list[list[tuple[str, bool]]]:
-    """Per explored step: the k (completion, reached-gold) rollouts.
+) -> list[Rollouts | ExplorationError | None]:
+    """Roll out k completions from every step prefix of every rejected side.
 
-    Exploration stops after the first step whose k rollouts all fail.
+    Positionally aligned with `d_pair`: each record's rollout table, its
+    ExplorationError (with the tallies gathered before the failing step), or
+    None for a record with no rejected step. Every record is validated before
+    any request is sent.
     """
-    style = style_for(problem.style)
+    by_id = {p.id: p for p in problems}
+    for record in d_pair:
+        if record.granularity != GRAN_OUTCOME:
+            raise ValueError("exploration expects outcome-granularity pairs")
+        if record.problem_id not in by_id:
+            raise ValueError(f"record references unknown problem {record.problem_id!r}")
+    jobs = [(by_id[r.problem_id], r.rejected) for r in d_pair]
+    return _explore_frontier(jobs, explorer, k, temperature, seed)
+
+
+def _explore_frontier(
+    jobs: list[tuple[Problem, Rationale]],
+    explorer: ProviderHandle,
+    k: int,
+    temperature: float,
+    seed: int,
+) -> list[Rollouts | ExplorationError | None]:
+    """Level-synchronous exploration: round i sends the i-step prefixes of all
+    unresolved rationales in one batch. A rationale leaves the frontier at its
+    first zero-success step, after its last step, or on a provider failure, so
+    there are as many rounds as the deepest explored step."""
+    if any(rejected.label != "incorrect" for _, rejected in jobs):
+        raise ValueError("exploration expects a rationale labeled incorrect")
     sampling = SamplingConfig(n=k, temperature=temperature, seed=seed)
-    table: list[list[tuple[str, bool]]] = []
-    for i in range(1, len(rejected.steps) + 1):
-        prompt = problem.question + "\n" + "\n".join(rejected.steps[:i])
-        try:
-            completions = genclient.sample(explorer, prompt, sampling)
-        except GenClientError as e:
-            partial = [(sum(ok for _, ok in row), len(row)) for row in table]
-            raise ExplorationError(
-                f"provider failed at step {i} of {problem.id}: {e}", partial
-            ) from e
-        row = [
-            (c, extract_answer(c, style) == problem.gold_answer) for c in completions
+    out: list[Rollouts | ExplorationError | None] = [
+        [] if rejected.steps else None for _, rejected in jobs
+    ]
+    frontier = [j for j, table in enumerate(out) if table is not None]
+    step = 1
+    while frontier:
+        prompts = [
+            jobs[j][0].question + "\n" + "\n".join(jobs[j][1].steps[:step])
+            for j in frontier
         ]
-        table.append(row)
-        if not any(ok for _, ok in row):
-            break
-    return table
+        try:
+            results = genclient.sample_batch(explorer, prompts, sampling)
+        except BatchError as e:
+            results = e.results
+        unresolved = []
+        for j, result in zip(frontier, results):
+            problem, rejected = jobs[j]
+            table = out[j]
+            if isinstance(result, GenClientError):
+                partial = [(sum(ok for _, ok in row), len(row)) for row in table]
+                out[j] = ExplorationError(
+                    f"provider failed at step {step} of {problem.id}: {result}", partial
+                )
+                continue
+            style = style_for(problem.style)
+            row = [(c, extract_answer(c, style) == problem.gold_answer) for c in result]
+            table.append(row)
+            if any(ok for _, ok in row) and step < len(rejected.steps):
+                unresolved.append(j)
+        frontier = unresolved
+        step += 1
+    return out
 
 
-def _pit_from_table(
-    table: list[list[tuple[str, bool]]],
+def read_pit(
+    table: Rollouts,
     k: int,
     n_steps: int,
     problem: Problem,
     seed: int,
 ) -> PitResult:
+    """The first pit at exploration size k, read off the first k rollouts of
+    each row (a table explored at a larger size serves every smaller k)."""
     tallies: list[tuple[int, int]] = []
     pit: int | None = None
     for i, row in enumerate(table, start=1):
@@ -312,14 +365,17 @@ def explore_first_pit(
     explorer: ProviderHandle,
     cfg: ExploreConfig,
 ) -> PitResult:
-    """Locate the first zero-success step of a rejected rationale."""
-    if rejected.label != "incorrect":
-        raise ValueError("exploration expects a rationale labeled incorrect")
-    if not rejected.steps:
+    """Locate the first zero-success step of one rejected rationale.
+
+    Raises ExplorationError on a provider failure.
+    """
+    (found,) = _explore_frontier([(problem, rejected)], explorer, cfg.k,
+                                 cfg.temperature, cfg.seed)
+    if found is None:
         raise ValueError("exploration expects at least one step")
-    table = _explore_table(problem, rejected, explorer, cfg.k, cfg.temperature,
-                           cfg.seed)
-    return _pit_from_table(table, cfg.k, len(rejected.steps), problem, cfg.seed)
+    if isinstance(found, ExplorationError):
+        raise found
+    return read_pit(found, cfg.k, len(rejected.steps), problem, cfg.seed)
 
 
 def _assemble_granular(
@@ -376,6 +432,41 @@ def _assemble_granular(
     )
 
 
+def _granular_entry(
+    problems: list[Problem],
+    d_pair: list[PairRecord],
+    explored: list[Rollouts | ExplorationError | None],
+    k: int,
+    seed: int,
+    variant: str,
+) -> SweepEntry:
+    """Re-pair each explored record around its pit at exploration size k."""
+    by_id = {p.id: p for p in problems}
+    out = GranularBuild()
+    pits: list[int | None] = []
+    for idx, (record, found) in enumerate(zip(d_pair, explored)):
+        pits.append(None)
+        if found is None:
+            out.dropped.append(DropEntry(record.problem_id, idx, "empty-rejected"))
+            continue
+        if isinstance(found, ExplorationError):
+            out.failures.append(DropEntry(record.problem_id, idx, str(found)))
+            continue
+        problem = by_id[record.problem_id]
+        pit = read_pit(found, k, len(record.rejected.steps), problem, seed)
+        if pit.pit_index is None:
+            out.dropped.append(DropEntry(record.problem_id, idx, "no-pit"))
+            continue
+        pits[-1] = pit.pit_index
+        try:
+            out.records.append(_assemble_granular(problem, record, pit, variant))
+        except (ValueError, EmptyRationaleError) as e:
+            out.failures.append(DropEntry(record.problem_id, idx, f"assembly: {e}"))
+    found_pits = [p for p in pits if p is not None]
+    return SweepEntry(k=k, build=out, pits=pits,
+                      mean_pit_index=fmean(found_pits) if found_pits else None)
+
+
 def build_granular_pairs(
     problems: list[Problem],
     d_pair: list[PairRecord],
@@ -391,30 +482,8 @@ def build_granular_pairs(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    by_id = {p.id: p for p in problems}
-    out = GranularBuild()
-    for idx, record in enumerate(d_pair):
-        if record.granularity != GRAN_OUTCOME:
-            raise ValueError("build_granular_pairs expects outcome-granularity pairs")
-        problem = by_id.get(record.problem_id)
-        if problem is None:
-            raise ValueError(f"record references unknown problem {record.problem_id!r}")
-        if not record.rejected.steps:
-            out.dropped.append(DropEntry(record.problem_id, idx, "empty-rejected"))
-            continue
-        try:
-            pit = explore_first_pit(problem, record.rejected, explorer, cfg)
-        except ExplorationError as e:
-            out.failures.append(DropEntry(record.problem_id, idx, str(e)))
-            continue
-        if pit.pit_index is None:
-            out.dropped.append(DropEntry(record.problem_id, idx, "no-pit"))
-            continue
-        try:
-            out.records.append(_assemble_granular(problem, record, pit, variant))
-        except (ValueError, EmptyRationaleError) as e:
-            out.failures.append(DropEntry(record.problem_id, idx, f"assembly: {e}"))
-    return out
+    explored = explore_all(problems, d_pair, explorer, cfg.k, cfg.temperature, cfg.seed)
+    return _granular_entry(problems, d_pair, explored, cfg.k, cfg.seed, variant).build
 
 
 def sweep_exploration_size(
@@ -436,58 +505,7 @@ def sweep_exploration_size(
         raise ValueError("every k must be >= 1")
     if not cfg.nested_sampling:
         raise ValueError("sweep_exploration_size requires cfg.nested_sampling")
-    by_id = {p.id: p for p in problems}
-    kmax = max(ks)
-
-    tables: list[tuple[PairRecord, Problem, list[list[tuple[str, bool]]] | None, str | None]] = []
-    for idx, record in enumerate(d_pair):
-        if record.granularity != GRAN_OUTCOME:
-            raise ValueError("sweep_exploration_size expects outcome-granularity pairs")
-        problem = by_id.get(record.problem_id)
-        if problem is None:
-            raise ValueError(f"record references unknown problem {record.problem_id!r}")
-        if not record.rejected.steps:
-            tables.append((record, problem, None, "empty-rejected"))
-            continue
-        try:
-            table = _explore_table(problem, record.rejected, explorer, kmax,
-                                   cfg.temperature, cfg.seed)
-        except ExplorationError as e:
-            tables.append((record, problem, None, f"exploration: {e}"))
-            continue
-        tables.append((record, problem, table, None))
-
-    entries: list[SweepEntry] = []
-    for k in ks:
-        build = GranularBuild()
-        pits: list[int | None] = []
-        for idx, (record, problem, table, fail) in enumerate(tables):
-            if table is None:
-                target = build.dropped if fail == "empty-rejected" else build.failures
-                target.append(DropEntry(record.problem_id, idx, fail))
-                pits.append(None)
-                continue
-            pit = _pit_from_table(table, k, len(record.rejected.steps), problem,
-                                  cfg.seed)
-            pits.append(pit.pit_index)
-            if pit.pit_index is None:
-                build.dropped.append(DropEntry(record.problem_id, idx, "no-pit"))
-                continue
-            try:
-                build.records.append(
-                    _assemble_granular(problem, record, pit, VARIANT_FULL)
-                )
-            except (ValueError, EmptyRationaleError) as e:
-                build.failures.append(
-                    DropEntry(record.problem_id, idx, f"assembly: {e}")
-                )
-        found = [p for p in pits if p is not None]
-        entries.append(
-            SweepEntry(
-                k=k,
-                build=build,
-                mean_pit_index=fmean(found) if found else None,
-                pits=pits,
-            )
-        )
-    return entries
+    explored = explore_all(problems, d_pair, explorer, max(ks), cfg.temperature,
+                           cfg.seed)
+    return [_granular_entry(problems, d_pair, explored, k, cfg.seed, VARIANT_FULL)
+            for k in ks]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,11 @@ from steppref.corpus import (
     KIND_PAIR,
     KIND_RFT,
     read_dataset,
+    write_dataset,
 )
+from steppref.synthworld import SynthConfig
+
+from conftest import trace_with_error
 
 
 def run(args):
@@ -196,3 +201,33 @@ def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
                 "--dgen", base / "dgen.jsonl", "--drft", base / "drft.jsonl"])
     assert code == 1
     assert not (out / "dpair.jsonl").exists()
+
+
+def test_malformed_rejected_step_is_itemised(tmp_path):
+    base = chain(tmp_path / "run")
+    problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
+    pairs, header = read_dataset(base / "dpair.jsonl", KIND_PAIR)
+    bad_idx, bad = 1, pairs[1]
+    # first wrong at step 3, so an exact explorer rescues step 1 and
+    # exploration reaches the malformed step 2
+    rejected = trace_with_error(
+        next(p for p in problems if p.id == bad.problem_id), SynthConfig(), 3)
+    steps = (rejected.steps[0], "two plus two is five.") + rejected.steps[2:]
+    pairs[bad_idx] = dataclasses.replace(
+        bad, rejected=dataclasses.replace(rejected, steps=steps))
+    write_dataset(pairs, header, base / "dpair.jsonl")
+    inputs = ["--problems-file", base / "problems.jsonl", "--dpair", base / "dpair.jsonl"]
+    for stage, flags in (("explore", ["--k", 2]), ("gpair", ["--k", 2]),
+                         ("sweep-k", ["--ks", "1,2"])):
+        assert run(["--seed", 3, "--out", base, stage, *inputs, *flags,
+                    "--epsilon", 0.0]) == 0
+    rows = [json.loads(line) for line in (base / "pits.jsonl").read_text().splitlines()]
+    assert len(rows) == len(pairs)
+    errors = [row for row in rows if "error" in row]
+    assert [row["record_index"] for row in errors] == [bad_idx]
+    assert errors[0]["error"].startswith(f"provider failed at step 2 of {bad.problem_id}: ")
+    assert errors[0]["partial"] == [[2, 2]]
+    dropped = [json.loads(line)
+               for line in (base / "gpair_dropped.jsonl").read_text().splitlines()]
+    assert {"id": bad.problem_id, "record_index": bad_idx,
+            "reason": errors[0]["error"]} in dropped

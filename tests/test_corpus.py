@@ -1,8 +1,11 @@
+import builtins
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import steppref.corpus as corpus
 from steppref.corpus import (
     KIND_GEN,
     KIND_PAIR,
@@ -112,6 +115,44 @@ def test_missing_header(tmp_path):
 def test_unwritable_path_raises(tmp_path):
     with pytest.raises(OSError):
         write_dataset([], DatasetHeader(KIND_GEN), tmp_path / "no" / "such" / "dir.jsonl")
+
+
+class _FailingWriter:
+    """A file that takes half of what is written to it, then runs out of space."""
+
+    def __init__(self, path, mode):
+        self.f = builtins.open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EIO, "rename failed")
+
+
+@pytest.mark.parametrize("failure", ["part-way-write", "replace"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, failure):
+    rng = np.random.default_rng(3)
+    header = DatasetHeader(KIND_PAIR, {"seed": 3})
+    path = tmp_path / "pairs.jsonl"
+    write_dataset([make_pair_record(rng) for _ in range(5)], header, path)
+    old = path.read_bytes()
+    if failure == "part-way-write":
+        monkeypatch.setattr(corpus, "open", _FailingWriter, raising=False)
+    else:
+        monkeypatch.setattr(corpus.os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        write_dataset([make_pair_record(rng) for _ in range(50)], header, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 class TestInvariants:

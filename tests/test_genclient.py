@@ -6,6 +6,7 @@ import steppref.genclient as genclient
 from steppref.extraction import extract_answer, style_for
 from steppref.genclient import (
     BatchError,
+    PromptError,
     ProviderError,
     ProviderHandle,
     SamplingConfig,
@@ -72,6 +73,22 @@ class TestSyntheticProvider:
         prompt = p.question + "\n" + gold.steps[0]
         (text,) = sample(provider, prompt, SamplingConfig(n=1, temperature=0.7))
         assert text.splitlines()[0] == gold.steps[1]
+
+    def test_unparseable_prompts_raise_prompt_error(self):
+        provider = synth_provider(eps=0.0, seed=3)
+        p = gen_problem(provider.synth_config, 0)
+        gold = simulate_solution(p, provider.synth_config, 0).rationale
+        bad_prompts = [
+            "What is two plus two?",  # not a template question
+            p.question + "\n" + gold.steps[0] + "\ntwo plus two is five.",  # step grammar
+            p.question + "\n" + "\n".join(gold.steps * 2),  # more steps than the problem
+        ]
+        for prompt in bad_prompts:
+            with pytest.raises(PromptError):
+                sample(provider, prompt, SamplingConfig(n=2, seed=1))
+        results = sample_batch(provider, [p.question] + bad_prompts, SamplingConfig(n=2))
+        assert len(results[0]) == 2
+        assert all(isinstance(r, PromptError) for r in results[1:])
 
     def test_nested_prefix_property(self):
         # First k completions of a larger draw equal the smaller draw.
@@ -179,8 +196,10 @@ class TestSampleBatch:
     def test_all_failed_batch_error(self, stub_server):
         server = stub_server(lambda payload: (500, {}))
         provider = ProviderHandle.http(server.url, max_in_flight=4)
-        with pytest.raises(BatchError):
+        with pytest.raises(BatchError) as err:
             sample_batch(provider, ["a", "b", "c"], SamplingConfig(n=1))
+        assert len(err.value.results) == 3
+        assert all(isinstance(r, ProviderError) for r in err.value.results)
 
     def test_empty_prompts_rejected(self):
         with pytest.raises(ValueError):

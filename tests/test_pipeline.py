@@ -1,30 +1,42 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from steppref import cli, genclient
 from steppref.corpus import (
     GRAN_FIRST_STEP,
     GRAN_FULL,
     GRAN_REJECT_ALL,
+    KIND_D,
+    KIND_PAIR,
+    DatasetHeader,
     PairRecord,
     Problem,
     Rationale,
     RationaleRecord,
+    write_dataset,
 )
-from steppref.extraction import extract_answer, style_for
-from steppref.genclient import ProviderHandle, SamplingConfig
+from steppref.extraction import EmptyRationaleError, extract_answer, style_for
+from steppref.genclient import ProviderHandle, SamplingConfig, sample
 from steppref.pipeline import (
+    DropEntry,
     ExplorationError,
     ExploreConfig,
+    GranularBuild,
     PairingConfig,
+    PitResult,
+    _assemble_granular,
     build_granular_pairs,
     build_pairs,
     build_rft,
+    explore_all,
     explore_first_pit,
     sweep_exploration_size,
     token_edit_distance,
 )
+from steppref.rng import rng_for
 from steppref.synthworld import SynthConfig, gen_problem, oracle_first_error, simulate_solution
 
 from conftest import correct_rationale, trace_with_error
@@ -204,6 +216,22 @@ class TestBuildRft:
                        for r in out.gen if r.rationale.label == "correct"}
         assert rft_keys == gen_correct
 
+    def test_non_template_question_is_one_skip(self):
+        cfg = SynthConfig(t=3, epsilon=0.3, seed=4)
+        provider = ProviderHandle.synthetic(cfg)
+        problems = [gen_problem(cfg, i) for i in range(3)]
+        odd = Problem(id="odd", question="What is two plus two?", gold_answer="4")
+        sampling = SamplingConfig(n=6, temperature=0.7, seed=4)
+        out = build_rft(problems[:2] + [odd] + problems[2:], provider, sampling)
+        clean = build_rft(problems, provider, sampling)
+        assert out.gen == clean.gen and out.rft == clean.rft
+        (skip,) = [s for s in out.skipped if s.problem_id == "odd"]
+        assert skip.reason.startswith("provider-error: not a synthetic question")
+        assert [s for s in out.skipped if s.problem_id != "odd"] == clean.skipped
+        # alone, it is still one skip rather than an aborted batch
+        alone = build_rft([odd], provider, sampling)
+        assert alone.gen == [] and alone.skipped == [skip]
+
     def test_provider_error_reported_per_problem(self, stub_server):
         def respond(payload):
             if "FAIL" in payload["prompt"]:
@@ -360,12 +388,17 @@ class TestBuildGranularPairs:
         assert out.dropped[0].reason == "no-pit"
 
     def test_exploration_failures_collected(self, stub_server):
-        cfg, p, record = self._setup(e=3)
+        # Every prompt of the round fails; each record still gets its own entry.
+        problems, d_pair = _distinct_records([3, 2, 1])
         server = stub_server(lambda payload: (500, {}))
-        out = build_granular_pairs([p], [record], ProviderHandle.http(server.url),
+        out = build_granular_pairs(problems, d_pair,
+                                   ProviderHandle.http(server.url, max_in_flight=4),
                                    ExploreConfig(k=2, seed=0), "full")
-        assert out.records == []
-        assert len(out.failures) == 1
+        assert out.records == [] and out.dropped == []
+        assert [(f.problem_id, f.record_index) for f in out.failures] == [
+            (p.id, i) for i, p in enumerate(problems)]
+        for f in out.failures:
+            assert f.reason.startswith(f"provider failed at step 1 of {f.problem_id}: ")
 
     def test_reward_design_correspondence(self):
         # One rejected step, chosen ends at gold, shared prefix lives in the
@@ -465,3 +498,231 @@ class TestSweep:
                 assert pit_big >= pit_small
         means = [e.mean_pit_index for e in entries]
         assert means[0] <= means[-1]
+
+
+# ---------------------------------------------------------------------------
+# Frontier exploration against a serial per-record reference. The reference
+# re-derives the rollouts and the pit reading one record and one step at a
+# time through `genclient.sample`; only the re-pairing around a found pit
+# (`_assemble_granular`, which exploration does not touch) is shared.
+
+
+def _serial_table(problem, rejected, explorer, k, temperature, seed):
+    sampling = SamplingConfig(n=k, temperature=temperature, seed=seed)
+    style = style_for(problem.style)
+    table = []
+    for i in range(1, len(rejected.steps) + 1):
+        prompt = problem.question + "\n" + "\n".join(rejected.steps[:i])
+        row = [(c, extract_answer(c, style) == problem.gold_answer)
+               for c in sample(explorer, prompt, sampling)]
+        table.append(row)
+        if not any(ok for _, ok in row):
+            break
+    return table
+
+
+def _serial_pit(table, k, problem, seed):
+    tallies = []
+    for i, row in enumerate(table, start=1):
+        wins = [c for c, ok in row[:k] if ok]
+        tallies.append((len(wins), k))
+        if wins:
+            continue
+        if i == 1:
+            return PitResult(1, tuple(tallies), None)
+        pool = [c for c, ok in table[i - 2][:k] if ok]
+        rng = rng_for(seed, "rescue", problem.id, i, k)
+        return PitResult(i, tuple(tallies), pool[int(rng.integers(0, len(pool)))])
+    return PitResult(None, tuple(tallies), None)
+
+
+def _serial_build(problems, d_pair, explorer, ks, temperature, seed, variant):
+    """Per k in ks: the reference GranularBuild and pits, exploring at max(ks)."""
+    by_id = {p.id: p for p in problems}
+    tables = [_serial_table(by_id[r.problem_id], r.rejected, explorer, max(ks),
+                            temperature, seed) for r in d_pair]
+    out = []
+    for k in ks:
+        build, pits = GranularBuild(), []
+        for idx, (rec, table) in enumerate(zip(d_pair, tables)):
+            problem = by_id[rec.problem_id]
+            pit = _serial_pit(table, k, problem, seed)
+            pits.append(pit.pit_index)
+            if pit.pit_index is None:
+                build.dropped.append(DropEntry(rec.problem_id, idx, "no-pit"))
+                continue
+            try:
+                build.records.append(_assemble_granular(problem, rec, pit, variant))
+            except (ValueError, EmptyRationaleError) as e:
+                build.failures.append(DropEntry(rec.problem_id, idx, f"assembly: {e}"))
+        out.append((build, pits))
+    return tables, out
+
+
+def _outcome_pairs(seed, eps, n_problems=12, t=5):
+    cfg = SynthConfig(t=t, epsilon=eps, seed=seed)
+    problems = [gen_problem(cfg, i) for i in range(n_problems)]
+    rft = build_rft(problems, ProviderHandle.synthetic(cfg),
+                    SamplingConfig(n=8, temperature=0.7, seed=seed))
+    return problems, build_pairs(problems, rft.rft, rft.gen, PairingConfig())
+
+
+def _counting_sample_batch(monkeypatch):
+    calls = []
+    original = genclient.sample_batch
+
+    def counted(provider, prompts, cfg):
+        calls.append(len(prompts))
+        return original(provider, prompts, cfg)
+
+    monkeypatch.setattr(genclient, "sample_batch", counted)
+    return calls
+
+
+def _synthetic_responder(explorer, fail=lambda prompt: False):
+    """A completions endpoint that answers like the synthetic provider."""
+
+    def respond(payload):
+        if fail(payload["prompt"]):
+            return 500, {}
+        cfg = SamplingConfig(n=int(payload["n"]), temperature=payload["temperature"],
+                             seed=payload.get("seed"))
+        return 200, {"choices": [{"text": c} for c in
+                                 sample(explorer, payload["prompt"], cfg)]}
+
+    return respond
+
+
+FRONTIER_CASES = [  # (seed, epsilon of the sampled pairs, explorer epsilon, k)
+    (0, 0.3, 0.0, 1),
+    (1, 0.2, 0.1, 3),
+    (2, 0.2, 0.3, 4),
+    (3, 0.3, 0.6, 2),
+]
+
+
+class TestFrontierMatchesSerial:
+    @pytest.mark.parametrize("seed,pair_eps,eps,k", FRONTIER_CASES)
+    def test_granular_pairs_and_rounds(self, monkeypatch, seed, pair_eps, eps, k):
+        problems, d_pair = _outcome_pairs(seed, pair_eps)
+        assert len(d_pair) >= 8
+        explorer = _explorer(eps, seed=seed)
+        cfg = ExploreConfig(k=k, temperature=0.7, seed=seed)
+        for variant in ("full", "first-step", "reject-all"):
+            tables, [(want, _)] = _serial_build(problems, d_pair, explorer, [k], 0.7,
+                                                seed, variant)
+            calls = _counting_sample_batch(monkeypatch)
+            got = build_granular_pairs(problems, d_pair, explorer, cfg, variant)
+            monkeypatch.undo()
+            assert got == want
+            # one batch per explored depth, covering every record that reached it
+            assert len(calls) == max(len(t) for t in tables)
+            assert calls == [sum(len(t) > i for t in tables) for i in range(len(calls))]
+        assert explore_all(problems, d_pair, explorer, k, 0.7, seed) == tables
+
+    @pytest.mark.parametrize("seed,pair_eps,eps,k", FRONTIER_CASES)
+    def test_sweep(self, seed, pair_eps, eps, k):
+        problems, d_pair = _outcome_pairs(seed, pair_eps)
+        explorer = _explorer(eps, seed=seed)
+        ks = sorted({1, k, 2 * k})
+        _, want = _serial_build(problems, d_pair, explorer, ks, 0.7, seed, "full")
+        entries = sweep_exploration_size(
+            problems, d_pair, explorer, ks,
+            ExploreConfig(temperature=0.7, nested_sampling=True, seed=seed))
+        assert [e.k for e in entries] == ks
+        for entry, (build, pits) in zip(entries, want):
+            assert entry.build == build
+            assert entry.pits == pits
+
+    @pytest.mark.parametrize("seed,pair_eps,eps,k", FRONTIER_CASES[1:3])
+    def test_pits_rows(self, tmp_path, seed, pair_eps, eps, k):
+        problems, d_pair = _outcome_pairs(seed, pair_eps)
+        write_dataset(problems, DatasetHeader(KIND_D), tmp_path / "problems.jsonl")
+        write_dataset(d_pair, DatasetHeader(KIND_PAIR), tmp_path / "dpair.jsonl")
+        assert cli.main(["--seed", str(seed), "--out", str(tmp_path), "explore",
+                         "--problems-file", str(tmp_path / "problems.jsonl"),
+                         "--dpair", str(tmp_path / "dpair.jsonl"),
+                         "--k", str(k), "--epsilon", str(eps)]) == 0
+        got = [json.loads(line) for line in
+               (tmp_path / "pits.jsonl").read_text().splitlines()]
+        # the CLI's synthetic explorer is seeded with --seed
+        explorer = ProviderHandle.synthetic(SynthConfig(t=1, epsilon=eps, seed=seed))
+        by_id = {p.id: p for p in problems}
+        want = []
+        for idx, rec in enumerate(d_pair):
+            problem = by_id[rec.problem_id]
+            table = _serial_table(problem, rec.rejected, explorer, k, 0.7, seed)
+            pit = _serial_pit(table, k, problem, seed)
+            want.append({"id": rec.problem_id, "record_index": idx,
+                         "pit_index": pit.pit_index,
+                         "per_step_success": [list(t) for t in pit.per_step_success],
+                         "rescue_present": pit.rescue is not None})
+        assert got == want
+
+    def test_http_requests_overlap(self, stub_server):
+        problems, d_pair = _outcome_pairs(1, 0.2)
+        explorer = _explorer(0.1, seed=1)
+        server = stub_server(_synthetic_responder(explorer), delay_s=0.02)
+        cfg = ExploreConfig(k=3, temperature=0.7, seed=1)
+        got = build_granular_pairs(problems, d_pair,
+                                   ProviderHandle.http(server.url, max_in_flight=4), cfg)
+        assert got == build_granular_pairs(problems, d_pair, explorer, cfg)
+        assert 1 < server.peak_concurrency <= 4
+
+
+def _distinct_records(errors_at, t=5, seed=16):
+    """One outcome pair per problem, rejected side first wrong at errors_at[i]."""
+    cfg = SynthConfig(t=t, epsilon=0.3, seed=seed)
+    problems, records = [], []
+    for i, e in enumerate(errors_at):
+        p = gen_problem(cfg, i)
+        problems.append(p)
+        records.append(PairRecord(p.id, p.question, correct_rationale(p, cfg),
+                                  trace_with_error(p, cfg, e), "outcome", None))
+    return problems, records
+
+
+class TestPerRecordFailures:
+    def test_one_record_fails_from_step_two(self, stub_server):
+        k = 3
+        problems, d_pair = _distinct_records([3, 2, 3, 1, 4])
+        exact = _explorer(0.0)
+        failing = problems[2]
+        server = stub_server(_synthetic_responder(
+            exact, fail=lambda prompt: prompt.startswith(failing.question)
+            and prompt.count("\n") >= 2))
+        http = ProviderHandle.http(server.url, max_in_flight=4)
+        cfg = ExploreConfig(k=k, seed=0)
+        found = explore_all(problems, d_pair, http, k, cfg.temperature, cfg.seed)
+        err = found[2]
+        assert isinstance(err, ExplorationError)
+        assert str(err).startswith(f"provider failed at step 2 of {failing.id}: ")
+        assert err.partial == [(k, k)]
+        got = build_granular_pairs(problems, d_pair, http, cfg)
+        assert got.failures == [DropEntry(failing.id, 2, str(err))]
+        clean = build_granular_pairs(problems, d_pair, exact, cfg)
+        assert got.records == [r for r in clean.records if r.problem_id != failing.id]
+        assert got.dropped == clean.dropped
+
+    def test_malformed_rejected_step_is_one_failure(self):
+        problems, d_pair = _distinct_records([3, 2, 4])
+        bad = d_pair[1]
+        steps = list(bad.rejected.steps)
+        steps[1] = "two plus two is five."
+        d_pair[1] = dataclasses.replace(
+            bad, rejected=dataclasses.replace(bad.rejected, steps=tuple(steps)))
+        exact = _explorer(0.0)
+        cfg = ExploreConfig(k=2, seed=0)
+        got = build_granular_pairs(problems, d_pair, exact, cfg)
+        (failure,) = got.failures
+        assert failure.record_index == 1
+        assert failure.reason.startswith(f"provider failed at step 2 of {bad.problem_id}: ")
+        assert "step grammar" in failure.reason
+        clean = build_granular_pairs(problems, [d_pair[0], d_pair[2]], exact, cfg)
+        assert got.records == clean.records
+        entries = sweep_exploration_size(
+            problems, d_pair, exact, [1, 2],
+            ExploreConfig(nested_sampling=True, seed=0))
+        for entry in entries:
+            assert entry.build.failures == [failure]
+            assert entry.pits[1] is None
