@@ -6,12 +6,22 @@ seed, versions) into --out. With the synthetic provider every stage is a
 pure function of (config, seed): rerunning a stage with identical inputs
 produces byte-identical files.
 
-Exit codes: 0 ok, 2 validation failure (single machine-parseable stderr
-line, nothing written), 1 stage failure (partial outputs are removed).
+Each stage is a `Stage` declaration run by `Stage.run`, which builds the
+stage's config objects, then checks, hashes and reads its inputs before the
+stage body runs: a dataset header's `source_hash` must be the sha256 of the
+given input it was built from (an empty hash means unknown and passes), and
+every record must name a problem in --problems-file.
 
 --config takes a JSON object whose keys are flag destinations (e.g.
 {"n": 8, "temperature": 0.7}); explicit flags override config values,
-config values override built-in defaults.
+config values override built-in defaults. A config value is converted and
+checked exactly like the same value given as a flag. A key that is no
+flag's destination is a validation failure; other stages' keys are ignored.
+
+Exit codes: 0 ok; 2 validation failure (bad flag or config value, config
+object rejecting its values, missing or wrong-kind input, source_hash
+mismatch, unknown problem): a single machine-parseable stderr line, nothing
+written; 1 stage failure: partial outputs are removed.
 """
 
 from __future__ import annotations
@@ -20,8 +30,10 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,8 +45,6 @@ from .corpus import (
     KIND_PAIR,
     KIND_RFT,
     DatasetHeader,
-    PairRecord,
-    Problem,
     RationaleRecord,
     file_sha256,
     read_dataset,
@@ -58,11 +68,8 @@ class _StageIO:
         self.out_dir = out_dir
         self.written: list[Path] = []
 
-    def path(self, name: str) -> Path:
-        return self.out_dir / name
-
     def register(self, name: str) -> Path:
-        p = self.path(name)
+        p = self.out_dir / name
         self.written.append(p)
         return p
 
@@ -95,25 +102,15 @@ class _StageIO:
                 pass
 
 
-def _require_inputs(*paths: str) -> list[Path]:
-    out = []
-    for p in paths:
-        path = Path(p)
-        if not path.is_file():
-            raise ValidationFailure(f"input file not found: {p}")
-        out.append(path)
-    return out
-
-
 def _manifest(io: _StageIO, stage: str, seed: int, config: dict,
-              inputs: list[Path]) -> None:
+              inputs: dict[str, str]) -> None:
     io.write_json(
         f"{stage}_manifest.json",
         {
             "stage": stage,
             "seed": seed,
             "config": config,
-            "inputs": {str(p): file_sha256(p) for p in inputs},
+            "inputs": inputs,
             "outputs": [p.name for p in io.written],
             "versions": {
                 "steppref": __version__,
@@ -122,31 +119,6 @@ def _manifest(io: _StageIO, stage: str, seed: int, config: dict,
             },
         },
     )
-
-
-def _parse_value_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise ValidationFailure(f"bad value range {text!r}, expected LO:HI") from None
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise ValidationFailure(f"bad integer list {text!r}") from None
-
-
-def _provider(args: argparse.Namespace) -> ProviderHandle:
-    if args.provider == "http":
-        if not args.endpoint:
-            raise ValidationFailure("http provider requires --endpoint")
-        return ProviderHandle.http(args.endpoint, args.model,
-                                   max_in_flight=int(args.max_in_flight))
-    synth = SynthConfig(t=1, epsilon=float(args.epsilon), seed=int(args.seed))
-    return ProviderHandle.synthetic(synth, max_in_flight=int(args.max_in_flight))
 
 
 def _sniff_kind(path: Path, allowed: tuple[str, ...]) -> str:
@@ -163,106 +135,146 @@ def _sniff_kind(path: Path, allowed: tuple[str, ...]) -> str:
     return kind
 
 
+@dataclass(frozen=True)
+class Input:
+    """One input file of a stage, named by the flag whose destination is `dest`."""
+
+    dest: str
+    kinds: tuple[str, ...] = ()  # accepted dataset kinds; () = a plain file, only hashed
+    source: str | None = None  # input whose sha256 this dataset's header must carry
+    required: bool = True
+
+
+@dataclass(frozen=True)
+class StageRun:
+    """What a stage body gets: typed arguments, its config objects and, keyed
+    by input dest, the inputs' records, dataset kinds and sha256."""
+
+    args: argparse.Namespace
+    cfg: Any
+    io: _StageIO
+    fingerprint: dict[str, Any]
+    records: dict[str, list]
+    kinds: dict[str, str]
+    sha256: dict[str, str]
+
+    def header(self, kind: str, source: str, **extra: Any) -> DatasetHeader:
+        """Header of an output built from input `source`."""
+        return DatasetHeader(kind, {**self.fingerprint, **extra}, self.sha256[source])
+
+
+def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
+                 ) -> tuple[dict[str, list], dict[str, str], dict[str, str]]:
+    """Check, hash and read a stage's inputs; returns (records, kinds, sha256)."""
+    given = {i: Path(getattr(args, i.dest)) for i in inputs
+             if getattr(args, i.dest) is not None}
+    for path in given.values():
+        if not path.is_file():
+            raise ValidationFailure(f"input file not found: {path}")
+    sha256 = {i.dest: file_sha256(path) for i, path in given.items()}
+    records, kinds = {}, {}
+    for inp, path in given.items():
+        if not inp.kinds:
+            continue
+        kind = kinds[inp.dest] = _sniff_kind(path, inp.kinds)
+        records[inp.dest], header = read_dataset(path, kind)
+        if inp.source and header.source_hash not in ("", sha256[inp.source]):
+            raise ValidationFailure(
+                f"{path} has source_hash {header.source_hash}, but "
+                f"{getattr(args, inp.source)} has sha256 {sha256[inp.source]}"
+            )
+    if "problems_file" in records:
+        known = {p.id for p in records["problems_file"]}
+        for dest, recs in records.items():
+            missing = [r.problem_id for r in recs
+                       if dest != "problems_file" and r.problem_id not in known]
+            if missing:
+                raise ValidationFailure(
+                    f"{getattr(args, dest)} references unknown problem {missing[0]}")
+    return records, kinds, sha256
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    help: str
+    body: Callable[[StageRun], None]
+    flags: dict[str, dict]  # flag name -> add_argument keywords
+    inputs: tuple[Input, ...] = ()
+    # argument dests that, with "stage" and "seed", make up the config
+    # fingerprint recorded in output headers and the manifest
+    fingerprint: tuple[str, ...] = ()
+    # builds the stage's config objects; a ValueError is a validation failure
+    configure: Callable[[argparse.Namespace], Any] = lambda args: None
+
+    def run(self, args: argparse.Namespace, io: _StageIO) -> None:
+        try:
+            cfg = self.configure(args)
+        except ValueError as e:
+            raise ValidationFailure(str(e)) from None
+        fingerprint = {"stage": self.name, "seed": args.seed,
+                       **{k: getattr(args, k) for k in self.fingerprint}}
+        run = StageRun(args, cfg, io, fingerprint, *_read_inputs(self.inputs, args))
+        self.body(run)
+        _manifest(io, self.name, args.seed, fingerprint,
+                  {str(Path(getattr(args, d))): h for d, h in run.sha256.items()})
+
+
+def _provider(args: argparse.Namespace) -> ProviderHandle:
+    if args.provider == "http":
+        if not args.endpoint:
+            raise ValidationFailure("http provider requires --endpoint")
+        # --epsilon is the synthetic provider's error rate; an endpoint has none
+        args.epsilon = None
+        return ProviderHandle.http(args.endpoint, args.model,
+                                   max_in_flight=args.max_in_flight)
+    synth = SynthConfig(t=1, epsilon=args.epsilon, seed=args.seed)
+    return ProviderHandle.synthetic(synth, max_in_flight=args.max_in_flight)
+
+
 # ---------------------------------------------------------------------------
-# stages
+# stage bodies
 
 
-def _run_synth(args: argparse.Namespace, io: _StageIO) -> None:
-    value_range = _parse_value_range(args.value_range)
-    cfg = SynthConfig(t=int(args.t), epsilon=float(args.epsilon),
-                      value_range=value_range, seed=int(args.seed))
-    problems = [synthworld.gen_problem(cfg, i) for i in range(int(args.problems))]
-    fingerprint = {
-        "stage": "synth",
-        "problems": int(args.problems),
-        "t": cfg.t,
-        "epsilon": cfg.epsilon,
-        "value_range": list(value_range),
-        "seed": cfg.seed,
-        "samples": int(args.samples),
-    }
-    io.write_dataset("problems.jsonl", problems,
-                     DatasetHeader(KIND_D, fingerprint))
-    if int(args.samples) > 0:
-        records = []
-        for p in problems:
-            for j in range(int(args.samples)):
-                trace = synthworld.simulate_solution(p, cfg, draw_seed=j)
-                records.append(RationaleRecord(p.id, trace.rationale))
+def _run_synth(run: StageRun) -> None:
+    cfg, io = run.cfg, run.io
+    problems = [synthworld.gen_problem(cfg, i) for i in range(run.args.problems)]
+    io.write_dataset("problems.jsonl", problems, DatasetHeader(KIND_D, run.fingerprint))
+    if run.args.samples > 0:
+        records = [
+            RationaleRecord(p.id, synthworld.simulate_solution(p, cfg, draw_seed=j).rationale)
+            for p in problems
+            for j in range(run.args.samples)
+        ]
         io.write_dataset(
             "samples.jsonl",
             records,
-            DatasetHeader(KIND_GEN, fingerprint,
-                          source_hash=file_sha256(io.path("problems.jsonl"))),
+            DatasetHeader(KIND_GEN, run.fingerprint,
+                          source_hash=file_sha256(io.out_dir / "problems.jsonl")),
         )
-    _manifest(io, "synth", int(args.seed), fingerprint, [])
 
 
-def _run_rft(args: argparse.Namespace, io: _StageIO) -> None:
-    (problems_path,) = _require_inputs(args.problems_file)
-    provider = _provider(args)
-    problems, _ = read_dataset(problems_path, KIND_D)
-    sampling = SamplingConfig(n=int(args.n), temperature=float(args.temperature),
-                              seed=int(args.seed))
-    build = pipeline.build_rft(problems, provider, sampling)
-    fingerprint = {
-        "stage": "rft",
-        "n": sampling.n,
-        "temperature": sampling.temperature,
-        "seed": int(args.seed),
-        "provider": args.provider,
-        "epsilon": float(args.epsilon) if args.provider == "synthetic" else None,
-    }
-    src = file_sha256(problems_path)
-    io.write_dataset("dgen.jsonl", build.gen,
-                     DatasetHeader(KIND_GEN, fingerprint, src))
-    io.write_dataset("drft.jsonl", build.rft,
-                     DatasetHeader(KIND_RFT, fingerprint, src))
-    io.write_jsonl(
+def _run_rft(run: StageRun) -> None:
+    provider, sampling = run.cfg
+    build = pipeline.build_rft(run.records["problems_file"], provider, sampling)
+    run.io.write_dataset("dgen.jsonl", build.gen, run.header(KIND_GEN, "problems_file"))
+    run.io.write_dataset("drft.jsonl", build.rft, run.header(KIND_RFT, "problems_file"))
+    run.io.write_jsonl(
         "rft_skips.jsonl",
         [{"id": s.problem_id, "reason": s.reason} for s in build.skipped],
     )
-    _manifest(io, "rft", int(args.seed), fingerprint, [problems_path])
 
 
-def _run_pairs(args: argparse.Namespace, io: _StageIO) -> None:
-    problems_path, dgen_path, drft_path = _require_inputs(
-        args.problems_file, args.dgen, args.drft
-    )
-    problems, _ = read_dataset(problems_path, KIND_D)
-    d_gen, _ = read_dataset(dgen_path, KIND_GEN)
-    d_rft, _ = read_dataset(drft_path, KIND_RFT)
-    cfg = PairingConfig(max_pairs_per_problem=int(args.max_pairs))
-    pairs = pipeline.build_pairs(problems, d_rft, d_gen, cfg)
-    fingerprint = {
-        "stage": "pairs",
-        "max_pairs": cfg.max_pairs_per_problem,
-        "seed": int(args.seed),
-    }
-    io.write_dataset("dpair.jsonl", pairs,
-                     DatasetHeader(KIND_PAIR, fingerprint, file_sha256(drft_path)))
-    _manifest(io, "pairs", int(args.seed), fingerprint,
-              [problems_path, dgen_path, drft_path])
+def _run_pairs(run: StageRun) -> None:
+    pairs = pipeline.build_pairs(run.records["problems_file"], run.records["drft"],
+                                 run.records["dgen"], run.cfg)
+    run.io.write_dataset("dpair.jsonl", pairs, run.header(KIND_PAIR, "drft"))
 
 
-def _explore_inputs(args: argparse.Namespace):
-    problems_path, dpair_path = _require_inputs(args.problems_file, args.dpair)
-    problems, _ = read_dataset(problems_path, KIND_D)
-    d_pair, _ = read_dataset(dpair_path, KIND_PAIR)
-    return problems_path, dpair_path, problems, d_pair
-
-
-def _run_explore(args: argparse.Namespace, io: _StageIO) -> None:
-    problems_path, dpair_path, problems, d_pair = _explore_inputs(args)
-    provider = _provider(args)
-    cfg = ExploreConfig(k=int(args.k), temperature=float(args.temperature),
-                        seed=int(args.seed))
+def _run_explore(run: StageRun) -> None:
+    provider, cfg = run.cfg
+    problems, d_pair = run.records["problems_file"], run.records["dpair"]
     by_id = {p.id: p for p in problems}
-    for record in d_pair:
-        if record.problem_id not in by_id:
-            raise ValidationFailure(
-                f"pair record references unknown problem {record.problem_id}"
-            )
     explored = pipeline.explore_all(problems, d_pair, provider, cfg.k,
                                     cfg.temperature, cfg.seed)
     rows = []
@@ -279,137 +291,82 @@ def _run_explore(args: argparse.Namespace, io: _StageIO) -> None:
                        per_step_success=[list(t) for t in pit.per_step_success],
                        rescue_present=pit.rescue is not None)
         rows.append(row)
-    fingerprint = {"stage": "explore", "k": cfg.k, "temperature": cfg.temperature,
-                   "seed": cfg.seed}
-    io.write_jsonl("pits.jsonl", rows)
-    _manifest(io, "explore", int(args.seed), fingerprint,
-              [problems_path, dpair_path])
+    run.io.write_jsonl("pits.jsonl", rows)
 
 
-def _run_gpair(args: argparse.Namespace, io: _StageIO) -> None:
-    problems_path, dpair_path, problems, d_pair = _explore_inputs(args)
-    if args.variant not in VARIANTS:
-        raise ValidationFailure(f"unknown variant {args.variant!r}")
-    provider = _provider(args)
-    cfg = ExploreConfig(k=int(args.k), temperature=float(args.temperature),
-                        seed=int(args.seed))
-    build = pipeline.build_granular_pairs(problems, d_pair, provider, cfg,
-                                          variant=args.variant)
-    fingerprint = {
-        "stage": "gpair",
-        "k": cfg.k,
-        "temperature": cfg.temperature,
-        "variant": args.variant,
-        "seed": cfg.seed,
-    }
-    io.write_dataset("dgpair.jsonl", build.records,
-                     DatasetHeader(KIND_GPAIR, fingerprint, file_sha256(dpair_path)))
-    io.write_jsonl(
+def _run_gpair(run: StageRun) -> None:
+    provider, cfg = run.cfg
+    build = pipeline.build_granular_pairs(run.records["problems_file"],
+                                          run.records["dpair"], provider, cfg,
+                                          variant=run.args.variant)
+    run.io.write_dataset("dgpair.jsonl", build.records, run.header(KIND_GPAIR, "dpair"))
+    run.io.write_jsonl(
         "gpair_dropped.jsonl",
         [
             {"id": d.problem_id, "record_index": d.record_index, "reason": d.reason}
             for d in build.dropped + build.failures
         ],
     )
-    _manifest(io, "gpair", int(args.seed), fingerprint, [problems_path, dpair_path])
 
 
-def _run_sweep_k(args: argparse.Namespace, io: _StageIO) -> None:
-    problems_path, dpair_path, problems, d_pair = _explore_inputs(args)
-    ks = _parse_int_list(args.ks)
-    if not ks:
-        raise ValidationFailure("--ks must name at least one exploration size")
-    provider = _provider(args)
-    cfg = ExploreConfig(k=max(ks), temperature=float(args.temperature),
-                        nested_sampling=True, seed=int(args.seed))
-    entries = pipeline.sweep_exploration_size(problems, d_pair, provider, ks, cfg)
-    fingerprint = {"stage": "sweep-k", "ks": ks, "temperature": cfg.temperature,
-                   "seed": cfg.seed}
+def _run_sweep_k(run: StageRun) -> None:
+    provider, cfg = run.cfg
+    entries = pipeline.sweep_exploration_size(run.records["problems_file"],
+                                              run.records["dpair"], provider,
+                                              run.args.ks, cfg)
     summary = ["k\trecords\tmean_pit_index"]
-    src = file_sha256(dpair_path)
     for entry in entries:
-        io.write_dataset(
-            f"dgpair_k{entry.k}.jsonl",
-            entry.build.records,
-            DatasetHeader(KIND_GPAIR, {**fingerprint, "k": entry.k}, src),
-        )
+        run.io.write_dataset(f"dgpair_k{entry.k}.jsonl", entry.build.records,
+                             run.header(KIND_GPAIR, "dpair", k=entry.k))
         mean = "" if entry.mean_pit_index is None else f"{entry.mean_pit_index:.12g}"
         summary.append(f"{entry.k}\t{len(entry.build.records)}\t{mean}")
-    io.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")
-    _manifest(io, "sweep-k", int(args.seed), fingerprint,
-              [problems_path, dpair_path])
+    run.io.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")
 
 
-def _run_train(args: argparse.Namespace, io: _StageIO) -> None:
-    (pairs_path,) = _require_inputs(args.pairs_file)
-    kind = _sniff_kind(pairs_path, (KIND_PAIR, KIND_GPAIR))
-    records, _ = read_dataset(pairs_path, kind)
+def _run_train(run: StageRun) -> None:
+    args, cfg = run.args, run.cfg
+    records = run.records["pairs_file"]
     if not records:
-        raise ValidationFailure(f"{pairs_path} holds no pair records")
-    alphabet = int(args.alphabet)
-    order = int(args.order)
-    pairs, _vocab = preflearn.tokenize_pair_records(records, alphabet)
+        raise ValidationFailure(f"{args.pairs_file} holds no pair records")
+    pairs, _vocab = preflearn.tokenize_pair_records(records, args.alphabet)
     # Reference = count-based fit to the chosen sequences, standing in for a
     # one-epoch SFT warm start.
-    ref = preflearn.fit_mle([(p.x, p.y_plus) for p in pairs], alphabet, order,
-                            smoothing=float(args.smoothing))
-    cfg = preflearn.ObjectiveConfig(
-        objective=args.objective,
-        beta=float(args.beta),
-        tau=float(args.tau) if args.tau is not None else None,
-        kto_weights=tuple(float(x) for x in str(args.kto_weights).split(",")),
-    )
-    policy, history = preflearn.train(
-        ref.copy(), ref, pairs, cfg, epochs=int(args.epochs), lr=float(args.lr),
-        seed=int(args.seed),
-    )
+    ref = preflearn.fit_mle([(p.x, p.y_plus) for p in pairs], args.alphabet, args.order,
+                            smoothing=args.smoothing)
+    policy, history = preflearn.train(ref.copy(), ref, pairs, cfg,
+                                      epochs=args.epochs, lr=args.lr)
     lines = ["epoch\tloss\treward_accuracy"]
     lines += [f"{e}\t{l:.12g}\t{r:.12g}" for e, l, r in history]
-    io.write_text("train_history.tsv", "\n".join(lines) + "\n")
+    run.io.write_text("train_history.tsv", "\n".join(lines) + "\n")
     buf = BytesIO()
     np.save(buf, policy.logits)
-    io.write_bytes("policy.npy", buf.getvalue())
-    io.write_json(
+    run.io.write_bytes("policy.npy", buf.getvalue())
+    run.io.write_json(
         "policy_meta.json",
         {
-            "alphabet_size": alphabet,
-            "order": order,
+            "alphabet_size": args.alphabet,
+            "order": args.order,
             "objective": cfg.objective,
             "beta": cfg.beta,
             "tau": cfg.tau,
             "kto_weights": list(cfg.kto_weights),
-            "epochs": int(args.epochs),
-            "lr": float(args.lr),
-            "pairs_kind": kind,
+            "epochs": args.epochs,
+            "lr": args.lr,
+            "pairs_kind": run.kinds["pairs_file"],
         },
     )
-    fingerprint = {"stage": "train", "objective": cfg.objective,
-                   "epochs": int(args.epochs), "lr": float(args.lr),
-                   "alphabet": alphabet, "order": order, "seed": int(args.seed)}
-    _manifest(io, "train", int(args.seed), fingerprint, [pairs_path])
 
 
-def _run_metrics(args: argparse.Namespace, io: _StageIO) -> None:
-    problems_path, gen_path = _require_inputs(args.problems_file, args.dgen)
-    kind = _sniff_kind(gen_path, (KIND_GEN, KIND_RFT))
-    problems, _ = read_dataset(problems_path, KIND_D)
-    records, _ = read_dataset(gen_path, kind)
-    ks = _parse_int_list(args.k)
-    if not ks:
-        raise ValidationFailure("--k must name at least one cutoff")
-    by_id = {p.id: p for p in problems}
+def _run_metrics(run: StageRun) -> None:
+    ks = run.args.k
     grouped: dict[str, list[str]] = {}
-    for rec in records:
-        if rec.problem_id not in by_id:
-            raise ValidationFailure(
-                f"rationale references unknown problem {rec.problem_id}"
-            )
+    for rec in run.records["dgen"]:
         grouped.setdefault(rec.problem_id, []).append(
             rec.rationale.extracted_answer or ""
         )
     sets = [
         evalmetrics.SampleSet(p.id, p.gold_answer, tuple(grouped[p.id]))
-        for p in problems
+        for p in run.records["problems_file"]
         if p.id in grouped
     ]
     if not sets:
@@ -429,12 +386,9 @@ def _run_metrics(args: argparse.Namespace, io: _StageIO) -> None:
         dom = sum(d for _, d in stats) / len(stats)
         lines.append(f"mean_unique_count\t{k}\t{uniq:.12g}")
         lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
-    inputs = [problems_path, gen_path]
-    if args.embeddings:
-        (emb_path,) = _require_inputs(args.embeddings)
-        inputs.append(emb_path)
+    if run.args.embeddings:
         values = []
-        with emb_path.open("r", encoding="utf-8") as f:
+        with open(run.args.embeddings, "r", encoding="utf-8") as f:
             for line in f:
                 if not line.strip():
                     continue
@@ -443,149 +397,192 @@ def _run_metrics(args: argparse.Namespace, io: _StageIO) -> None:
                 values.append(evalmetrics.diversity(d))
         if values:
             lines.append(f"diversity_mean\t-\t{sum(values) / len(values):.12g}")
-    io.write_text("metrics.tsv", "\n".join(lines) + "\n")
-    fingerprint = {"stage": "metrics", "k": ks, "seed": int(args.seed)}
-    _manifest(io, "metrics", int(args.seed), fingerprint, inputs)
+    run.io.write_text("metrics.tsv", "\n".join(lines) + "\n")
 
 
-_STAGES = {
-    "synth": _run_synth,
-    "rft": _run_rft,
-    "pairs": _run_pairs,
-    "explore": _run_explore,
-    "gpair": _run_gpair,
-    "sweep-k": _run_sweep_k,
-    "train": _run_train,
-    "metrics": _run_metrics,
+def _value_range(text: str) -> tuple[int, int]:
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
+
+
+_value_range.__name__ = "LO:HI"  # argparse names a type in its errors
+
+
+def _list_of(convert: Callable[[str], Any]) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        values = [convert(x) for x in text.split(",") if x != ""]
+        if not values:
+            raise ValueError(f"no values in {text!r}")
+        return values
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
+_PROVIDER_FLAGS = {
+    "--provider": dict(choices=["synthetic", "http"], default="synthetic"),
+    "--endpoint": dict(help="completions endpoint URL"),
+    "--model": dict(help="model name sent to the endpoint"),
+    "--max-in-flight": dict(type=int, default=4),
+    "--epsilon": dict(type=float, default=0.2,
+                      help="per-step error rate of the synthetic provider"),
+    "--temperature": dict(type=float, default=0.7),
 }
+_PROBLEMS = Input("problems_file", (KIND_D,))
+_DPAIR = Input("dpair", (KIND_PAIR,))
 
 
-def _add_provider_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--provider", choices=["synthetic", "http"], default="synthetic")
-    p.add_argument("--endpoint", default=None, help="completions endpoint URL")
-    p.add_argument("--model", default=None, help="model name sent to the endpoint")
-    p.add_argument("--max-in-flight", type=int, default=4, dest="max_in_flight")
-    p.add_argument("--epsilon", type=float, default=0.2,
-                   help="per-step error rate of the synthetic provider")
+def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
+    return _provider(args), ExploreConfig(k=args.k, temperature=args.temperature,
+                                          seed=args.seed)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="steppref",
-        description="Step-level preference data pipeline",
-    )
+_STAGE_DECLS = (
+    Stage("synth", "generate synthetic problems", _run_synth,
+          flags={"--problems": dict(type=int, default=20),
+                 "--t": dict(type=int, default=5),
+                 "--epsilon": dict(type=float, default=0.2),
+                 "--value-range": dict(type=_value_range, default="2:9"),
+                 "--samples": dict(type=int, default=0, help="also emit this many "
+                                   "sampled solutions per problem")},
+          fingerprint=("problems", "t", "epsilon", "value_range", "samples"),
+          configure=lambda a: SynthConfig(t=a.t, epsilon=a.epsilon,
+                                          value_range=a.value_range, seed=a.seed)),
+    Stage("rft", "sample, grade and dedup rationales", _run_rft,
+          flags={"--n": dict(type=int, default=100), **_PROVIDER_FLAGS},
+          inputs=(_PROBLEMS,),
+          fingerprint=("n", "temperature", "provider", "epsilon"),
+          configure=lambda a: (_provider(a), SamplingConfig(
+              n=a.n, temperature=a.temperature, seed=a.seed))),
+    Stage("pairs", "build outcome preference pairs", _run_pairs,
+          flags={"--max-pairs": dict(type=int, default=8)},
+          inputs=(_PROBLEMS, Input("dgen", (KIND_GEN,), source="problems_file"),
+                  Input("drft", (KIND_RFT,), source="problems_file")),
+          fingerprint=("max_pairs",),
+          configure=lambda a: PairingConfig(max_pairs_per_problem=a.max_pairs)),
+    Stage("explore", "locate first pits (report only)", _run_explore,
+          flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS},
+          inputs=(_PROBLEMS, _DPAIR), fingerprint=("k", "temperature"),
+          configure=_explore_config),
+    Stage("gpair", "build granular preference pairs", _run_gpair,
+          flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS,
+                 "--variant": dict(choices=list(VARIANTS), default="full")},
+          inputs=(_PROBLEMS, _DPAIR), fingerprint=("k", "temperature", "variant"),
+          configure=_explore_config),
+    Stage("sweep-k", "exploration-size sweep (nested)", _run_sweep_k,
+          flags={"--ks": dict(type=_list_of(int), default="4,8,16,32"), **_PROVIDER_FLAGS},
+          inputs=(_PROBLEMS, _DPAIR), fingerprint=("ks", "temperature"),
+          configure=lambda a: (_provider(a), ExploreConfig(
+              k=max(a.ks), temperature=a.temperature, nested_sampling=True,
+              seed=a.seed))),
+    Stage("train", "train the toy policy on a pair dataset", _run_train,
+          flags={"--objective": dict(choices=["dpo", "ipo", "kto"], default="dpo"),
+                 "--beta": dict(type=float, default=0.1),
+                 "--tau": dict(type=float),
+                 "--kto-weights": dict(type=_list_of(float), default="1.0,1.0"),
+                 "--epochs": dict(type=int, default=100),
+                 "--lr": dict(type=float, default=0.5),
+                 "--alphabet": dict(type=int, default=32),
+                 "--order": dict(type=int, default=2),
+                 "--smoothing": dict(type=float, default=0.5)},
+          inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
+          fingerprint=("objective", "epochs", "lr", "alphabet", "order"),
+          configure=lambda a: preflearn.ObjectiveConfig(
+              objective=a.objective, beta=a.beta, tau=a.tau,
+              kto_weights=tuple(a.kto_weights))),
+    Stage("metrics", "score prediction sets; --embeddings is a JSONL of "
+          "{id, embeddings} for the diversity metric", _run_metrics,
+          flags={"--k": dict(type=_list_of(int), default="1")},
+          inputs=(_PROBLEMS,
+                  Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"),
+                  Input("embeddings", required=False)),
+          fingerprint=("k",)),
+)
+
+# Looked up by name when a stage is dispatched, so a wrapper installed here
+# (such as a tracer) sees every call.
+_STAGES = {stage.name: stage.run for stage in _STAGE_DECLS}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a bad command line as a
+    ValidationFailure instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise ValidationFailure(message)
+
+    def flags(self) -> dict[str, argparse.Action]:
+        return {a.dest: a for a in self._actions
+                if a.option_strings and a.dest != "help"}
+
+
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    parser = _Parser(prog="steppref", description="Step-level preference data pipeline")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", default=None,
-                        help="JSON file of flag defaults")
+    parser.add_argument("--config", help="JSON file of flag defaults")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="stage", required=True)
-    stage_parsers: dict[str, argparse.ArgumentParser] = {}
-
-    def add_stage(name: str, helptext: str) -> argparse.ArgumentParser:
-        stage_parsers[name] = sub.add_parser(name, help=helptext)
-        return stage_parsers[name]
-
-    p = add_stage("synth", "generate synthetic problems")
-    p.add_argument("--problems", type=int, default=20)
-    p.add_argument("--t", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--value-range", default="2:9", dest="value_range")
-    p.add_argument("--samples", type=int, default=0,
-                   help="also emit this many sampled solutions per problem")
-
-    p = add_stage("rft", "sample, grade and dedup rationales")
-    p.add_argument("--problems-file", required=True, dest="problems_file")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--temperature", type=float, default=0.7)
-    _add_provider_flags(p)
-
-    p = add_stage("pairs", "build outcome preference pairs")
-    p.add_argument("--problems-file", required=True, dest="problems_file")
-    p.add_argument("--dgen", required=True)
-    p.add_argument("--drft", required=True)
-    p.add_argument("--max-pairs", type=int, default=8, dest="max_pairs")
-
-    for name, helptext in (("explore", "locate first pits (report only)"),
-                           ("gpair", "build granular preference pairs")):
-        p = add_stage(name, helptext)
-        p.add_argument("--problems-file", required=True, dest="problems_file")
-        p.add_argument("--dpair", required=True)
-        p.add_argument("--k", type=int, default=4)
-        p.add_argument("--temperature", type=float, default=0.7)
-        _add_provider_flags(p)
-        if name == "gpair":
-            p.add_argument("--variant", choices=list(VARIANTS), default="full")
-
-    p = add_stage("sweep-k", "exploration-size sweep (nested)")
-    p.add_argument("--problems-file", required=True, dest="problems_file")
-    p.add_argument("--dpair", required=True)
-    p.add_argument("--ks", default="4,8,16,32")
-    p.add_argument("--temperature", type=float, default=0.7)
-    _add_provider_flags(p)
-
-    p = add_stage("train", "train the toy policy on a pair dataset")
-    p.add_argument("--pairs-file", required=True, dest="pairs_file")
-    p.add_argument("--objective", choices=["dpo", "ipo", "kto"], default="dpo")
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--kto-weights", default="1.0,1.0", dest="kto_weights")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--alphabet", type=int, default=32)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--smoothing", type=float, default=0.5)
-
-    p = add_stage("metrics", "score prediction sets")
-    p.add_argument("--problems-file", required=True, dest="problems_file")
-    p.add_argument("--dgen", required=True)
-    p.add_argument("--k", default="1")
-    p.add_argument("--embeddings", default=None,
-                   help="JSONL of {id, embeddings} for the diversity metric")
-
+    stage_parsers: dict[str, _Parser] = {}
+    for stage in _STAGE_DECLS:
+        p = stage_parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
+        for inp in stage.inputs:
+            p.add_argument("--" + inp.dest.replace("_", "-"), required=inp.required)
+        for name, kwargs in stage.flags.items():
+            p.add_argument(name, **kwargs)
     return parser, stage_parsers
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser, stage_parsers = build_parser()
-
-    cfg_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-    if cfg_path:
-        try:
-            defaults = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            print(f"error: validation: bad config file: {e}", file=sys.stderr)
-            return 2
-        if not isinstance(defaults, dict):
-            print("error: validation: config file must hold a JSON object",
-                  file=sys.stderr)
-            return 2
-        # subparsers re-parse into a fresh namespace, so config-supplied
-        # defaults must be installed on every stage parser as well
-        parser.set_defaults(**defaults)
-        for stage_parser in stage_parsers.values():
-            stage_parser.set_defaults(**defaults)
-
     args = parser.parse_args(argv)
-    out_dir = Path(args.out)
-    io = _StageIO(out_dir)
+    if not args.config:
+        return args
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise ValidationFailure(f"bad config file: {e}") from None
+    if not isinstance(values, dict):
+        raise ValidationFailure("config file must hold a JSON object")
+    unknown = sorted(set(values).difference(
+        *(p.flags() for p in (parser, *stage_parsers.values()))))
+    if unknown:
+        raise ValidationFailure(f"unknown config key(s): {', '.join(unknown)}")
+
+    def as_flags(p: _Parser) -> list[str]:
+        out = []
+        for dest, action in p.flags().items():
+            if dest in values:
+                if not isinstance(values[dest], (str, int, float)):
+                    raise ValidationFailure(f"config key {dest}: {json.dumps(values[dest])} "
+                                            "is not a flag value")
+                out.append(f"{action.option_strings[0]}={values[dest]}")
+        return out
+
+    # Parse again with each config value as a flag ahead of the explicit
+    # flags, which win. The stage name is the first token that is neither a
+    # top-level option nor its value.
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return parser.parse_args(as_flags(parser) + argv[:i + 1]
+                             + as_flags(stage_parsers[args.stage]) + argv[i + 1:])
+
+
+def main(argv: list[str] | None = None) -> int:
+    io = None
+    try:
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        io = _StageIO(Path(args.out))
+        io.out_dir.mkdir(parents=True, exist_ok=True)
         _STAGES[args.stage](args, io)
         return 0
     except ValidationFailure as e:
-        io.cleanup()
-        print(f"error: validation: {e}", file=sys.stderr)
-        return 2
+        code, message = 2, f"validation: {e}"
     except Exception as e:  # noqa: BLE001 - stage failures map to exit 1
+        code, message = 1, f"stage-failure: {type(e).__name__}: {e}"
+    if io is not None:
         io.cleanup()
-        print(f"error: stage-failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -242,7 +242,9 @@ def read_dataset(path: str | Path, kind: str) -> tuple[list[Record], DatasetHead
         raise ValueError(f"unknown dataset kind: {kind!r}")
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        # Split on "\n" only: str.splitlines would also split inside a JSON
+        # string at characters json.dumps leaves raw, such as U+2028.
+        lines = f.readlines()
     if not lines:
         raise DatasetParseError(1, "missing header record")
     try:

@@ -1,11 +1,11 @@
-"""Uniform completion sampling over two providers.
+"""Uniform completion sampling over two backends.
 
-Providers:
-  * ``http-endpoint`` -- an OpenAI-style completions server: POST a JSON
+A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
+  * ``endpoint_url`` -- an OpenAI-style completions server: POST a JSON
     body with prompt/n/temperature/max_tokens/stop, read back
     ``choices[].text``. If the server caps ``n`` the client loops until it
     has collected n choices. Requests retry with exponential backoff.
-  * ``synthetic`` -- the in-repo toy solver. The prompt contract is: first
+  * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
     taken. Completions are a pure function of (seed, prompt, index), which
     also means the first k completions of a larger draw are always the
@@ -36,9 +36,6 @@ import requests
 from . import synthworld
 from .rng import stable_seed
 from .synthworld import SynthConfig
-
-KIND_HTTP = "http-endpoint"
-KIND_SYNTH = "synthetic"
 
 API_KEY_ENV = "STEPPREF_API_KEY"
 RETRY_ATTEMPTS = 3
@@ -95,35 +92,30 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class ProviderHandle:
-    kind: str
+    """A completions backend: an HTTP endpoint when `endpoint_url` is set, the
+    synthetic solver when `synth_config` is set. Exactly one of them is."""
+
     endpoint_url: str | None = None
     model_name: str | None = None
     synth_config: SynthConfig | None = None
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_HTTP, KIND_SYNTH):
-            raise ValueError(f"unknown provider kind: {self.kind!r}")
         if (self.endpoint_url is None) == (self.synth_config is None):
             raise ValueError("exactly one of endpoint_url / synth_config must be set")
-        if self.kind == KIND_HTTP and self.endpoint_url is None:
-            raise ValueError("http-endpoint provider needs endpoint_url")
-        if self.kind == KIND_SYNTH and self.synth_config is None:
-            raise ValueError("synthetic provider needs synth_config")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
     @classmethod
     def http(cls, endpoint_url: str, model_name: str | None = None,
              max_in_flight: int = 4) -> "ProviderHandle":
-        return cls(kind=KIND_HTTP, endpoint_url=endpoint_url,
-                   model_name=model_name, max_in_flight=max_in_flight)
+        return cls(endpoint_url=endpoint_url, model_name=model_name,
+                   max_in_flight=max_in_flight)
 
     @classmethod
     def synthetic(cls, synth_config: SynthConfig,
                   max_in_flight: int = 4) -> "ProviderHandle":
-        return cls(kind=KIND_SYNTH, synth_config=synth_config,
-                   max_in_flight=max_in_flight)
+        return cls(synth_config=synth_config, max_in_flight=max_in_flight)
 
 
 def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -> list[str]:
@@ -204,7 +196,7 @@ def _sample_http(provider: ProviderHandle, prompt: str,
 
 def sample(provider: ProviderHandle, prompt: str, cfg: SamplingConfig) -> list[str]:
     """Exactly cfg.n completions for one prompt, in request order."""
-    if provider.kind == KIND_SYNTH:
+    if provider.synth_config is not None:
         return _sample_synthetic(provider.synth_config, prompt, cfg)
     return _sample_http(provider, prompt, cfg)
 
@@ -229,7 +221,7 @@ def sample_batch(
         except GenClientError as e:
             results[i] = e
 
-    if provider.kind == KIND_SYNTH:
+    if provider.synth_config is not None:
         # The toy solver is pure Python: threads would only take turns on the
         # interpreter lock, so its prompts run inline.
         for i in range(len(prompts)):

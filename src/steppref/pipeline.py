@@ -70,16 +70,10 @@ class ExplorationError(RuntimeError):
 @dataclass(frozen=True)
 class PairingConfig:
     max_pairs_per_problem: int = 8
-    distance: str = "token-edit"
-    tie_break: str = "earliest-index"
 
     def __post_init__(self) -> None:
         if self.max_pairs_per_problem < 1:
             raise ValueError("max_pairs_per_problem must be >= 1")
-        if self.distance != "token-edit":
-            raise ValueError("only token-edit distance is supported")
-        if self.tie_break != "earliest-index":
-            raise ValueError("only earliest-index tie breaking is supported")
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,8 @@ class ObjectiveConfig:
             raise ValueError("beta must be > 0")
         if self.objective == "ipo" and (self.tau is None or self.tau <= 0):
             raise ValueError("ipo needs tau > 0")
+        if len(self.kto_weights) != 2:
+            raise ValueError("kto_weights must be two values (chosen, rejected)")
         if self.objective == "kto" and any(w <= 0 for w in self.kto_weights):
             raise ValueError("kto weights must be > 0")
 
@@ -308,20 +310,18 @@ def train(
     cfg: ObjectiveConfig,
     epochs: int,
     lr: float,
-    seed: int = 0,
 ) -> tuple[ToyPolicy, list[tuple[int, float, float]]]:
-    """Full-batch gradient descent; deterministic given identical inputs.
+    """Full-batch gradient descent; deterministic given identical inputs,
+    because it draws no randomness.
 
-    `seed` is recorded for config fingerprints; the full-batch trainer
-    itself draws no randomness. History rows are (epoch, loss,
-    reward_accuracy), both measured before that epoch's update.
+    History rows are (epoch, loss, reward_accuracy), both measured before
+    that epoch's update.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     _check_compat(policy_init, ref)
-    del seed
     policy = policy_init.copy()
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, epochs + 1):

@@ -231,3 +231,98 @@ def test_malformed_rejected_step_is_itemised(tmp_path):
                for line in (base / "gpair_dropped.jsonl").read_text().splitlines()]
     assert {"id": bad.problem_id, "record_index": bad_idx,
             "reason": errors[0]["error"]} in dropped
+
+
+def _run_stderr(args, capsys):
+    code = run(args)
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+@pytest.mark.parametrize("stage_args,config", [
+    (["rft", "--n", "abc"], None),
+    (["rft"], {"n": "abc"}),
+    (["rft"], {"nn": 3}),
+    (["rft", "--n", 0], None),
+    (["train", "--objective", "ipo"], None),
+    (["train", "--objective", "kto", "--kto-weights", 1], None),
+], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
+        "one-kto-weight"])
+def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
+    base = chain(tmp_path / "run")
+    out = tmp_path / "out"
+    inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
+              "train": ["--pairs-file", base / "dgpair.jsonl"]}[stage_args[0]]
+    top = ["--out", out]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        top += ["--config", cfg]
+    code, err = _run_stderr([*top, *stage_args, *inputs], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: validation:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_values_are_typed_like_flags(tmp_path):
+    base = chain(tmp_path / "run")
+    problems = ["--problems-file", base / "problems.jsonl"]
+    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+    assert run(["--seed", 3, "--out", by_flags, "rft", *problems, "--n", 4,
+                "--temperature", 1, "--epsilon", 0.25]) == 0
+    cfg = tmp_path / "cfg.json"
+    # JSON ints for float flags, a key of another stage, and a seed that the
+    # explicit --seed overrides
+    cfg.write_text(json.dumps({"n": 4, "temperature": 1, "epsilon": 0.25,
+                               "problems": 7, "seed": 9}))
+    assert run(["--seed", 3, "--out", by_config, "--config", cfg, "rft", *problems]) == 0
+    names = sorted(p.name for p in by_flags.iterdir())
+    assert names == sorted(p.name for p in by_config.iterdir())
+    for name in names:
+        assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics"])
+def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
+    base = chain(tmp_path / "run")
+    flag, name, kind, extra = {
+        "pairs": ("--dgen", "dgen.jsonl", KIND_GEN, ["--drft", base / "drft.jsonl"]),
+        "explore": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+        "gpair": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+        "sweep-k": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--ks", "1,2"]),
+        "metrics": ("--dgen", "samples.jsonl", KIND_GEN, []),
+    }[stage]
+    records, header = read_dataset(base / name, kind)
+    records[0] = dataclasses.replace(records[0], problem_id="synth-99999")
+    write_dataset(records, header, base / name)
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, stage, "--problems-file",
+                             base / "problems.jsonl", flag, base / name, *extra], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {base / name} references unknown problem "
+                   "synth-99999"]
+    assert not any(out.iterdir())
+
+
+def test_source_hash_checked_against_problems_file(tmp_path, capsys):
+    base = chain(tmp_path / "run")
+    # the same problem ids, other questions: dgen and drft now name a stale
+    # problems file
+    assert run(["--seed", 4, "--out", base, "synth", "--problems", 5, "--t", 3,
+                "--samples", 4]) == 0
+    problems = ["--problems-file", base / "problems.jsonl"]
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "pairs", *problems, "--dgen",
+                             base / "dgen.jsonl", "--drft", base / "drft.jsonl"], capsys)
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"error: validation: {base / 'dgen.jsonl'} has source_hash ")
+    code, err = _run_stderr(["--out", out, "metrics", *problems, "--dgen",
+                             base / "dgen.jsonl"], capsys)
+    assert code == 2 and len(err) == 1 and "has source_hash" in err[0]
+    assert not any(out.iterdir())
+    # the regenerated samples match; an empty hash is an unknown upstream
+    assert run(["--out", out, "metrics", *problems, "--dgen", base / "samples.jsonl"]) == 0
+    for name, kind in (("dgen.jsonl", KIND_GEN), ("drft.jsonl", KIND_RFT)):
+        records, header = read_dataset(base / name, kind)
+        write_dataset(records, dataclasses.replace(header, source_hash=""), base / name)
+    assert run(["--out", out, "pairs", *problems, "--dgen", base / "dgen.jsonl",
+                "--drft", base / "drft.jsonl"]) == 0

@@ -4,22 +4,33 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steppref.corpus as corpus
 from steppref.corpus import (
+    GRAN_OUTCOME,
+    GRANULARITIES,
+    KIND_D,
     KIND_GEN,
     KIND_PAIR,
     KIND_RFT,
     DatasetHeader,
     DatasetParseError,
     DatasetSchemaError,
+    LABELS,
+    PRODUCERS,
+    STYLES,
     PairRecord,
     Problem,
     Rationale,
     RationaleRecord,
     read_dataset,
+    record_from_dict,
+    record_to_dict,
     write_dataset,
 )
+from steppref.extraction import canonicalize
 
 from conftest import make_pair_record, make_rationale
 
@@ -202,3 +213,73 @@ class TestInvariants:
     def test_header_kind_checked(self):
         with pytest.raises(ValueError):
             DatasetHeader("D_WEIRD")
+
+
+# ---------------------------------------------------------------------------
+# round-trip properties over generated records
+
+_texts = st.text(max_size=20)
+_ids = st.text(min_size=1, max_size=12)
+_golds = _texts.map(canonicalize).filter(bool)
+
+
+@st.composite
+def _rationales(draw, label=None, conclusion=True):
+    label = draw(st.sampled_from(LABELS)) if label is None else label
+    steps = draw(st.lists(st.text(min_size=1, max_size=20),
+                          min_size=0 if label == "ungraded" else 1, max_size=4))
+    if label == "correct":
+        extracted = draw(_golds)
+    else:
+        extracted = draw(st.none() | _texts)
+    return Rationale(steps=tuple(steps),
+                     conclusion=draw(st.none() | _texts) if conclusion else None,
+                     producer=draw(st.sampled_from(PRODUCERS)), label=label,
+                     extracted_answer=extracted)
+
+
+_problems = st.builds(Problem, id=_ids, question=_texts, gold_answer=_golds,
+                      style=st.sampled_from(STYLES))
+_rationale_records = st.builds(RationaleRecord, problem_id=_ids, rationale=_rationales())
+
+
+@st.composite
+def _pair_records(draw):
+    granularity = draw(st.sampled_from(GRANULARITIES))
+    outcome = granularity == GRAN_OUTCOME
+    return PairRecord(
+        problem_id=draw(_ids), input=draw(_texts),
+        chosen=draw(_rationales("correct" if outcome else None)),
+        rejected=draw(_rationales("incorrect" if outcome else None, conclusion=False)),
+        granularity=granularity,
+        pit_index=None if outcome else draw(st.integers(1, 50)),
+    )
+
+
+_datasets = st.one_of(
+    st.tuples(st.just(KIND_D), st.lists(_problems, max_size=4)),
+    st.tuples(st.sampled_from([KIND_GEN, KIND_RFT]), st.lists(_rationale_records, max_size=4)),
+    st.tuples(st.just(KIND_PAIR), st.lists(_pair_records(), max_size=4)),
+)
+
+
+@given(_datasets)
+@settings(max_examples=150, deadline=None)
+def test_record_dict_roundtrip_hypothesis(dataset):
+    kind, records = dataset
+    for rec in records:
+        assert record_from_dict(record_to_dict(rec), kind) == rec
+
+
+@given(_datasets, _texts)
+@settings(max_examples=150, deadline=None)
+def test_dataset_file_roundtrip_byte_stable_hypothesis(tmp_path_factory, dataset, source):
+    kind, records = dataset
+    first, second = (tmp_path_factory.mktemp("rt") / name for name in ("a", "b"))
+    header = DatasetHeader(kind, {"seed": 0, "note": source}, source_hash=source)
+    write_dataset(records, header, first)
+    back, back_header = read_dataset(first, kind)
+    assert back == records
+    assert back_header == header
+    write_dataset(back, back_header, second)
+    assert first.read_bytes() == second.read_bytes()

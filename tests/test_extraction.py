@@ -200,3 +200,27 @@ class TestStripConclusion:
                       label="incorrect", extracted_answer="1")
         out = strip_conclusion(r)
         assert (out.producer, out.label, out.extracted_answer) == ("RFT", "incorrect", "1")
+
+
+# Step lines as split_steps returns them: stripped, non-blank, free of the
+# characters str.splitlines breaks on (categories Cc, Zl and Zp).
+_lines = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                 min_size=1, max_size=20).map(str.strip).filter(bool)
+_answers = st.text(max_size=20).map(canonicalize).filter(bool)
+
+
+@given(st.lists(_lines.filter(lambda ln: not ANSWER_LINE.is_declaration(ln)),
+                min_size=1, max_size=5),
+       st.none() | _answers)
+@settings(max_examples=200, deadline=None)
+def test_split_steps_roundtrip_hypothesis(steps, answer):
+    conclusion = None if answer is None else f"The answer is {answer}."
+    raw = "\n".join(steps + ([conclusion] if conclusion else []))
+    assert split_steps(raw, ANSWER_LINE) == (steps, conclusion)
+
+
+@given(st.lists(_lines, max_size=5), _answers)
+@settings(max_examples=200, deadline=None)
+def test_extract_answer_of_known_conclusion_hypothesis(steps, answer):
+    rationale = Rationale(steps=tuple(steps), conclusion=f"The answer is {answer}.")
+    assert extract_answer(rationale.text(), ANSWER_LINE) == answer

@@ -35,12 +35,9 @@ class TestConfigs:
 
     def test_provider_needs_exactly_one_backend(self):
         with pytest.raises(ValueError):
-            ProviderHandle(kind="synthetic")
+            ProviderHandle()
         with pytest.raises(ValueError):
-            ProviderHandle(kind="http-endpoint", endpoint_url="http://x",
-                           synth_config=SynthConfig())
-        with pytest.raises(ValueError):
-            ProviderHandle(kind="oracle", endpoint_url="http://x")
+            ProviderHandle(endpoint_url="http://x", synth_config=SynthConfig())
 
 
 class TestSyntheticProvider:
