@@ -387,12 +387,16 @@ def _run_metrics(run: StageRun) -> None:
         lines.append(f"mean_unique_count\t{k}\t{uniq:.12g}")
         lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
     if run.args.embeddings:
+        known = {p.id for p in run.records["problems_file"]}
         values = []
         with open(run.args.embeddings, "r", encoding="utf-8") as f:
             for line in f:
                 if not line.strip():
                     continue
                 row = json.loads(line)
+                if row["id"] not in known:
+                    raise ValidationFailure(f"{run.args.embeddings} references unknown "
+                                            f"problem {row['id']}")
                 d = evalmetrics.DiversityInput(row["id"], np.asarray(row["embeddings"]))
                 values.append(evalmetrics.diversity(d))
         if values:
@@ -436,6 +440,13 @@ def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreCo
                                           seed=args.seed)
 
 
+def _sweep_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
+    if min(args.ks) < 1:
+        raise ValueError("every k must be >= 1")
+    return _provider(args), ExploreConfig(k=max(args.ks), temperature=args.temperature,
+                                          nested_sampling=True, seed=args.seed)
+
+
 _STAGE_DECLS = (
     Stage("synth", "generate synthetic problems", _run_synth,
           flags={"--problems": dict(type=int, default=20),
@@ -471,9 +482,7 @@ _STAGE_DECLS = (
     Stage("sweep-k", "exploration-size sweep (nested)", _run_sweep_k,
           flags={"--ks": dict(type=_list_of(int), default="4,8,16,32"), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), fingerprint=("ks", "temperature"),
-          configure=lambda a: (_provider(a), ExploreConfig(
-              k=max(a.ks), temperature=a.temperature, nested_sampling=True,
-              seed=a.seed))),
+          configure=_sweep_config),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
           flags={"--objective": dict(choices=["dpo", "ipo", "kto"], default="dpo"),
                  "--beta": dict(type=float, default=0.1),
@@ -485,7 +494,8 @@ _STAGE_DECLS = (
                  "--order": dict(type=int, default=2),
                  "--smoothing": dict(type=float, default=0.5)},
           inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
-          fingerprint=("objective", "epochs", "lr", "alphabet", "order"),
+          fingerprint=("objective", "beta", "tau", "kto_weights", "epochs", "lr",
+                       "alphabet", "order", "smoothing"),
           configure=lambda a: preflearn.ObjectiveConfig(
               objective=a.objective, beta=a.beta, tau=a.tau,
               kto_weights=tuple(a.kto_weights))),

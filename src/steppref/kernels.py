@@ -1,107 +1,24 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
-The jitted path is used when numba imports cleanly; set
-``STEPPREF_DISABLE_NUMBA=1`` to force the numpy fallback. Both
-implementations of each kernel are importable directly (``*_numpy`` /
-``*_jit``) so the benchmark and the agreement tests can compare them;
-the unsuffixed names dispatch to the active path.
+The trainer flattens a batch of sequences once: `ctx[i]` is the policy-table
+row ahead of token `tok[i]`, and sequence s spans the positions from
+`starts[s]` up to the next start (or the end). Each kernel then makes one
+call per batch.
 
 Kernels:
-  levenshtein(a, b)                     -- edit distance over int64 id arrays
-  seq_logprob(logits, ctx, tok)         -- sum of log softmax(logits[ctx])[tok]
-  add_seq_grad(logits, ctx, tok, c, g)  -- g[ctx] += c * (onehot(tok) - softmax)
+  levenshtein(a, b)                       -- edit distance over int64 id arrays
+  seq_logprob(logits, ctx, tok, starts)   -- per sequence, the sum of
+                                             log softmax(logits[ctx])[tok]
+  add_seq_grad(logits, ctx, tok, c, g)    -- g[ctx] += c * (onehot(tok) - softmax),
+                                             one coefficient per token
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("STEPPREF_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _ENV_FLAG in ("1", "true", "yes")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("disabled via STEPPREF_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (jitted when numba is active)
-
-
-def _levenshtein_loop(a: np.ndarray, b: np.ndarray) -> int:
-    n, m = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (0 if ai == b[j - 1] else 1)
-            dele = prev[j] + 1
-            ins = cur[j - 1] + 1
-            best = sub if sub < dele else dele
-            cur[j] = best if best < ins else ins
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def _seq_logprob_loop(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray) -> float:
-    total = 0.0
-    width = logits.shape[1]
-    for i in range(ctx.shape[0]):
-        c = ctx[i]
-        m = logits[c, 0]
-        for j in range(1, width):
-            if logits[c, j] > m:
-                m = logits[c, j]
-        s = 0.0
-        for j in range(width):
-            s += math.exp(logits[c, j] - m)
-        total += logits[c, tok[i]] - m - math.log(s)
-    return total
-
-
-def _add_seq_grad_loop(
-    logits: np.ndarray,
-    ctx: np.ndarray,
-    tok: np.ndarray,
-    coef: float,
-    grad: np.ndarray,
-) -> None:
-    width = logits.shape[1]
-    probs = np.empty(width, dtype=np.float64)
-    for i in range(ctx.shape[0]):
-        c = ctx[i]
-        m = logits[c, 0]
-        for j in range(1, width):
-            if logits[c, j] > m:
-                m = logits[c, j]
-        s = 0.0
-        for j in range(width):
-            probs[j] = math.exp(logits[c, j] - m)
-            s += probs[j]
-        for j in range(width):
-            grad[c, j] -= coef * probs[j] / s
-        grad[c, tok[i]] += coef
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Row-vectorized DP; the insertion chain resolves via a prefix-min scan."""
     n, m = a.shape[0], b.shape[0]
     if n == 0:
@@ -119,56 +36,38 @@ def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[m])
 
 
-def _row_log_softmax(rows: np.ndarray) -> np.ndarray:
-    m = rows.max(axis=1, keepdims=True)
-    return rows - m - np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+def seq_logprob(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """One log-probability sum per sequence; an empty sequence sums to 0."""
+    rows = logits[ctx]  # a copy; worked on in place to keep one batch-sized array
+    m = rows.max(axis=1)
+    picked = rows[np.arange(ctx.shape[0]), tok]
+    rows -= m[:, None]
+    np.exp(rows, out=rows)
+    picked = picked - m - np.log(rows.sum(axis=1))
+    bounds = [*starts.tolist(), ctx.shape[0]]
+    # numpy's pairwise .sum() per segment: np.add.reduceat sums sequentially,
+    # which differs in the last bits from a per-sequence sum.
+    return np.array([picked[a:b].sum() for a, b in zip(bounds, bounds[1:])])
 
 
-def seq_logprob_numpy(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray) -> float:
-    if ctx.shape[0] == 0:
-        return 0.0
-    lsm = _row_log_softmax(logits[ctx])
-    return float(lsm[np.arange(ctx.shape[0]), tok].sum())
-
-
-def add_seq_grad_numpy(
+def add_seq_grad(
     logits: np.ndarray,
     ctx: np.ndarray,
     tok: np.ndarray,
-    coef: float,
+    coef: np.ndarray,
     grad: np.ndarray,
 ) -> None:
-    if ctx.shape[0] == 0:
-        return
-    rows = logits[ctx]
-    m = rows.max(axis=1, keepdims=True)
-    e = np.exp(rows - m)
-    probs = e / e.sum(axis=1, keepdims=True)
-    delta = -coef * probs
+    """Accumulate into `grad` in position order, so a row touched by several
+    sequences sums their terms in batch order."""
+    delta = logits[ctx]  # a copy, turned in place into the rows' terms
+    delta -= delta.max(axis=1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=1, keepdims=True)
+    delta *= -coef[:, None]
     delta[np.arange(ctx.shape[0]), tok] += coef
     np.add.at(grad, ctx, delta)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-if HAVE_NUMBA:
-    levenshtein_jit = njit(cache=True)(_levenshtein_loop)
-    seq_logprob_jit = njit(cache=True)(_seq_logprob_loop)
-    add_seq_grad_jit = njit(cache=True)(_add_seq_grad_loop)
-
-    levenshtein = levenshtein_jit
-    seq_logprob = seq_logprob_jit
-    add_seq_grad = add_seq_grad_jit
-else:
-    levenshtein_jit = None
-    seq_logprob_jit = None
-    add_seq_grad_jit = None
-
-    levenshtein = levenshtein_numpy
-    seq_logprob = seq_logprob_numpy
-    add_seq_grad = add_seq_grad_numpy
-
-
 def active_path() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"

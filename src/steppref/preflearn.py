@@ -7,6 +7,13 @@ analytic gradients over that table, verified elsewhere against central
 finite differences, plus a plain full-batch gradient-descent trainer and a
 reward-accuracy (winrate) tracker.
 
+A batch is flattened once: tokens validated, the table row ahead of each
+chosen and rejected token found, reference log-probs computed. One loss pass
+serves all three objectives: one kernel call for every sequence's log-prob,
+one gradient coefficient per sequence from the pairs' log-ratios (the only
+objective-specific step), one kernel call to scatter the gradient. Reward
+accuracy reuses those log-probs; `train` flattens once per call.
+
 Loss conventions, with r(y) = beta * [log pi(y|x) - log pi_ref(y|x)]:
 
   dpo:  mean_j -log sigmoid(r_j(y+) - r_j(y-))
@@ -19,7 +26,7 @@ Loss conventions, with r(y) = beta * [log pi(y|x) - log pi_ref(y|x)]:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,11 +154,9 @@ def seq_logprob(policy: ToyPolicy, x: tuple[int, ...], y: tuple[int, ...]) -> fl
     """log pi(y | x): sum of per-token log softmax terms. Empty y gives 0."""
     _validate_tokens(tuple(x), policy.alphabet_size)
     _validate_tokens(tuple(y), policy.alphabet_size)
-    if not y:
-        return 0.0
     ctx = context_indices(tuple(x), tuple(y), policy.order, policy.alphabet_size)
     tok = np.asarray(y, dtype=np.int64)
-    return float(kernels.seq_logprob(policy.logits, ctx, tok))
+    return float(kernels.seq_logprob(policy.logits, ctx, tok, np.zeros(1, np.int64))[0])
 
 
 def _sigmoid(z: float) -> float:
@@ -161,78 +166,117 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass
-class _PairArrays:
-    ctx_p: np.ndarray
-    tok_p: np.ndarray
-    ctx_m: np.ndarray
-    tok_m: np.ndarray
-    lp_pol_p: float = 0.0
-    lp_pol_m: float = 0.0
-    lp_ref_p: float = 0.0
-    lp_ref_m: float = 0.0
+@dataclass(frozen=True)
+class _Flat:
+    """A batch flattened once. Sequences run y+_1, y-_1, y+_2, y-_2, ...;
+    sequence s spans ctx/tok[starts[s] : starts[s] + lengths[s]]."""
+
+    ctx: np.ndarray
+    tok: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    ref_lp: list[float]  # log pi_ref of each sequence
 
 
-def _prepare(policy: ToyPolicy, ref: ToyPolicy,
-             batch: list[TokenizedPair]) -> list[_PairArrays]:
+def _logprobs(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
+              starts: np.ndarray) -> list[float]:
+    return kernels.seq_logprob(logits, ctx, tok, starts).tolist()
+
+
+def _flatten(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]) -> _Flat:
     _check_compat(policy, ref)
     if not batch:
         raise ValueError("batch must be non-empty")
-    out = []
+    seqs = []
     for pair in batch:
         _validate_tokens(pair.x, policy.alphabet_size)
         _validate_tokens(pair.y_plus, policy.alphabet_size)
         _validate_tokens(pair.y_minus, policy.alphabet_size)
-        a = _PairArrays(
-            ctx_p=context_indices(pair.x, pair.y_plus, policy.order, policy.alphabet_size),
-            tok_p=np.asarray(pair.y_plus, dtype=np.int64),
-            ctx_m=context_indices(pair.x, pair.y_minus, policy.order, policy.alphabet_size),
-            tok_m=np.asarray(pair.y_minus, dtype=np.int64),
-        )
-        a.lp_pol_p = float(kernels.seq_logprob(policy.logits, a.ctx_p, a.tok_p))
-        a.lp_pol_m = float(kernels.seq_logprob(policy.logits, a.ctx_m, a.tok_m))
-        a.lp_ref_p = float(kernels.seq_logprob(ref.logits, a.ctx_p, a.tok_p))
-        a.lp_ref_m = float(kernels.seq_logprob(ref.logits, a.ctx_m, a.tok_m))
-        out.append(a)
-    return out
+        seqs += [(pair.x, pair.y_plus), (pair.x, pair.y_minus)]
+    ctx = np.concatenate([context_indices(x, y, policy.order, policy.alphabet_size)
+                          for x, y in seqs])
+    tok = np.array([t for _, y in seqs for t in y], dtype=np.int64)
+    lengths = np.array([len(y) for _, y in seqs], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    return _Flat(ctx, tok, starts, lengths, _logprobs(ref.logits, ctx, tok, starts))
+
+
+def _accuracy(pol_lp: list[float], ref_lp: list[float]) -> float:
+    """Fraction of pairs whose chosen implicit reward strictly beats the
+    rejected one; ties count as losses."""
+    wins = sum(
+        pp - rp - pm + rm > 0
+        for pp, rp, pm, rm in zip(pol_lp[0::2], ref_lp[0::2], pol_lp[1::2], ref_lp[1::2])
+    )
+    return wins / (len(pol_lp) // 2)
+
+
+def _terms(cfg: ObjectiveConfig, ratios: list[float],
+           reference_point: float | None) -> tuple[float, list[float]]:
+    """Batch-mean loss and d loss / d log pi(y) of each sequence, from the
+    log-ratios log pi(y) - log pi_ref(y) in flattened order. This is the
+    only part that differs between the objectives."""
+    m = len(ratios) // 2
+    chosen, rejected = ratios[0::2], ratios[1::2]
+    total, coefs = 0.0, []
+    if cfg.objective == "kto":
+        beta, (lam_c, lam_r) = cfg.beta, cfg.kto_weights
+        rewards_p = [beta * r for r in chosen]
+        rewards_m = [beta * r for r in rejected]
+        if reference_point is None:
+            z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
+        else:
+            z = reference_point
+        for r_p, r_m in zip(rewards_p, rewards_m):
+            s_p = _sigmoid(beta * (r_p - z))
+            s_m = _sigmoid(beta * (z - r_m))
+            total += lam_c * (1.0 - s_p) + lam_r * (1.0 - s_m)
+            coefs += [-lam_c * beta * beta * s_p * (1.0 - s_p) / m,
+                      lam_r * beta * beta * s_m * (1.0 - s_m) / m]
+        return total / m, coefs
+    for delta in (p - n for p, n in zip(chosen, rejected)):
+        if cfg.objective == "dpo":
+            total += float(np.logaddexp(0.0, -cfg.beta * delta))
+            coef = -cfg.beta * _sigmoid(-cfg.beta * delta) / m
+        else:
+            miss = delta - 1.0 / (2.0 * cfg.tau)
+            total += miss * miss  # not **2: float pow raises instead of inf
+            coef = 2.0 * miss / m
+        coefs += [coef, -coef]
+    return total / m, coefs
+
+
+def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
+               reference_point: float | None = None
+               ) -> tuple[float, np.ndarray, list[float]]:
+    """Loss, its gradient in the logits, and the policy log-prob of each
+    sequence: one seq_logprob call and one add_seq_grad call."""
+    pol_lp = _logprobs(policy.logits, flat.ctx, flat.tok, flat.starts)
+    loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)],
+                         reference_point)
+    grad = np.zeros_like(policy.logits)
+    kernels.add_seq_grad(policy.logits, flat.ctx, flat.tok,
+                         np.repeat(coefs, flat.lengths), grad)
+    return loss, grad, pol_lp
+
+
+def _batch_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
+                cfg: ObjectiveConfig, reference_point: float | None = None
+                ) -> tuple[float, np.ndarray]:
+    loss, grad, _ = _loss_pass(policy, _flatten(policy, ref, batch), cfg, reference_point)
+    return loss, grad
 
 
 def dpo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
              beta: float) -> tuple[float, np.ndarray]:
     """Batch-mean -log sigmoid(beta * delta) and its gradient in the logits."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    arrays = _prepare(policy, ref, batch)
-    m = len(arrays)
-    grad = np.zeros_like(policy.logits)
-    total = 0.0
-    for a in arrays:
-        delta = (a.lp_pol_p - a.lp_ref_p) - (a.lp_pol_m - a.lp_ref_m)
-        total += float(np.logaddexp(0.0, -beta * delta))
-        coef = -beta * _sigmoid(-beta * delta) / m
-        kernels.add_seq_grad(policy.logits, a.ctx_p, a.tok_p, coef, grad)
-        kernels.add_seq_grad(policy.logits, a.ctx_m, a.tok_m, -coef, grad)
-    return total / m, grad
+    return _batch_loss(policy, ref, batch, ObjectiveConfig("dpo", beta=beta))
 
 
 def ipo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
              tau: float) -> tuple[float, np.ndarray]:
     """Batch-mean (delta - 1/(2*tau))^2 with beta absorbed into delta (=1)."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    arrays = _prepare(policy, ref, batch)
-    m = len(arrays)
-    target = 1.0 / (2.0 * tau)
-    grad = np.zeros_like(policy.logits)
-    total = 0.0
-    for a in arrays:
-        delta = (a.lp_pol_p - a.lp_ref_p) - (a.lp_pol_m - a.lp_ref_m)
-        miss = delta - target
-        total += miss * miss  # not **2: float pow raises instead of inf
-        coef = 2.0 * miss / m
-        kernels.add_seq_grad(policy.logits, a.ctx_p, a.tok_p, coef, grad)
-        kernels.add_seq_grad(policy.logits, a.ctx_m, a.tok_m, -coef, grad)
-    return total / m, grad
+    return _batch_loss(policy, ref, batch, ObjectiveConfig("ipo", tau=tau))
 
 
 def kto_loss(
@@ -249,30 +293,8 @@ def kto_loss(
     gradient; pass `reference_point` to pin it externally (used by the
     finite-difference checks, which must probe at fixed z).
     """
-    lam_c, lam_r = weights
-    if lam_c <= 0 or lam_r <= 0:
-        raise ValueError("kto weights must be > 0")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    arrays = _prepare(policy, ref, batch)
-    m = len(arrays)
-    rewards_p = [beta * (a.lp_pol_p - a.lp_ref_p) for a in arrays]
-    rewards_m = [beta * (a.lp_pol_m - a.lp_ref_m) for a in arrays]
-    if reference_point is None:
-        z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
-    else:
-        z = reference_point
-    grad = np.zeros_like(policy.logits)
-    total = 0.0
-    for a, r_p, r_m in zip(arrays, rewards_p, rewards_m):
-        s_p = _sigmoid(beta * (r_p - z))
-        s_m = _sigmoid(beta * (z - r_m))
-        total += lam_c * (1.0 - s_p) + lam_r * (1.0 - s_m)
-        coef_p = -lam_c * beta * beta * s_p * (1.0 - s_p) / m
-        coef_m = lam_r * beta * beta * s_m * (1.0 - s_m) / m
-        kernels.add_seq_grad(policy.logits, a.ctx_p, a.tok_p, coef_p, grad)
-        kernels.add_seq_grad(policy.logits, a.ctx_m, a.tok_m, coef_m, grad)
-    return total / m, grad
+    cfg = ObjectiveConfig("kto", beta=beta, kto_weights=tuple(weights))
+    return _batch_loss(policy, ref, batch, cfg, reference_point)
 
 
 def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
@@ -281,26 +303,13 @@ def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
     rejected one; ties count as losses."""
     if not pairs:
         return 0.0
-    wins = 0
-    for pair in pairs:
-        delta = (
-            seq_logprob(policy, pair.x, pair.y_plus)
-            - seq_logprob(ref, pair.x, pair.y_plus)
-            - seq_logprob(policy, pair.x, pair.y_minus)
-            + seq_logprob(ref, pair.x, pair.y_minus)
-        )
-        if delta > 0:
-            wins += 1
-    return wins / len(pairs)
+    flat = _flatten(policy, ref, pairs)
+    return _accuracy(_logprobs(policy.logits, flat.ctx, flat.tok, flat.starts), flat.ref_lp)
 
 
 def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
                    cfg: ObjectiveConfig) -> tuple[float, np.ndarray]:
-    if cfg.objective == "dpo":
-        return dpo_loss(policy, ref, batch, cfg.beta)
-    if cfg.objective == "ipo":
-        return ipo_loss(policy, ref, batch, cfg.tau)
-    return kto_loss(policy, ref, batch, cfg.kto_weights, cfg.beta)
+    return _batch_loss(policy, ref, batch, cfg)
 
 
 def train(
@@ -312,7 +321,8 @@ def train(
     lr: float,
 ) -> tuple[ToyPolicy, list[tuple[int, float, float]]]:
     """Full-batch gradient descent; deterministic given identical inputs,
-    because it draws no randomness.
+    because it draws no randomness. The batch is flattened, and its
+    reference log-probs computed, once per call.
 
     History rows are (epoch, loss, reward_accuracy), both measured before
     that epoch's update.
@@ -321,14 +331,14 @@ def train(
         raise ValueError("lr must be >= 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    _check_compat(policy_init, ref)
+    flat = _flatten(policy_init, ref, pairs)
     policy = policy_init.copy()
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, epochs + 1):
-        loss, grad = objective_loss(policy, ref, pairs, cfg)
+        loss, grad, pol_lp = _loss_pass(policy, flat, cfg)
         if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite loss or gradient at epoch {epoch}")
-        history.append((epoch, loss, reward_accuracy(policy, ref, pairs)))
+        history.append((epoch, loss, _accuracy(pol_lp, flat.ref_lp)))
         policy.logits -= lr * grad
     return policy, history
 

@@ -8,7 +8,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from steppref import kernels
 from steppref.corpus import PairRecord, Problem, Rationale, RationaleRecord
 from steppref.synthworld import (
     SynthConfig,
@@ -17,20 +16,6 @@ from steppref.synthworld import (
     parse_question,
     simulate_solution,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Trigger JIT compilation up front so per-test runtime budgets measure
-    # the algorithms, not numba's compiler.
-    a = np.array([0, 1, 2], dtype=np.int64)
-    b = np.array([0, 2], dtype=np.int64)
-    kernels.levenshtein(a, b)
-    logits = np.zeros((9, 3))
-    ctx = np.array([0, 1], dtype=np.int64)
-    tok = np.array([1, 2], dtype=np.int64)
-    kernels.seq_logprob(logits, ctx, tok)
-    kernels.add_seq_grad(logits, ctx, tok, 0.5, np.zeros_like(logits))
 
 
 def make_rationale(rng: np.random.Generator, label: str = "ungraded",

@@ -58,7 +58,7 @@ from steppref.preflearn import (
 from steppref.synthworld import SynthConfig, gen_problem, oracle_first_error, simulate_solution
 
 from test_kernels import lev_oracle
-from test_preflearn import fd_max_rel_err, rand_pair, rand_policy
+from test_preflearn import fd_max_rel_err, kto_reference_point, rand_pair, rand_policy
 
 
 def _passed(n, name, detail=""):
@@ -254,8 +254,6 @@ def test_acceptance_06_objective_math():
     loss_ipo, _ = ipo_loss(pol, pol, batch, tau=0.01)
     assert loss_ipo == 2500.0
 
-    import steppref.preflearn as pf
-
     for trial in range(50):
         alphabet = int(rng.integers(3, 9))
         order = int(rng.integers(1, 3))
@@ -268,11 +266,8 @@ def test_acceptance_06_objective_math():
         err = fd_max_rel_err(policy, fd_batch,
                              lambda p: ipo_loss(p, ref, fd_batch, 0.5))
         assert err < 1e-4, ("ipo", trial, err)
-        arrays = pf._prepare(policy, ref, fd_batch)
         beta = 0.6
-        rs = [beta * (a.lp_pol_p - a.lp_ref_p) for a in arrays]
-        rs += [beta * (a.lp_pol_m - a.lp_ref_m) for a in arrays]
-        z = max(0.0, sum(rs) / len(rs))
+        z = kto_reference_point(policy, ref, fd_batch, beta)
         err = fd_max_rel_err(
             policy, fd_batch,
             lambda p: kto_loss(p, ref, fd_batch, (1.0, 1.3), beta,

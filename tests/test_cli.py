@@ -127,6 +127,21 @@ def test_train_and_metrics(tmp_path):
     assert ("mean_unique_count", "1") in metrics
 
 
+def test_train_manifest_records_settings(tmp_path):
+    base = chain(tmp_path / "run")
+    configs = []
+    for smoothing in (0.5, 0.25):
+        out = tmp_path / f"s{smoothing}"
+        assert run(["--seed", 3, "--out", out, "train", "--pairs-file",
+                    base / "dgpair.jsonl", "--epochs", 2, "--smoothing", smoothing]) == 0
+        configs.append(json.loads((out / "train_manifest.json").read_text())["config"])
+    assert configs[0]["smoothing"] == 0.5 and configs[1]["smoothing"] == 0.25
+    assert {k: v for k, v in configs[0].items() if k != "smoothing"} == \
+        {k: v for k, v in configs[1].items() if k != "smoothing"}
+    assert configs[0]["beta"] == 0.1 and configs[0]["tau"] is None
+    assert configs[0]["kto_weights"] == [1.0, 1.0]
+
+
 def test_metrics_embeddings(tmp_path):
     base = chain(tmp_path / "run")
     emb = tmp_path / "emb.jsonl"
@@ -245,13 +260,16 @@ def _run_stderr(args, capsys):
     (["rft", "--n", 0], None),
     (["train", "--objective", "ipo"], None),
     (["train", "--objective", "kto", "--kto-weights", 1], None),
+    (["sweep-k", "--ks", "0,2"], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
-        "one-kto-weight"])
+        "one-kto-weight", "ks-0"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
     inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
-              "train": ["--pairs-file", base / "dgpair.jsonl"]}[stage_args[0]]
+              "train": ["--pairs-file", base / "dgpair.jsonl"],
+              "sweep-k": ["--problems-file", base / "problems.jsonl",
+                          "--dpair", base / "dpair.jsonl"]}[stage_args[0]]
     top = ["--out", out]
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -281,25 +299,32 @@ def test_config_values_are_typed_like_flags(tmp_path):
         assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics"])
+@pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics",
+                                   "metrics-embeddings"])
 def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
     base = chain(tmp_path / "run")
-    flag, name, kind, extra = {
-        "pairs": ("--dgen", "dgen.jsonl", KIND_GEN, ["--drft", base / "drft.jsonl"]),
-        "explore": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
-        "gpair": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
-        "sweep-k": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--ks", "1,2"]),
-        "metrics": ("--dgen", "samples.jsonl", KIND_GEN, []),
-    }[stage]
-    records, header = read_dataset(base / name, kind)
-    records[0] = dataclasses.replace(records[0], problem_id="synth-99999")
-    write_dataset(records, header, base / name)
+    if stage == "metrics-embeddings":
+        stage, bad = "metrics", tmp_path / "emb.jsonl"
+        bad.write_text("".join(json.dumps({"id": pid, "embeddings": [[0.0], [1.0]]}) + "\n"
+                               for pid in ("synth-00000", "synth-99999")))
+        flag, extra = "--embeddings", ["--dgen", base / "samples.jsonl"]
+    else:
+        flag, name, kind, extra = {
+            "pairs": ("--dgen", "dgen.jsonl", KIND_GEN, ["--drft", base / "drft.jsonl"]),
+            "explore": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+            "gpair": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+            "sweep-k": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--ks", "1,2"]),
+            "metrics": ("--dgen", "samples.jsonl", KIND_GEN, []),
+        }[stage]
+        bad = base / name
+        records, header = read_dataset(bad, kind)
+        records[0] = dataclasses.replace(records[0], problem_id="synth-99999")
+        write_dataset(records, header, bad)
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, stage, "--problems-file",
-                             base / "problems.jsonl", flag, base / name, *extra], capsys)
+                             base / "problems.jsonl", flag, bad, *extra], capsys)
     assert code == 2
-    assert err == [f"error: validation: {base / name} references unknown problem "
-                   "synth-99999"]
+    assert err == [f"error: validation: {bad} references unknown problem synth-99999"]
     assert not any(out.iterdir())
 
 

@@ -16,6 +16,7 @@ from steppref.preflearn import (
     greedy_decode,
     ipo_loss,
     kto_loss,
+    objective_loss,
     reward_accuracy,
     seq_logprob,
     tokenize_pair_records,
@@ -86,6 +87,15 @@ class TestNormalization:
         for _ in range(50):
             window = tuple(int(v) for v in rng.integers(0, 8, size=int(rng.integers(0, 3))))
             assert pol.next_probs(window).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def kto_reference_point(policy, ref, batch, beta):
+    """KTO's z: the clamped mean implicit reward over the batch."""
+    rs = [beta * (seq_logprob(policy, p.x, p.y_plus) - seq_logprob(ref, p.x, p.y_plus))
+          for p in batch]
+    rs += [beta * (seq_logprob(policy, p.x, p.y_minus) - seq_logprob(ref, p.x, p.y_minus))
+           for p in batch]
+    return max(0.0, sum(rs) / len(rs))
 
 
 def touched_cells(policy, batch):
@@ -225,13 +235,8 @@ class TestKtoLoss:
             pol, ref = rand_policy(rng), rand_policy(rng)
             batch = [rand_pair(rng) for _ in range(4)]
             # pin z at its unperturbed value: no gradient flows through it
-            import steppref.preflearn as pf
-
-            arrays = pf._prepare(pol, ref, batch)
             beta = 0.6
-            rs = [beta * (a.lp_pol_p - a.lp_ref_p) for a in arrays]
-            rs += [beta * (a.lp_pol_m - a.lp_ref_m) for a in arrays]
-            z = max(0.0, sum(rs) / len(rs))
+            z = kto_reference_point(pol, ref, batch, beta)
             err = fd_max_rel_err(
                 pol, batch,
                 lambda p: kto_loss(p, ref, batch, (1.0, 1.3), beta, reference_point=z),
@@ -272,6 +277,158 @@ class TestRewardAccuracy:
         batch = [rand_pair(rng) for _ in range(9)]
         acc = reward_accuracy(pol, ref, batch)
         assert 0.0 <= acc <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The per-pair loss loop that the one loss pass replaced, kept as the
+# reference the pass must match bit for bit: per-sequence kernels, scalar
+# per-pair formulas, and a gradient accumulated sequence by sequence.
+
+
+def loop_seq_logprob(logits, ctx, tok):
+    rows = logits[ctx]
+    m = rows.max(axis=1, keepdims=True)
+    lsm = rows - m - np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+    return float(lsm[np.arange(ctx.shape[0]), tok].sum())
+
+
+def loop_add_seq_grad(logits, ctx, tok, coef, grad):
+    rows = logits[ctx]
+    m = rows.max(axis=1, keepdims=True)
+    e = np.exp(rows - m)
+    probs = e / e.sum(axis=1, keepdims=True)
+    delta = -coef * probs
+    delta[np.arange(ctx.shape[0]), tok] += coef
+    np.add.at(grad, ctx, delta)
+
+
+def loop_sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def loop_sequences(policy, ref, batch):
+    """Per pair, (ctx, tok, log pi, log pi_ref) of the chosen and the rejected."""
+    out = []
+    for pair in batch:
+        sides = []
+        for y in (pair.y_plus, pair.y_minus):
+            ctx = context_indices(pair.x, y, policy.order, policy.alphabet_size)
+            tok = np.asarray(y, dtype=np.int64)
+            sides.append((ctx, tok, loop_seq_logprob(policy.logits, ctx, tok),
+                          loop_seq_logprob(ref.logits, ctx, tok)))
+        out.append(sides)
+    return out
+
+
+def loop_loss(policy, ref, batch, cfg, reference_point=None):
+    seqs = loop_sequences(policy, ref, batch)
+    m = len(seqs)
+    grad = np.zeros_like(policy.logits)
+    total = 0.0
+    if cfg.objective == "kto":
+        lam_c, lam_r = cfg.kto_weights
+        beta = cfg.beta
+        rewards_p = [beta * (p[2] - p[3]) for p, _ in seqs]
+        rewards_m = [beta * (n[2] - n[3]) for _, n in seqs]
+        if reference_point is None:
+            z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
+        else:
+            z = reference_point
+        for (p, n), r_p, r_m in zip(seqs, rewards_p, rewards_m):
+            s_p = loop_sigmoid(beta * (r_p - z))
+            s_m = loop_sigmoid(beta * (z - r_m))
+            total += lam_c * (1.0 - s_p) + lam_r * (1.0 - s_m)
+            coef_p = -lam_c * beta * beta * s_p * (1.0 - s_p) / m
+            coef_m = lam_r * beta * beta * s_m * (1.0 - s_m) / m
+            loop_add_seq_grad(policy.logits, p[0], p[1], coef_p, grad)
+            loop_add_seq_grad(policy.logits, n[0], n[1], coef_m, grad)
+        return total / m, grad
+    for p, n in seqs:
+        delta = (p[2] - p[3]) - (n[2] - n[3])
+        if cfg.objective == "dpo":
+            total += float(np.logaddexp(0.0, -cfg.beta * delta))
+            coef = -cfg.beta * loop_sigmoid(-cfg.beta * delta) / m
+        else:
+            miss = delta - 1.0 / (2.0 * cfg.tau)
+            total += miss * miss
+            coef = 2.0 * miss / m
+        loop_add_seq_grad(policy.logits, p[0], p[1], coef, grad)
+        loop_add_seq_grad(policy.logits, n[0], n[1], -coef, grad)
+    return total / m, grad
+
+
+def loop_accuracy(policy, ref, batch):
+    wins = sum(p[2] - p[3] - n[2] + n[3] > 0 for p, n in loop_sequences(policy, ref, batch))
+    return wins / len(batch)
+
+
+def loop_train(policy, ref, batch, cfg, epochs, lr):
+    policy = policy.copy()
+    history = []
+    for epoch in range(1, epochs + 1):
+        loss, grad = loop_loss(policy, ref, batch, cfg)
+        history.append((epoch, loss, loop_accuracy(policy, ref, batch)))
+        policy.logits -= lr * grad
+    return policy, history
+
+
+LOOP_CASES = {
+    "dpo": (ObjectiveConfig("dpo", beta=0.7), None),
+    "ipo": (ObjectiveConfig("ipo", tau=0.5), None),
+    "kto": (ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3)), None),
+    "kto-pinned-z": (ObjectiveConfig("kto", beta=0.6, kto_weights=(0.8, 1.2)), 0.05),
+}
+
+
+def loop_batches(seed, trials=12):
+    """Random policies and batches over small and large alphabets; every
+    batch holds sequences longer than 8 tokens, past numpy's unrolled sum,
+    and a pair whose two sides are equal, an exact tie up to rounding."""
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 1), (3, 2), (8, 2), (32, 2), (200, 1)]
+    for trial in range(trials):
+        alphabet, order = shapes[trial % len(shapes)]
+        pol = rand_policy(rng, alphabet=alphabet, order=order)
+        ref = rand_policy(rng, alphabet=alphabet, order=order)
+        batch = [rand_pair(rng, alphabet=alphabet, max_len=20)
+                 for _ in range(int(rng.integers(1, 8)))]
+        batch.append(rand_pair(rng, alphabet=alphabet, max_len=39))
+        while max(len(batch[-1].y_plus), len(batch[-1].y_minus)) <= 8:
+            batch[-1] = rand_pair(rng, alphabet=alphabet, max_len=39)
+        batch.insert(0, TokenizedPair(batch[0].x, batch[0].y_plus, batch[0].y_plus))
+        yield pol, ref, batch
+
+
+class TestOnePassMatchesLoop:
+    @pytest.mark.parametrize("case", list(LOOP_CASES))
+    def test_loss_gradient_and_accuracy(self, case):
+        cfg, z = LOOP_CASES[case]
+        for pol, ref, batch in loop_batches(20):
+            want_loss, want_grad = loop_loss(pol, ref, batch, cfg, z)
+            if cfg.objective == "dpo":
+                got = dpo_loss(pol, ref, batch, cfg.beta)
+            elif cfg.objective == "ipo":
+                got = ipo_loss(pol, ref, batch, cfg.tau)
+            else:
+                got = kto_loss(pol, ref, batch, cfg.kto_weights, cfg.beta, reference_point=z)
+            runs = [got] if z is not None else [got, objective_loss(pol, ref, batch, cfg)]
+            for loss, grad in runs:
+                assert loss == want_loss
+                assert grad.tobytes() == want_grad.tobytes()
+            assert reward_accuracy(pol, ref, batch) == loop_accuracy(pol, ref, batch)
+
+    @pytest.mark.parametrize("case", ["dpo", "ipo", "kto"])  # train takes z from the batch
+    def test_train(self, case):
+        cfg, _ = LOOP_CASES[case]
+        for pol, ref, batch in loop_batches(21, trials=5):
+            for start in (ref.copy(), pol):
+                got_pol, got_hist = train(start, ref, batch, cfg, epochs=5, lr=0.5)
+                want_pol, want_hist = loop_train(start, ref, batch, cfg, epochs=5, lr=0.5)
+                assert got_hist == want_hist
+                assert got_pol.logits.tobytes() == want_pol.logits.tobytes()
 
 
 class TestTrain:
