@@ -19,8 +19,9 @@ checked exactly like the same value given as a flag. A key that is no
 flag's destination is a validation failure; other stages' keys are ignored.
 
 Exit codes: 0 ok; 2 validation failure (bad flag or config value, config
-object rejecting its values, missing or wrong-kind input, source_hash
-mismatch, unknown problem): a single machine-parseable stderr line, nothing
+object rejecting its values, missing, malformed or wrong-kind input,
+source_hash mismatch, unknown problem): a single machine-parseable stderr
+line, naming the file and line of a malformed input line, nothing
 written; 1 stage failure: partial outputs are removed.
 """
 
@@ -45,7 +46,10 @@ from .corpus import (
     KIND_PAIR,
     KIND_RFT,
     DatasetHeader,
+    DatasetParseError,
+    DatasetSchemaError,
     RationaleRecord,
+    dumps,
     file_sha256,
     read_dataset,
     write_atomic,
@@ -88,11 +92,7 @@ class _StageIO:
         write_dataset(records, header, self.register(name))
 
     def write_jsonl(self, name: str, rows: list[dict]) -> None:
-        lines = [
-            json.dumps(r, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-            for r in rows
-        ]
-        self.write_text(name, "".join(ln + "\n" for ln in lines))
+        self.write_text(name, "".join(dumps(r) + "\n" for r in rows))
 
     def cleanup(self) -> None:
         for p in self.written:
@@ -119,20 +119,6 @@ def _manifest(io: _StageIO, stage: str, seed: int, config: dict,
             },
         },
     )
-
-
-def _sniff_kind(path: Path, allowed: tuple[str, ...]) -> str:
-    with path.open("r", encoding="utf-8") as f:
-        first = f.readline()
-    try:
-        kind = json.loads(first)["kind"]
-    except Exception:
-        raise ValidationFailure(f"{path} has no parseable header") from None
-    if kind not in allowed:
-        raise ValidationFailure(
-            f"{path} holds kind {kind}, expected one of {', '.join(allowed)}"
-        )
-    return kind
 
 
 @dataclass(frozen=True)
@@ -176,8 +162,11 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
     for inp, path in given.items():
         if not inp.kinds:
             continue
-        kind = kinds[inp.dest] = _sniff_kind(path, inp.kinds)
-        records[inp.dest], header = read_dataset(path, kind)
+        try:
+            records[inp.dest], header = read_dataset(path, *inp.kinds)
+        except (DatasetParseError, DatasetSchemaError) as e:
+            raise ValidationFailure(f"{path}: {e}") from None
+        kinds[inp.dest] = header.kind
         if inp.source and header.source_hash not in ("", sha256[inp.source]):
             raise ValidationFailure(
                 f"{path} has source_hash {header.source_hash}, but "
@@ -228,8 +217,7 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
         args.epsilon = None
         return ProviderHandle.http(args.endpoint, args.model,
                                    max_in_flight=args.max_in_flight)
-    synth = SynthConfig(t=1, epsilon=args.epsilon, seed=args.seed)
-    return ProviderHandle.synthetic(synth, max_in_flight=args.max_in_flight)
+    return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon, seed=args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +376,34 @@ def _run_metrics(run: StageRun) -> None:
         lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
     if run.args.embeddings:
         known = {p.id for p in run.records["problems_file"]}
-        values = []
-        with open(run.args.embeddings, "r", encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if row["id"] not in known:
-                    raise ValidationFailure(f"{run.args.embeddings} references unknown "
-                                            f"problem {row['id']}")
-                d = evalmetrics.DiversityInput(row["id"], np.asarray(row["embeddings"]))
-                values.append(evalmetrics.diversity(d))
+        values = [evalmetrics.diversity(d)
+                  for d in _read_embeddings(run.args.embeddings, known)]
         if values:
             lines.append(f"diversity_mean\t-\t{sum(values) / len(values):.12g}")
     run.io.write_text("metrics.tsv", "\n".join(lines) + "\n")
+
+
+def _read_embeddings(path: str, known: set[str]) -> list[evalmetrics.DiversityInput]:
+    """The {id, embeddings} rows of an --embeddings file. A malformed row is a
+    validation failure naming its line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not (isinstance(row, dict) and isinstance(row.get("id"), str)
+                        and "embeddings" in row):
+                    raise ValueError("a row must be an object with a string id "
+                                     "and embeddings")
+                if row["id"] not in known:
+                    raise ValidationFailure(f"{path} references unknown problem "
+                                            f"{row['id']}")
+                rows.append(evalmetrics.DiversityInput(row["id"], row["embeddings"]))
+            except ValueError as e:
+                raise ValidationFailure(f"{path}: line {line_no}: {e}") from None
+    return rows
 
 
 def _value_range(text: str) -> tuple[int, int]:

@@ -53,7 +53,7 @@ class DatasetParseError(ValueError):
 
 
 class DatasetSchemaError(ValueError):
-    """Header kind does not match the kind requested by the reader."""
+    """Header kind is not among the kinds the reader accepts."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,8 @@ _RECORD_TYPES: dict[str, type] = {
 }
 
 
-def _dumps(obj: dict[str, Any]) -> str:
+def dumps(obj: dict[str, Any]) -> str:
+    """One JSON line: the deterministic encoding every output line uses."""
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
@@ -236,10 +237,14 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 
-def read_dataset(path: str | Path, kind: str) -> tuple[list[Record], DatasetHeader]:
-    """Parse a dataset file, checking its header against `kind`."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown dataset kind: {kind!r}")
+def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHeader]:
+    """Parse a dataset file whose header declares one of `kinds`.
+
+    A malformed line raises DatasetParseError, which names the line; a header
+    of another kind raises DatasetSchemaError, which names line 1.
+    """
+    if not kinds or any(kind not in KINDS for kind in kinds):
+        raise ValueError(f"unknown dataset kinds: {kinds!r}")
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
         # Split on "\n" only: str.splitlines would also split inside a JSON
@@ -254,20 +259,18 @@ def read_dataset(path: str | Path, kind: str) -> tuple[list[Record], DatasetHead
             created_with=head.get("created_with", {}),
             source_hash=head.get("source_hash", ""),
         )
-    except DatasetSchemaError:
-        raise
     except Exception as e:
         raise DatasetParseError(1, f"bad header: {e}") from e
-    if header.kind != kind:
+    if header.kind not in kinds:
         raise DatasetSchemaError(
-            f"requested kind {kind} but file header declares {header.kind}"
+            f"line 1: header declares kind {header.kind}, expected {' or '.join(kinds)}"
         )
     records: list[Record] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line), kind))
+            records.append(record_from_dict(json.loads(line), header.kind))
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
     return records, header
@@ -285,9 +288,9 @@ def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path
                 f"record of type {type(rec).__name__} does not belong in a "
                 f"{header.kind} dataset"
             )
-    out = [_dumps({"kind": header.kind, "created_with": header.created_with,
-                   "source_hash": header.source_hash})]
-    out.extend(_dumps(record_to_dict(r)) for r in records)
+    out = [dumps({"kind": header.kind, "created_with": header.created_with,
+                  "source_hash": header.source_hash})]
+    out.extend(dumps(record_to_dict(r)) for r in records)
     write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
 
 

@@ -2,7 +2,8 @@
 
 A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
   * ``endpoint_url`` -- an OpenAI-style completions server: POST a JSON
-    body with prompt/n/temperature/max_tokens/stop, read back
+    body with prompt/n/temperature/max_tokens/stop (the last two fixed at
+    ``MAX_TOKENS`` and ``STOP``), read back
     ``choices[].text``. If the server caps ``n`` the client loops until it
     has collected n choices. Requests retry with exponential backoff.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
@@ -19,8 +20,7 @@ batch, so its HTTP requests overlap. Each per-prompt failure is a
 batch: a transport failure after retries (``ProviderError``), a short
 response, or a prompt the synthetic provider cannot continue (``PromptError``:
 a question off the template, or a malformed or off-problem prefix step).
-When every prompt fails, ``BatchError`` is raised; its ``results`` still hold
-each prompt's own error.
+The result is always the per-prompt list, even when every prompt failed.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ API_KEY_ENV = "STEPPREF_API_KEY"
 RETRY_ATTEMPTS = 3
 BACKOFF_INITIAL_S = 1.0
 REQUEST_TIMEOUT_S = 60.0
-# Default stop = the dataset record separator, so completions never bleed
-# across problems.
-DEFAULT_STOP = ("\n\n",)
+MAX_TOKENS = 512
+# Stop at the dataset record separator, so completions never bleed across
+# problems.
+STOP = ("\n\n",)
 
 
 class GenClientError(Exception):
@@ -67,20 +68,10 @@ class PromptError(GenClientError):
     a template question, or a prefix step is malformed or off the problem."""
 
 
-class BatchError(GenClientError):
-    """Every prompt in a batch failed; `results` holds each prompt's error."""
-
-    def __init__(self, message: str, results: list[GenClientError]):
-        super().__init__(message)
-        self.results = results
-
-
 @dataclass(frozen=True)
 class SamplingConfig:
     n: int = 100
     temperature: float = 0.7
-    max_tokens: int = 512
-    stop: tuple[str, ...] = DEFAULT_STOP
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -113,9 +104,8 @@ class ProviderHandle:
                    max_in_flight=max_in_flight)
 
     @classmethod
-    def synthetic(cls, synth_config: SynthConfig,
-                  max_in_flight: int = 4) -> "ProviderHandle":
-        return cls(synth_config=synth_config, max_in_flight=max_in_flight)
+    def synthetic(cls, synth_config: SynthConfig) -> "ProviderHandle":
+        return cls(synth_config=synth_config)
 
 
 def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -> list[str]:
@@ -147,8 +137,8 @@ def _post_once(provider: ProviderHandle, prompt: str, n: int,
         "prompt": prompt,
         "n": n,
         "temperature": sampling.temperature,
-        "max_tokens": sampling.max_tokens,
-        "stop": list(sampling.stop),
+        "max_tokens": MAX_TOKENS,
+        "stop": list(STOP),
     }
     if provider.model_name:
         payload["model"] = provider.model_name
@@ -208,8 +198,7 @@ def sample_batch(
 ) -> list[list[str] | GenClientError]:
     """Per-prompt completion lists, positionally aligned with `prompts`.
 
-    Failed prompts hold their GenClientError in place of a list. Raises
-    BatchError only when every prompt failed.
+    Failed prompts hold their GenClientError in place of a list.
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
@@ -229,7 +218,4 @@ def sample_batch(
     else:
         with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
             list(pool.map(work, range(len(prompts))))
-
-    if all(isinstance(r, GenClientError) for r in results):
-        raise BatchError(f"all {len(prompts)} prompts failed", results)
     return results

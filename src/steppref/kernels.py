@@ -6,7 +6,8 @@ row ahead of token `tok[i]`, and sequence s spans the positions from
 call per batch.
 
 Kernels:
-  levenshtein(a, b)                       -- edit distance over int64 id arrays
+  levenshtein(a, b)                       -- edit distance between two token
+                                             sequences, in plain Python
   seq_logprob(logits, ctx, tok, starts)   -- per sequence, the sum of
                                              log softmax(logits[ctx])[tok]
   add_seq_grad(logits, ctx, tok, c, g)    -- g[ctx] += c * (onehot(tok) - softmax),
@@ -15,25 +16,21 @@ Kernels:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized DP; the insertion chain resolves via a prefix-min scan."""
-    n, m = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1, dtype=np.int64)
-    idx = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        sub = prev[:-1] + (b != a[i - 1])
-        dele = prev[1:] + 1
-        base = np.concatenate(([i], np.minimum(sub, dele)))
-        # cur[j] = min_{t<=j} base[t] + (j - t)
-        prev = np.minimum.accumulate(base - idx) + idx
-    return int(prev[m])
+def levenshtein(a: Sequence, b: Sequence) -> int:
+    """Two-row DP over any sequences whose items compare with ==. Rationales
+    run to a few tokens, where numpy's per-row overhead would dominate."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b):
+            cur.append(min(prev[j + 1] + 1, cur[j] + 1, prev[j] + (x != y)))
+        prev = cur
+    return int(prev[-1])
 
 
 def seq_logprob(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import fmean
 
-import numpy as np
-
 from . import genclient, kernels
 from .corpus import (
     GRAN_FIRST_STEP,
@@ -44,7 +42,7 @@ from .extraction import (
     strip_conclusion,
     style_for,
 )
-from .genclient import BatchError, GenClientError, ProviderHandle, SamplingConfig
+from .genclient import GenClientError, ProviderHandle, SamplingConfig
 from .rng import rng_for
 
 VARIANT_FULL = "full"
@@ -130,19 +128,13 @@ class SweepEntry:
     pits: list[int | None]
 
 
+def _tokens(r: Rationale) -> list[str]:
+    return " ".join(r.steps).split()
+
+
 def token_edit_distance(a: Rationale, b: Rationale) -> int:
     """Levenshtein distance over whitespace tokens of the joined steps."""
-    ta = " ".join(a.steps).split()
-    tb = " ".join(b.steps).split()
-    vocab: dict[str, int] = {}
-
-    def ids(tokens: list[str]) -> np.ndarray:
-        out = np.empty(len(tokens), dtype=np.int64)
-        for i, t in enumerate(tokens):
-            out[i] = vocab.setdefault(t, len(vocab))
-        return out
-
-    return int(kernels.levenshtein(ids(ta), ids(tb)))
+    return kernels.levenshtein(_tokens(a), _tokens(b))
 
 
 def build_rft(
@@ -159,10 +151,7 @@ def build_rft(
     out = RftBuild()
     if not problems:
         return out
-    try:
-        results = genclient.sample_batch(provider, [p.question for p in problems], cfg)
-    except BatchError as e:
-        results = e.results
+    results = genclient.sample_batch(provider, [p.question for p in problems], cfg)
     for problem, result in zip(problems, results):
         if isinstance(result, GenClientError):
             out.skipped.append(SkipEntry(problem.id, f"provider-error: {result}"))
@@ -217,6 +206,7 @@ def build_pairs(
     for problem in problems:
         pos = corrects.get(problem.id, [])
         neg = incorrects.get(problem.id, [])
+        neg_tokens = [_tokens(r) for r in neg]
         used = [False] * len(neg)
         emitted = 0
         for chosen in pos:
@@ -224,10 +214,11 @@ def build_pairs(
                 break
             best_idx = -1
             best_dist = -1
-            for j, candidate in enumerate(neg):
+            chosen_tokens = _tokens(chosen)
+            for j, tokens in enumerate(neg_tokens):
                 if used[j]:
                     continue
-                dist = token_edit_distance(chosen, candidate)
+                dist = kernels.levenshtein(chosen_tokens, tokens)
                 if dist > best_dist:
                     best_dist = dist
                     best_idx = j
@@ -302,10 +293,7 @@ def _explore_frontier(
             jobs[j][0].question + "\n" + "\n".join(jobs[j][1].steps[:step])
             for j in frontier
         ]
-        try:
-            results = genclient.sample_batch(explorer, prompts, sampling)
-        except BatchError as e:
-            results = e.results
+        results = genclient.sample_batch(explorer, prompts, sampling)
         unresolved = []
         for j, result in zip(frontier, results):
             problem, rejected = jobs[j]

@@ -260,9 +260,11 @@ def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
     return loss, grad, pol_lp
 
 
-def _batch_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
-                cfg: ObjectiveConfig, reference_point: float | None = None
-                ) -> tuple[float, np.ndarray]:
+def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
+                   cfg: ObjectiveConfig, reference_point: float | None = None
+                   ) -> tuple[float, np.ndarray]:
+    """Batch-mean loss of `cfg.objective` and its gradient in the logits;
+    `reference_point` pins KTO's z (see kto_loss)."""
     loss, grad, _ = _loss_pass(policy, _flatten(policy, ref, batch), cfg, reference_point)
     return loss, grad
 
@@ -270,13 +272,13 @@ def _batch_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
 def dpo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
              beta: float) -> tuple[float, np.ndarray]:
     """Batch-mean -log sigmoid(beta * delta) and its gradient in the logits."""
-    return _batch_loss(policy, ref, batch, ObjectiveConfig("dpo", beta=beta))
+    return objective_loss(policy, ref, batch, ObjectiveConfig("dpo", beta=beta))
 
 
 def ipo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
              tau: float) -> tuple[float, np.ndarray]:
     """Batch-mean (delta - 1/(2*tau))^2 with beta absorbed into delta (=1)."""
-    return _batch_loss(policy, ref, batch, ObjectiveConfig("ipo", tau=tau))
+    return objective_loss(policy, ref, batch, ObjectiveConfig("ipo", tau=tau))
 
 
 def kto_loss(
@@ -294,7 +296,7 @@ def kto_loss(
     finite-difference checks, which must probe at fixed z).
     """
     cfg = ObjectiveConfig("kto", beta=beta, kto_weights=tuple(weights))
-    return _batch_loss(policy, ref, batch, cfg, reference_point)
+    return objective_loss(policy, ref, batch, cfg, reference_point)
 
 
 def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
@@ -305,11 +307,6 @@ def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
         return 0.0
     flat = _flatten(policy, ref, pairs)
     return _accuracy(_logprobs(policy.logits, flat.ctx, flat.tok, flat.starts), flat.ref_lp)
-
-
-def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
-                   cfg: ObjectiveConfig) -> tuple[float, np.ndarray]:
-    return _batch_loss(policy, ref, batch, cfg)
 
 
 def train(
@@ -410,12 +407,7 @@ def fit_mle(
     return policy
 
 
-def greedy_decode(
-    policy: ToyPolicy,
-    x: tuple[int, ...],
-    max_len: int,
-    stop_token: int | None = None,
-) -> tuple[int, ...]:
+def greedy_decode(policy: ToyPolicy, x: tuple[int, ...], max_len: int) -> tuple[int, ...]:
     """Argmax rollout from context x (ties break toward the lowest id)."""
     _validate_tokens(tuple(x), policy.alphabet_size)
     seq = list(x)
@@ -425,6 +417,4 @@ def greedy_decode(
         tok = int(np.argmax(row))
         out.append(tok)
         seq.append(tok)
-        if stop_token is not None and tok == stop_token:
-            break
     return tuple(out)

@@ -87,7 +87,6 @@ class SynthConfig:
 class SynthTrace:
     rationale: Rationale
     true_first_error: int | None
-    running_values: tuple[int, ...]
 
 
 def _apply(op: str, value: int, operand: int) -> int:
@@ -163,33 +162,37 @@ def problem_from_question(question: str) -> Problem:
                    style="answer-line")
 
 
+def _walk(ops: tuple[tuple[str, int], ...], value: int, wrong: bool, epsilon: float,
+          rng) -> tuple[list[str], int, int | None]:
+    """Apply `ops` from `value`, one step line each. While the chain is still
+    right, each step is offset by a `_DELTAS` draw with probability epsilon.
+    Returns (step lines, final value, 1-based index in `ops` of the corrupted
+    step or None)."""
+    lines: list[str] = []
+    corrupted: int | None = None
+    for i, (op, operand) in enumerate(ops, start=1):
+        declared = _apply(op, value, operand)
+        if not wrong and rng.random() < epsilon:
+            declared += int(_DELTAS[int(rng.integers(0, len(_DELTAS)))])
+            wrong, corrupted = True, i
+        lines.append(_fmt_step(op, operand, value, declared))
+        value = declared
+    return lines, value, corrupted
+
+
 def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int) -> SynthTrace:
     """One sampled solution; corruption strikes each step with prob epsilon."""
     start, ops = parse_question(p.question)
-    rng = rng_for(cfg.seed, "draw", p.id, draw_seed)
-    steps: list[str] = []
-    values: list[int] = []
-    value = start
-    first_error: int | None = None
-    for i, (op, operand) in enumerate(ops, start=1):
-        exact = _apply(op, value, operand)
-        declared = exact
-        if first_error is None and rng.random() < cfg.epsilon:
-            declared = exact + int(_DELTAS[int(rng.integers(0, len(_DELTAS)))])
-            first_error = i
-        steps.append(_fmt_step(op, operand, value, declared))
-        values.append(declared)
-        value = declared
-    extracted = canonicalize(str(value))
+    steps, value, first_error = _walk(ops, start, False, cfg.epsilon,
+                                      rng_for(cfg.seed, "draw", p.id, draw_seed))
     rationale = Rationale(
         steps=tuple(steps),
         conclusion=f"The answer is {value}.",
         producer="SYNTH",
         label="correct" if first_error is None else "incorrect",
-        extracted_answer=extracted,
+        extracted_answer=canonicalize(str(value)),
     )
-    return SynthTrace(rationale=rationale, true_first_error=first_error,
-                      running_values=tuple(values))
+    return SynthTrace(rationale=rationale, true_first_error=first_error)
 
 
 def _check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
@@ -227,17 +230,8 @@ def complete_from(p: Problem, prefix_steps: list[str], cfg: SynthConfig,
     """
     value, wrong = _check_prefix(p, prefix_steps)
     _, ops = parse_question(p.question)
-    rng = rng_for(cfg.seed, "complete", p.id, draw_seed)
-    lines: list[str] = []
-    for i in range(len(prefix_steps), len(ops)):
-        op, operand = ops[i]
-        exact = _apply(op, value, operand)
-        declared = exact
-        if not wrong and rng.random() < cfg.epsilon:
-            declared = exact + int(_DELTAS[int(rng.integers(0, len(_DELTAS)))])
-            wrong = True
-        lines.append(_fmt_step(op, operand, value, declared))
-        value = declared
+    lines, value, _ = _walk(ops[len(prefix_steps):], value, wrong, cfg.epsilon,
+                            rng_for(cfg.seed, "complete", p.id, draw_seed))
     lines.append(f"The answer is {value}.")
     return "\n".join(lines)
 

@@ -328,6 +328,46 @@ def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
     assert not any(out.iterdir())
 
 
+_GOOD_ROW = json.dumps({"id": "synth-00000", "embeddings": [[0.0], [1.0]]})
+
+
+@pytest.mark.parametrize("case,line", [
+    ("body-not-json", 3),
+    ("bad-header", 1),
+    ("rows-not-json", 2),
+    ("row-not-object", 2),
+    ("row-without-id", 2),
+    ("ragged-embeddings", 2),
+    ("one-embedding", 2),
+    ("non-finite-embedding", 2),
+])
+def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
+    base = chain(tmp_path / "run")
+    problems = ["--problems-file", base / "problems.jsonl"]
+    bad = tmp_path / "bad.jsonl"
+    if case in ("body-not-json", "bad-header"):
+        lines = (base / "dgen.jsonl").read_text().splitlines()
+        lines[line - 1] = "{not json"
+        bad.write_text("\n".join(lines) + "\n")
+        args = ["pairs", *problems, "--dgen", bad, "--drft", base / "drft.jsonl"]
+    else:
+        row = {"rows-not-json": "{not json",
+               "row-not-object": "[1, 2]",
+               "row-without-id": json.dumps({"embeddings": [[0.0], [1.0]]}),
+               "ragged-embeddings": json.dumps({"id": "synth-00000",
+                                                "embeddings": [[0.0], [1.0, 2.0]]}),
+               "one-embedding": json.dumps({"id": "synth-00000", "embeddings": [[0.0]]}),
+               "non-finite-embedding": '{"id": "synth-00000", "embeddings": [[0.0], [NaN]]}',
+               }[case]
+        bad.write_text(_GOOD_ROW + "\n" + row + "\n")
+        args = ["metrics", *problems, "--dgen", base / "samples.jsonl", "--embeddings", bad]
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, *args], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: validation: {bad}: line {line}: ")
+    assert not any(out.iterdir())
+
+
 def test_source_hash_checked_against_problems_file(tmp_path, capsys):
     base = chain(tmp_path / "run")
     # the same problem ids, other questions: dgen and drft now name a stale

@@ -30,6 +30,9 @@ def test_levenshtein_matches_oracle(seed):
         b = rng.integers(0, 5, size=rng.integers(0, 21)).astype(np.int64)
         want = lev_oracle(list(a), list(b))
         assert kernels.levenshtein(a, b) == want
+        # the same sequences as string tokens, as build_pairs passes them
+        words = [f"{v}+1={v + 1}." for v in range(5)]
+        assert kernels.levenshtein([words[v] for v in a], [words[v] for v in b]) == want
 
 
 def seq_logprob_oracle(logits, ctx, tok):

@@ -519,8 +519,3 @@ class TestMleAndDecode:
         y = (2, 3, 2)
         pol = fit_mle([(x, y)] * 5, alphabet_size=4, order=1, smoothing=0.01)
         assert greedy_decode(pol, x, max_len=3) == y
-
-    def test_greedy_stops_at_stop_token(self):
-        pol = fit_mle([((0,), (1, 2, 3))], alphabet_size=4, order=1, smoothing=0.01)
-        out = greedy_decode(pol, (0,), max_len=10, stop_token=3)
-        assert out == (1, 2, 3)
