@@ -2,9 +2,10 @@
 
 Each subcommand realizes one pipeline stage and writes exactly its declared
 artifacts plus a `<stage>_manifest.json` (config fingerprint, input hashes,
-seed, versions) into --out. With the synthetic provider every stage is a
-pure function of (config, seed): rerunning a stage with identical inputs
-produces byte-identical files.
+seed, versions) into --out. A sampling stage samples from the server at
+--endpoint if one is given, else from the synthetic solver, with which every
+stage is a pure function of (config, seed): rerunning a stage with
+identical inputs produces byte-identical files.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs before the
@@ -210,13 +211,12 @@ class Stage:
 
 
 def _provider(args: argparse.Namespace) -> ProviderHandle:
-    if args.provider == "http":
-        if not args.endpoint:
-            raise ValidationFailure("http provider requires --endpoint")
+    if args.endpoint:  # an endpoint alone selects HTTP
         # --epsilon is the synthetic provider's error rate; an endpoint has none
-        args.epsilon = None
+        args.provider, args.epsilon = "http", None
         return ProviderHandle.http(args.endpoint, args.model,
                                    max_in_flight=args.max_in_flight)
+    args.provider = "synthetic"
     return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon, seed=args.seed))
 
 
@@ -387,12 +387,12 @@ def _read_embeddings(path: str, known: set[str]) -> list[evalmetrics.DiversityIn
     """The {id, embeddings} rows of an --embeddings file. A malformed row is a
     validation failure naming its line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line.decode("utf-8"))
                 if not (isinstance(row, dict) and isinstance(row.get("id"), str)
                         and "embeddings" in row):
                     raise ValueError("a row must be an object with a string id "
@@ -425,8 +425,7 @@ def _list_of(convert: Callable[[str], Any]) -> Callable[[str], list]:
 
 
 _PROVIDER_FLAGS = {
-    "--provider": dict(choices=["synthetic", "http"], default="synthetic"),
-    "--endpoint": dict(help="completions endpoint URL"),
+    "--endpoint": dict(help="completions URL, sampled instead of the synthetic solver"),
     "--model": dict(help="model name sent to the endpoint"),
     "--max-in-flight": dict(type=int, default=4),
     "--epsilon": dict(type=float, default=0.2,

@@ -240,20 +240,20 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
 def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHeader]:
     """Parse a dataset file whose header declares one of `kinds`.
 
-    A malformed line raises DatasetParseError, which names the line; a header
-    of another kind raises DatasetSchemaError, which names line 1.
+    A malformed line, or one that is not UTF-8, raises DatasetParseError,
+    which names the line; a header of another kind raises DatasetSchemaError,
+    which names line 1.
     """
     if not kinds or any(kind not in KINDS for kind in kinds):
         raise ValueError(f"unknown dataset kinds: {kinds!r}")
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        # Split on "\n" only: str.splitlines would also split inside a JSON
-        # string at characters json.dumps leaves raw, such as U+2028.
-        lines = f.readlines()
+    # bytes.splitlines splits at "\n", "\r" and "\r\n" only; str.splitlines
+    # would also split inside a JSON string at characters json.dumps leaves
+    # raw, such as U+2028.
+    lines = Path(path).read_bytes().splitlines()
     if not lines:
         raise DatasetParseError(1, "missing header record")
     try:
-        head = json.loads(lines[0])
+        head = json.loads(lines[0].decode("utf-8"))
         header = DatasetHeader(
             kind=head["kind"],
             created_with=head.get("created_with", {}),
@@ -270,7 +270,7 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line), header.kind))
+            records.append(record_from_dict(json.loads(line.decode("utf-8")), header.kind))
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
     return records, header

@@ -1,11 +1,12 @@
 """Uniform completion sampling over two backends.
 
 A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
-  * ``endpoint_url`` -- an OpenAI-style completions server: POST a JSON
-    body with prompt/n/temperature/max_tokens/stop (the last two fixed at
-    ``MAX_TOKENS`` and ``STOP``), read back
-    ``choices[].text``. If the server caps ``n`` the client loops until it
-    has collected n choices. Requests retry with exponential backoff.
+  * ``endpoint_url`` -- an OpenAI-style completions server, reached with the
+    stdlib ``urllib.request``: POST a JSON body with prompt/n/temperature/
+    max_tokens/stop (the last two fixed at ``MAX_TOKENS`` and ``STOP``), read
+    back ``choices[].text``. If the server caps ``n`` the client loops until
+    it has collected n choices. Exponential backoff retries a transport error,
+    any status >= 400 and a body other than ``{"choices": [{"text": str}]}``.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
     taken. Completions are a pure function of (seed, prompt, index), which
@@ -17,8 +18,8 @@ provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
 First-pit exploration sends all unresolved prefixes of one depth as one
 batch, so its HTTP requests overlap. Each per-prompt failure is a
 ``GenClientError`` reported in place, so one bad prompt never aborts the
-batch: a transport failure after retries (``ProviderError``), a short
-response, or a prompt the synthetic provider cannot continue (``PromptError``:
+batch: a failure after retries (``ProviderError``), a short response,
+or a prompt the synthetic provider cannot continue (``PromptError``:
 a question off the template, or a malformed or off-problem prefix step).
 The result is always the per-prompt list, even when every prompt failed.
 """
@@ -26,12 +27,13 @@ The result is always the per-prompt list, even when every prompt failed.
 from __future__ import annotations
 
 import dataclasses
+import http.client
+import json
 import os
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from . import synthworld
 from .rng import stable_seed
@@ -52,7 +54,7 @@ class GenClientError(Exception):
 
 
 class ProviderError(GenClientError):
-    """Transport-level failure after bounded retries; carries the attempt log."""
+    """Transport, status or body failure after bounded retries; has the attempt log."""
 
     def __init__(self, message: str, attempts: list[str] | None = None):
         super().__init__(message)
@@ -144,13 +146,16 @@ def _post_once(provider: ProviderHandle, prompt: str, n: int,
         payload["model"] = provider.model_name
     if sampling.seed is not None:
         payload["seed"] = sampling.seed
-    resp = requests.post(provider.endpoint_url, json=payload,
-                         headers=_auth_headers(), timeout=REQUEST_TIMEOUT_S)
-    if resp.status_code >= 500 or resp.status_code == 429:
-        raise requests.HTTPError(f"retryable status {resp.status_code}")
-    resp.raise_for_status()
-    body = resp.json()
-    return [choice["text"] for choice in body["choices"]]
+    request = urllib.request.Request(
+        provider.endpoint_url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json", **_auth_headers()})
+    with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
+        body = json.load(resp)
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not (isinstance(choices, list) and all(
+            isinstance(c, dict) and isinstance(c.get("text"), str) for c in choices)):
+        raise ValueError('response is not {"choices": [{"text": str}, ...]}')
+    return [choice["text"] for choice in choices]
 
 
 def _post_with_retries(provider: ProviderHandle, prompt: str, n: int,
@@ -160,7 +165,7 @@ def _post_with_retries(provider: ProviderHandle, prompt: str, n: int,
     for attempt in range(1, RETRY_ATTEMPTS + 1):
         try:
             return _post_once(provider, prompt, n, sampling)
-        except (requests.RequestException, KeyError, ValueError) as e:
+        except (OSError, http.client.HTTPException, ValueError) as e:
             attempts.append(f"attempt {attempt}: {type(e).__name__}: {e}")
             if attempt < RETRY_ATTEMPTS:
                 time.sleep(delay)

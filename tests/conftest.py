@@ -96,6 +96,7 @@ class StubHandler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
             with server.lock:
                 server.calls.append(payload)
+                server.headers.append(self.headers)
             if server.delay_s:
                 time.sleep(server.delay_s)
             status, body = server.respond(payload)
@@ -124,6 +125,7 @@ class StubServer:
         self.httpd.active = 0
         self.httpd.peak = 0
         self.httpd.calls = []
+        self.httpd.headers = []
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -139,6 +141,11 @@ class StubServer:
     @property
     def calls(self) -> list:
         return self.httpd.calls
+
+    @property
+    def headers(self) -> list:
+        """Each request's headers, in arrival order; lookups ignore case."""
+        return self.httpd.headers
 
     def close(self) -> None:
         self.httpd.shutdown()

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steppref
 from steppref.cli import main
 from steppref.corpus import (
     KIND_D,
@@ -13,6 +18,7 @@ from steppref.corpus import (
     read_dataset,
     write_dataset,
 )
+from steppref.genclient import ProviderHandle, SamplingConfig, sample
 from steppref.synthworld import SynthConfig
 
 from conftest import trace_with_error
@@ -334,7 +340,9 @@ _GOOD_ROW = json.dumps({"id": "synth-00000", "embeddings": [[0.0], [1.0]]})
 @pytest.mark.parametrize("case,line", [
     ("body-not-json", 3),
     ("bad-header", 1),
+    ("body-not-utf8", 22),
     ("rows-not-json", 2),
+    ("rows-not-utf8", 2),
     ("row-not-object", 2),
     ("row-without-id", 2),
     ("ragged-embeddings", 2),
@@ -350,8 +358,13 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
         lines[line - 1] = "{not json"
         bad.write_text("\n".join(lines) + "\n")
         args = ["pairs", *problems, "--dgen", bad, "--drft", base / "drft.jsonl"]
+    elif case == "body-not-utf8":
+        # two bytes that are not UTF-8 after the header and 20 sample lines
+        bad.write_bytes((base / "samples.jsonl").read_bytes() + b"\xff\xfe")
+        args = ["metrics", *problems, "--dgen", bad]
     else:
         row = {"rows-not-json": "{not json",
+               "rows-not-utf8": "\xff",
                "row-not-object": "[1, 2]",
                "row-without-id": json.dumps({"embeddings": [[0.0], [1.0]]}),
                "ragged-embeddings": json.dumps({"id": "synth-00000",
@@ -359,7 +372,8 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
                "one-embedding": json.dumps({"id": "synth-00000", "embeddings": [[0.0]]}),
                "non-finite-embedding": '{"id": "synth-00000", "embeddings": [[0.0], [NaN]]}',
                }[case]
-        bad.write_text(_GOOD_ROW + "\n" + row + "\n")
+        # latin-1 writes "\xff" as the lone byte 0xff, which is not UTF-8
+        bad.write_bytes((_GOOD_ROW + "\n" + row + "\n").encode("latin-1"))
         args = ["metrics", *problems, "--dgen", base / "samples.jsonl", "--embeddings", bad]
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, *args], capsys)
@@ -391,3 +405,54 @@ def test_source_hash_checked_against_problems_file(tmp_path, capsys):
         write_dataset(records, dataclasses.replace(header, source_hash=""), base / name)
     assert run(["--out", out, "pairs", *problems, "--dgen", base / "dgen.jsonl",
                 "--drft", base / "drft.jsonl"]) == 0
+
+
+def test_endpoint_selects_http(tmp_path, stub_server, capsys):
+    seed, eps = 3, 0.3
+    base = chain(tmp_path / "run", seed=seed)
+    synthetic = ProviderHandle.synthetic(SynthConfig(t=1, epsilon=eps, seed=seed))
+
+    def respond(payload):
+        cfg = SamplingConfig(n=payload["n"], temperature=payload["temperature"],
+                             seed=payload["seed"])
+        return 200, {"choices": [{"text": text} for text in
+                                 sample(synthetic, payload["prompt"], cfg)]}
+
+    server = stub_server(respond)
+    problems = ["--problems-file", base / "problems.jsonl"]
+    explore = [*problems, "--dpair", base / "dpair.jsonl", "--k", 3]
+    by_http, by_synth = tmp_path / "http", tmp_path / "synthetic"
+    assert run(["--seed", seed, "--out", by_http, "rft", *problems, "--n", 6,
+                "--endpoint", server.url, "--model", "m"]) == 0
+    assert server.calls and all(c["model"] == "m" for c in server.calls)
+    assert run(["--seed", seed, "--out", by_http, "gpair", *explore,
+                "--endpoint", server.url]) == 0
+    assert run(["--seed", seed, "--out", by_synth, "rft", *problems, "--n", 6,
+                "--epsilon", eps]) == 0
+    assert run(["--seed", seed, "--out", by_synth, "gpair", *explore,
+                "--epsilon", eps]) == 0
+    for name in ("dgen.jsonl", "drft.jsonl", "rft_skips.jsonl", "dgpair.jsonl",
+                 "gpair_dropped.jsonl"):
+        lines = (by_http / name).read_text().splitlines()
+        assert lines[1:] == (by_synth / name).read_text().splitlines()[1:], name
+    assert read_dataset(by_http / "dgpair.jsonl", KIND_GPAIR)[0]
+    gen, header = read_dataset(by_http / "dgen.jsonl", KIND_GEN)
+    assert gen
+    assert header.created_with["provider"] == "http"
+    assert header.created_with["epsilon"] is None
+    _, header = read_dataset(by_synth / "dgen.jsonl", KIND_GEN)
+    assert header.created_with["provider"] == "synthetic"
+    code, err = _run_stderr(["--out", tmp_path / "out", "rft", *problems,
+                             "--provider", "http", "--endpoint", server.url], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: validation: unrecognized arguments")
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = str(Path(steppref.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, steppref.cli; "
+         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

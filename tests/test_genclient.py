@@ -1,8 +1,7 @@
-import threading
-
 import pytest
 
 import steppref.genclient as genclient
+from steppref.corpus import Problem
 from steppref.extraction import extract_answer, style_for
 from steppref.genclient import (
     PromptError,
@@ -13,6 +12,7 @@ from steppref.genclient import (
     sample,
     sample_batch,
 )
+from steppref.pipeline import build_rft
 from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
 
@@ -148,19 +148,36 @@ class TestHttpProvider:
         assert sample(provider, "p", SamplingConfig(n=1)) == ["ok"]
 
     def test_api_key_header(self, stub_server, monkeypatch):
-        seen = {}
-
-        def respond(payload):
-            return 200, {"choices": [{"text": "x"}]}
-
-        server = stub_server(respond)
+        server = stub_server(lambda payload: (200, {"choices": [{"text": "x"}]}))
         monkeypatch.setenv(genclient.API_KEY_ENV, "sekret")
         provider = ProviderHandle.http(server.url)
-        # header check happens inside the handler; easiest is to assert via a
-        # second server capturing headers is overkill -- the env var path is
-        # unit-tested through _auth_headers directly.
-        assert genclient._auth_headers() == {"Authorization": "Bearer sekret"}
-        sample(provider, "p", SamplingConfig(n=1))
+        assert sample(provider, "p", SamplingConfig(n=1)) == ["x"]
+        (headers,) = server.headers
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["Content-Type"] == "application/json"
+
+
+# Bodies of a 200 response that are JSON but not {"choices": [{"text": str}, ...]}
+MALFORMED_BODIES = [["x"], {"choices": None}, {"choices": ["x"]},
+                    {"choices": [{"text": 5}]}]
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES,
+                         ids=["list", "choices-null", "choice-not-object", "text-not-str"])
+def test_malformed_body_is_itemised_provider_error(stub_server, body):
+    server = stub_server(lambda payload: (200, body))
+    provider = ProviderHandle.http(server.url, max_in_flight=2)
+    results = sample_batch(provider, ["a", "b"], SamplingConfig(n=1))
+    assert len(results) == 2
+    for result in results:
+        assert isinstance(result, ProviderError)
+        assert len(result.attempts) == genclient.RETRY_ATTEMPTS
+        assert all("ValueError" in a for a in result.attempts)
+    problems = [Problem(f"p{i}", f"question {i}", "1") for i in range(3)]
+    build = build_rft(problems, provider, SamplingConfig(n=1))
+    assert not build.gen and not build.rft
+    assert [s.problem_id for s in build.skipped] == ["p0", "p1", "p2"]
+    assert all(s.reason.startswith("provider-error: ") for s in build.skipped)
 
 
 class TestSampleBatch:
