@@ -12,9 +12,6 @@ from .corpus import (  # noqa: F401
     write_dataset,
 )
 from .extraction import (  # noqa: F401
-    ANSWER_LINE,
-    BOXED,
-    AnswerStyle,
     canonicalize,
     dedup,
     extract_answer,

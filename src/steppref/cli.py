@@ -1,11 +1,17 @@
 """Stage-per-subcommand command line.
 
 Each subcommand realizes one pipeline stage and writes exactly its declared
-artifacts plus a `<stage>_manifest.json` (config fingerprint, input hashes,
-seed, versions) into --out. A sampling stage samples from the server at
---endpoint if one is given, else from the synthetic solver, with which every
-stage is a pure function of (config, seed): rerunning a stage with
-identical inputs produces byte-identical files.
+artifacts plus a `<stage>_manifest.json` (config, input hashes, seed,
+versions) into --out. The manifest's `config`, like the `created_with` of
+each output header, is the stage name, --seed and every flag of the stage
+as resolved: nothing else, and no flag left out.
+
+A sampling stage samples from the server at --endpoint if one is given,
+else from the synthetic solver, with which every stage is a pure function
+of (config, seed): rerunning a stage with identical inputs produces
+byte-identical files. --model and --max-in-flight need --endpoint; an HTTP
+run records `epsilon: null` (--epsilon is the synthetic solver's error
+rate) and its effective --max-in-flight.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs before the
@@ -140,14 +146,14 @@ class StageRun:
     args: argparse.Namespace
     cfg: Any
     io: _StageIO
-    fingerprint: dict[str, Any]
+    created_with: dict[str, Any]  # recorded in output headers and the manifest
     records: dict[str, list]
     kinds: dict[str, str]
     sha256: dict[str, str]
 
     def header(self, kind: str, source: str, **extra: Any) -> DatasetHeader:
         """Header of an output built from input `source`."""
-        return DatasetHeader(kind, {**self.fingerprint, **extra}, self.sha256[source])
+        return DatasetHeader(kind, {**self.created_with, **extra}, self.sha256[source])
 
 
 def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
@@ -191,9 +197,6 @@ class Stage:
     body: Callable[[StageRun], None]
     flags: dict[str, dict]  # flag name -> add_argument keywords
     inputs: tuple[Input, ...] = ()
-    # argument dests that, with "stage" and "seed", make up the config
-    # fingerprint recorded in output headers and the manifest
-    fingerprint: tuple[str, ...] = ()
     # builds the stage's config objects; a ValueError is a validation failure
     configure: Callable[[argparse.Namespace], Any] = lambda args: None
 
@@ -202,22 +205,32 @@ class Stage:
             cfg = self.configure(args)
         except ValueError as e:
             raise ValidationFailure(str(e)) from None
-        fingerprint = {"stage": self.name, "seed": args.seed,
-                       **{k: getattr(args, k) for k in self.fingerprint}}
-        run = StageRun(args, cfg, io, fingerprint, *_read_inputs(self.inputs, args))
+        # read after configure, which may resolve flag values
+        created_with = {"stage": self.name, "seed": args.seed,
+                        **{dest: getattr(args, dest) for dest in map(_dest, self.flags)}}
+        run = StageRun(args, cfg, io, created_with, *_read_inputs(self.inputs, args))
         self.body(run)
-        _manifest(io, self.name, args.seed, fingerprint,
+        _manifest(io, self.name, args.seed, created_with,
                   {str(Path(getattr(args, d))): h for d, h in run.sha256.items()})
 
 
+def _dest(flag: str) -> str:
+    """The argument destination of a flag name, as argparse derives it."""
+    return flag[2:].replace("-", "_")
+
+
 def _provider(args: argparse.Namespace) -> ProviderHandle:
-    if args.endpoint:  # an endpoint alone selects HTTP
-        # --epsilon is the synthetic provider's error rate; an endpoint has none
-        args.provider, args.epsilon = "http", None
-        return ProviderHandle.http(args.endpoint, args.model,
-                                   max_in_flight=args.max_in_flight)
-    args.provider = "synthetic"
-    return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon, seed=args.seed))
+    """Resolve the provider flags in place: an endpoint alone selects HTTP."""
+    if args.endpoint is None:
+        if args.model is not None or args.max_in_flight is not None:
+            raise ValueError("--model and --max-in-flight need --endpoint")
+        return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon,
+                                                    seed=args.seed))
+    # --epsilon is the synthetic provider's error rate; an endpoint has none
+    args.epsilon = None
+    if args.max_in_flight is None:
+        args.max_in_flight = 4
+    return ProviderHandle.http(args.endpoint, args.model, max_in_flight=args.max_in_flight)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +240,7 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
 def _run_synth(run: StageRun) -> None:
     cfg, io = run.cfg, run.io
     problems = [synthworld.gen_problem(cfg, i) for i in range(run.args.problems)]
-    io.write_dataset("problems.jsonl", problems, DatasetHeader(KIND_D, run.fingerprint))
+    io.write_dataset("problems.jsonl", problems, DatasetHeader(KIND_D, run.created_with))
     if run.args.samples > 0:
         records = [
             RationaleRecord(p.id, synthworld.simulate_solution(p, cfg, draw_seed=j).rationale)
@@ -237,7 +250,7 @@ def _run_synth(run: StageRun) -> None:
         io.write_dataset(
             "samples.jsonl",
             records,
-            DatasetHeader(KIND_GEN, run.fingerprint,
+            DatasetHeader(KIND_GEN, run.created_with,
                           source_hash=file_sha256(io.out_dir / "problems.jsonl")),
         )
 
@@ -346,7 +359,6 @@ def _run_train(run: StageRun) -> None:
 
 
 def _run_metrics(run: StageRun) -> None:
-    ks = run.args.k
     grouped: dict[str, list[str]] = {}
     for rec in run.records["dgen"]:
         grouped.setdefault(rec.problem_id, []).append(
@@ -359,21 +371,18 @@ def _run_metrics(run: StageRun) -> None:
     ]
     if not sets:
         raise ValidationFailure("no prediction sets to score")
-    min_len = min(len(s.predictions) for s in sets)
-    for k in ks:
-        if k < 1 or k > min_len:
-            raise ValidationFailure(
-                f"k={k} out of range: smallest prediction set has {min_len}"
-            )
     lines = [f"top1\t1\t{evalmetrics.top1_accuracy(sets):.12g}"]
-    for k in ks:
-        lines.append(f"pass_at_k\t{k}\t{evalmetrics.pass_at_k(sets, k):.12g}")
-        lines.append(f"maj_at_k\t{k}\t{evalmetrics.maj_at_k(sets, k):.12g}")
-        stats = evalmetrics.answer_stats(sets, k)
-        uniq = sum(u for u, _ in stats) / len(stats)
-        dom = sum(d for _, d in stats) / len(stats)
-        lines.append(f"mean_unique_count\t{k}\t{uniq:.12g}")
-        lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
+    try:
+        for k in run.args.k:
+            lines.append(f"pass_at_k\t{k}\t{evalmetrics.pass_at_k(sets, k):.12g}")
+            lines.append(f"maj_at_k\t{k}\t{evalmetrics.maj_at_k(sets, k):.12g}")
+            stats = evalmetrics.answer_stats(sets, k)
+            uniq = sum(u for u, _ in stats) / len(stats)
+            dom = sum(d for _, d in stats) / len(stats)
+            lines.append(f"mean_unique_count\t{k}\t{uniq:.12g}")
+            lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
+    except evalmetrics.MetricsBoundsError as e:
+        raise ValidationFailure(str(e)) from None
     if run.args.embeddings:
         known = {p.id for p in run.records["problems_file"]}
         values = [evalmetrics.diversity(d)
@@ -427,7 +436,8 @@ def _list_of(convert: Callable[[str], Any]) -> Callable[[str], list]:
 _PROVIDER_FLAGS = {
     "--endpoint": dict(help="completions URL, sampled instead of the synthetic solver"),
     "--model": dict(help="model name sent to the endpoint"),
-    "--max-in-flight": dict(type=int, default=4),
+    "--max-in-flight": dict(type=int, help="concurrent requests to the endpoint "
+                            "(default 4)"),
     "--epsilon": dict(type=float, default=0.2,
                       help="per-step error rate of the synthetic provider"),
     "--temperature": dict(type=float, default=0.7),
@@ -456,34 +466,28 @@ _STAGE_DECLS = (
                  "--value-range": dict(type=_value_range, default="2:9"),
                  "--samples": dict(type=int, default=0, help="also emit this many "
                                    "sampled solutions per problem")},
-          fingerprint=("problems", "t", "epsilon", "value_range", "samples"),
           configure=lambda a: SynthConfig(t=a.t, epsilon=a.epsilon,
                                           value_range=a.value_range, seed=a.seed)),
     Stage("rft", "sample, grade and dedup rationales", _run_rft,
           flags={"--n": dict(type=int, default=100), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS,),
-          fingerprint=("n", "temperature", "provider", "epsilon"),
           configure=lambda a: (_provider(a), SamplingConfig(
               n=a.n, temperature=a.temperature, seed=a.seed))),
     Stage("pairs", "build outcome preference pairs", _run_pairs,
           flags={"--max-pairs": dict(type=int, default=8)},
           inputs=(_PROBLEMS, Input("dgen", (KIND_GEN,), source="problems_file"),
                   Input("drft", (KIND_RFT,), source="problems_file")),
-          fingerprint=("max_pairs",),
           configure=lambda a: PairingConfig(max_pairs_per_problem=a.max_pairs)),
     Stage("explore", "locate first pits (report only)", _run_explore,
           flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS},
-          inputs=(_PROBLEMS, _DPAIR), fingerprint=("k", "temperature"),
-          configure=_explore_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
     Stage("gpair", "build granular preference pairs", _run_gpair,
           flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS,
                  "--variant": dict(choices=list(VARIANTS), default="full")},
-          inputs=(_PROBLEMS, _DPAIR), fingerprint=("k", "temperature", "variant"),
-          configure=_explore_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
     Stage("sweep-k", "exploration-size sweep (nested)", _run_sweep_k,
           flags={"--ks": dict(type=_list_of(int), default="4,8,16,32"), **_PROVIDER_FLAGS},
-          inputs=(_PROBLEMS, _DPAIR), fingerprint=("ks", "temperature"),
-          configure=_sweep_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
           flags={"--objective": dict(choices=["dpo", "ipo", "kto"], default="dpo"),
                  "--beta": dict(type=float, default=0.1),
@@ -495,8 +499,6 @@ _STAGE_DECLS = (
                  "--order": dict(type=int, default=2),
                  "--smoothing": dict(type=float, default=0.5)},
           inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
-          fingerprint=("objective", "beta", "tau", "kto_weights", "epochs", "lr",
-                       "alphabet", "order", "smoothing"),
           configure=lambda a: preflearn.ObjectiveConfig(
               objective=a.objective, beta=a.beta, tau=a.tau,
               kto_weights=tuple(a.kto_weights))),
@@ -505,8 +507,7 @@ _STAGE_DECLS = (
           flags={"--k": dict(type=_list_of(int), default="1")},
           inputs=(_PROBLEMS,
                   Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"),
-                  Input("embeddings", required=False)),
-          fingerprint=("k",)),
+                  Input("embeddings", required=False))),
 )
 
 # Looked up by name when a stage is dispatched, so a wrapper installed here

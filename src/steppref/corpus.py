@@ -1,8 +1,8 @@
 """Domain types and line-delimited dataset I/O.
 
 A dataset file is UTF-8 JSON lines: the first line is a header record
-(kind, config fingerprint, upstream content hash), every following line is
-one body record. Record schemas by kind:
+(kind, the config it was created with, upstream content hash), every
+following line is one body record. Record schemas by kind:
 
   D                problems: id, question, gold_answer, style
   D_GEN / D_RFT    rationales: id (problem id) + steps, conclusion,
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .extraction import canonicalize
+from .extraction import STYLES, canonicalize
 
 KIND_D = "D"
 KIND_GEN = "D_GEN"
@@ -33,7 +33,6 @@ KIND_PAIR = "D_PAIR"
 KIND_GPAIR = "D_GPAIR"
 KINDS = (KIND_D, KIND_GEN, KIND_RFT, KIND_PAIR, KIND_GPAIR)
 
-STYLES = ("answer-line", "boxed")
 PRODUCERS = ("SFT", "RFT", "EXPLORER", "HUMAN", "SYNTH")
 LABELS = ("correct", "incorrect", "ungraded")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -25,8 +24,9 @@ class EmptyRationaleError(ValueError):
     """Raised when a completion contains no non-blank lines."""
 
 
-ANSWER_LINE_TAG = "answer-line"
-BOXED_TAG = "boxed"
+# How a completion declares its final answer: "answer-line" is a line
+# containing "The answer is <answer>"; "boxed" is the last \boxed{...} group.
+STYLES = ("answer-line", "boxed")
 
 _ANSWER_LINE_RE = re.compile(r"the answer is\s*(.+)$", re.IGNORECASE)
 _FRAC_RE = re.compile(r"\\[tdc]?frac\{([^{}]*)\}\{([^{}]*)\}")
@@ -36,37 +36,8 @@ _CURRENCY = "$€£¥₩"
 _TRAILING = ".,!?;: \t"
 
 
-@dataclass(frozen=True)
-class AnswerStyle:
-    """How a completion declares its final answer.
-
-    ``answer-line`` matches a line containing "The answer is <answer>";
-    ``boxed`` matches the last \\boxed{...} group in the text.
-    """
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in (ANSWER_LINE_TAG, BOXED_TAG):
-            raise ValueError(f"unknown answer style: {self.tag!r}")
-
-    def is_declaration(self, line: str) -> bool:
-        if self.tag == ANSWER_LINE_TAG:
-            return _ANSWER_LINE_RE.search(line) is not None
-        return "\\boxed{" in line
-
-
-ANSWER_LINE = AnswerStyle(ANSWER_LINE_TAG)
-BOXED = AnswerStyle(BOXED_TAG)
-
-_STYLES = {ANSWER_LINE_TAG: ANSWER_LINE, BOXED_TAG: BOXED}
-
-
-def style_for(tag: str) -> AnswerStyle:
-    try:
-        return _STYLES[tag]
-    except KeyError:
-        raise ValueError(f"unknown answer style: {tag!r}") from None
+def _unknown_style(style: str) -> ValueError:
+    return ValueError(f"unknown answer style: {style!r}")
 
 
 def canonicalize(ans: str) -> str:
@@ -114,36 +85,38 @@ def _last_boxed_group(text: str) -> str | None:
     return "".join(out)
 
 
-def extract_answer(raw: str, style: AnswerStyle) -> str | None:
-    """Canonical answer from the last matching declaration, or None."""
-    if style.tag == ANSWER_LINE_TAG:
+def extract_answer(raw: str, style: str) -> str | None:
+    """Canonical answer from the last declaration of answer style `style`
+    (one of STYLES), or None."""
+    if style == "answer-line":
         found = None
         for line in raw.splitlines():
             m = _ANSWER_LINE_RE.search(line)
             if m:
                 found = m.group(1)
-        if found is None:
-            return None
-        ans = canonicalize(found)
-        return ans or None
-    group = _last_boxed_group(raw)
-    if group is None:
+    elif style == "boxed":
+        found = _last_boxed_group(raw)
+    else:
+        raise _unknown_style(style)
+    if found is None:
         return None
-    ans = canonicalize(group)
-    return ans or None
+    return canonicalize(found) or None
 
 
-def split_steps(raw: str, style: AnswerStyle = ANSWER_LINE) -> tuple[list[str], str | None]:
+def split_steps(raw: str, style: str = "answer-line") -> tuple[list[str], str | None]:
     """Split raw text into non-blank step lines and an optional conclusion.
 
-    The final non-blank line is returned as the conclusion iff it matches
-    the style's answer declaration; otherwise all lines are steps.
+    The final non-blank line is returned as the conclusion iff it declares
+    an answer in style `style` (one of STYLES); otherwise all lines are steps.
     """
+    if style not in STYLES:
+        raise _unknown_style(style)
     lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
     if not lines:
         raise EmptyRationaleError("completion has no non-blank lines")
-    if style.is_declaration(lines[-1]):
-        return lines[:-1], lines[-1]
+    last = lines[-1]
+    if (_ANSWER_LINE_RE.search(last) if style == "answer-line" else "\\boxed{" in last):
+        return lines[:-1], last
     return lines, None
 
 

@@ -54,7 +54,8 @@ class GenClientError(Exception):
 
 
 class ProviderError(GenClientError):
-    """Transport, status or body failure after bounded retries; has the attempt log."""
+    """Transport, status or body failure after bounded retries. The message ends
+    with the last attempt's cause; `attempts` logs every attempt."""
 
     def __init__(self, message: str, attempts: list[str] | None = None):
         super().__init__(message)
@@ -166,12 +167,14 @@ def _post_with_retries(provider: ProviderHandle, prompt: str, n: int,
         try:
             return _post_once(provider, prompt, n, sampling)
         except (OSError, http.client.HTTPException, ValueError) as e:
-            attempts.append(f"attempt {attempt}: {type(e).__name__}: {e}")
+            last = f"{type(e).__name__}: {e}"
+            attempts.append(f"attempt {attempt}: {last}")
             if attempt < RETRY_ATTEMPTS:
                 time.sleep(delay)
                 delay *= 2
     raise ProviderError(
-        f"endpoint {provider.endpoint_url} failed after {RETRY_ATTEMPTS} attempts",
+        f"endpoint {provider.endpoint_url} failed after {RETRY_ATTEMPTS} attempts; "
+        f"last: {last}",
         attempts,
     )
 

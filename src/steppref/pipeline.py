@@ -40,7 +40,6 @@ from .extraction import (
     extract_answer,
     split_steps,
     strip_conclusion,
-    style_for,
 )
 from .genclient import GenClientError, ProviderHandle, SamplingConfig
 from .rng import rng_for
@@ -156,17 +155,16 @@ def build_rft(
         if isinstance(result, GenClientError):
             out.skipped.append(SkipEntry(problem.id, f"provider-error: {result}"))
             continue
-        style = style_for(problem.style)
         rationales = []
         for text in result:
             try:
-                steps, conclusion = split_steps(text, style)
+                steps, conclusion = split_steps(text, problem.style)
             except EmptyRationaleError:
                 continue
             if not steps:
                 # A bare answer declaration with no reasoning is unusable.
                 continue
-            extracted = extract_answer(text, style)
+            extracted = extract_answer(text, problem.style)
             label = "correct" if extracted == problem.gold_answer else "incorrect"
             rationales.append(
                 Rationale(tuple(steps), conclusion, "SFT", label, extracted)
@@ -304,8 +302,8 @@ def _explore_frontier(
                     f"provider failed at step {step} of {problem.id}: {result}", partial
                 )
                 continue
-            style = style_for(problem.style)
-            row = [(c, extract_answer(c, style) == problem.gold_answer) for c in result]
+            row = [(c, extract_answer(c, problem.style) == problem.gold_answer)
+                   for c in result]
             table.append(row)
             if any(ok for _, ok in row) and step < len(rejected.steps):
                 unresolved.append(j)
@@ -384,8 +382,7 @@ def _assemble_granular(
         chosen = record.chosen
     else:
         input_text = problem.question + "\n" + "\n".join(steps[: w - 1])
-        style = style_for(problem.style)
-        rescue_steps, rescue_conclusion = split_steps(pit.rescue, style)
+        rescue_steps, rescue_conclusion = split_steps(pit.rescue, problem.style)
         if variant == VARIANT_FIRST_STEP:
             if not rescue_steps:
                 raise ValueError("rescue completion has no step to keep")
@@ -402,7 +399,7 @@ def _assemble_granular(
                 conclusion=rescue_conclusion,
                 producer="EXPLORER",
                 label="correct",
-                extracted_answer=extract_answer(pit.rescue, style_for(problem.style)),
+                extracted_answer=extract_answer(pit.rescue, problem.style),
             )
     return PairRecord(
         problem_id=problem.id,

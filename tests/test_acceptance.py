@@ -21,7 +21,6 @@ import pytest
 
 import steppref
 from steppref.corpus import PairRecord, Problem, Rationale
-from steppref.extraction import extract_answer, style_for
 from steppref.evalmetrics import (
     DiversityInput,
     SampleSet,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import steppref
+from steppref import cli
 from steppref.cli import main
 from steppref.corpus import (
     KIND_D,
@@ -267,15 +268,23 @@ def _run_stderr(args, capsys):
     (["train", "--objective", "ipo"], None),
     (["train", "--objective", "kto", "--kto-weights", 1], None),
     (["sweep-k", "--ks", "0,2"], None),
+    (["rft", "--model", "m"], None),
+    (["rft", "--max-in-flight", 9], None),
+    (["metrics", "--k", 0], None),
+    (["metrics", "--k", 9], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
-        "one-kto-weight", "ks-0"])
+        "one-kto-weight", "ks-0", "model-without-endpoint",
+        "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
     inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
               "train": ["--pairs-file", base / "dgpair.jsonl"],
               "sweep-k": ["--problems-file", base / "problems.jsonl",
-                          "--dpair", base / "dpair.jsonl"]}[stage_args[0]]
+                          "--dpair", base / "dpair.jsonl"],
+              # 4 predictions per problem
+              "metrics": ["--problems-file", base / "problems.jsonl",
+                          "--dgen", base / "samples.jsonl"]}[stage_args[0]]
     top = ["--out", out]
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -438,10 +447,12 @@ def test_endpoint_selects_http(tmp_path, stub_server, capsys):
     assert read_dataset(by_http / "dgpair.jsonl", KIND_GPAIR)[0]
     gen, header = read_dataset(by_http / "dgen.jsonl", KIND_GEN)
     assert gen
-    assert header.created_with["provider"] == "http"
+    assert header.created_with["endpoint"] == server.url
+    assert header.created_with["model"] == "m"
+    assert header.created_with["max_in_flight"] == 4
     assert header.created_with["epsilon"] is None
     _, header = read_dataset(by_synth / "dgen.jsonl", KIND_GEN)
-    assert header.created_with["provider"] == "synthetic"
+    assert header.created_with["endpoint"] is None
     code, err = _run_stderr(["--out", tmp_path / "out", "rft", *problems,
                              "--provider", "http", "--endpoint", server.url], capsys)
     assert code == 2
@@ -456,3 +467,68 @@ def test_cli_import_loads_no_third_party_http_client():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_provider_failure_names_last_cause(tmp_path, stub_server):
+    base = chain(tmp_path / "run")
+    server = stub_server(lambda payload: (500, {"error": "down"}))
+    problems = ["--problems-file", base / "problems.jsonl"]
+    explore = [*problems, "--dpair", base / "dpair.jsonl", "--k", 2, "--endpoint", server.url]
+    out = tmp_path / "http"
+    assert run(["--out", out, "rft", *problems, "--n", 2, "--endpoint", server.url]) == 0
+    assert run(["--out", out, "explore", *explore]) == 0
+    assert run(["--out", out, "gpair", *explore]) == 0
+
+    def rows(name):
+        return [json.loads(line) for line in (out / name).read_text().splitlines()]
+
+    reasons = ([r["reason"] for r in rows("rft_skips.jsonl")]
+               + [r["error"] for r in rows("pits.jsonl")]
+               + [r["reason"] for r in rows("gpair_dropped.jsonl")])
+    assert len(reasons) == 5 + 2 * len(read_dataset(base / "dpair.jsonl", KIND_PAIR)[0])
+    cause = "; last: HTTPError: HTTP Error 500: Internal Server Error"
+    assert all(r.endswith(cause) for r in reasons), reasons
+
+
+_STAGE_ARGS = {
+    "synth": lambda base: ["--problems", 2, "--t", 2],
+    "rft": lambda base: ["--problems-file", base / "problems.jsonl", "--n", 2],
+    "pairs": lambda base: ["--problems-file", base / "problems.jsonl",
+                           "--dgen", base / "dgen.jsonl", "--drft", base / "drft.jsonl"],
+    "explore": lambda base: ["--problems-file", base / "problems.jsonl",
+                             "--dpair", base / "dpair.jsonl", "--k", 2],
+    "gpair": lambda base: ["--problems-file", base / "problems.jsonl",
+                           "--dpair", base / "dpair.jsonl", "--k", 2],
+    "sweep-k": lambda base: ["--problems-file", base / "problems.jsonl",
+                             "--dpair", base / "dpair.jsonl", "--ks", "1,2"],
+    "train": lambda base: ["--pairs-file", base / "dgpair.jsonl", "--epochs", 1],
+    "metrics": lambda base: ["--problems-file", base / "problems.jsonl",
+                             "--dgen", base / "samples.jsonl"],
+}
+
+
+@pytest.mark.parametrize("stage", [s.name for s in cli._STAGE_DECLS])
+def test_manifest_config_is_every_flag(tmp_path, stage):
+    base = chain(tmp_path / "run")
+    out = tmp_path / "out"
+    assert run(["--seed", 3, "--out", out, stage, *_STAGE_ARGS[stage](base)]) == 0
+    _, stage_parsers = cli.build_parser()
+    inputs = {i.dest for s in cli._STAGE_DECLS if s.name == stage for i in s.inputs}
+    flags = set(stage_parsers[stage].flags()) - inputs
+    config = json.loads((out / f"{stage}_manifest.json").read_text())["config"]
+    assert set(config) == {"stage", "seed"} | flags
+    assert (config["stage"], config["seed"]) == (stage, 3)
+
+
+def test_gpair_header_records_epsilon(tmp_path):
+    base = chain(tmp_path / "run")
+    heads = []
+    for eps in (0.05, 0.6):
+        out = tmp_path / f"eps{eps}"
+        assert run(["--seed", 3, "--out", out, "gpair", "--problems-file",
+                    base / "problems.jsonl", "--dpair", base / "dpair.jsonl",
+                    "--k", 2, "--epsilon", eps]) == 0
+        _, header = read_dataset(out / "dgpair.jsonl", KIND_GPAIR)
+        assert header.created_with["epsilon"] == eps
+        heads.append((out / "dgpair.jsonl").read_text().splitlines()[0])
+    assert heads[0] != heads[1]

@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from steppref.corpus import Rationale
 from steppref.extraction import (
-    ANSWER_LINE,
-    BOXED,
-    AnswerStyle,
     EmptyRationaleError,
     canonicalize,
     dedup,
     extract_answer,
     split_steps,
     strip_conclusion,
-    style_for,
 )
 
 # Hand-built raw -> canonical table.
@@ -75,63 +71,61 @@ def test_canonicalize_idempotent_hypothesis(s):
     assert canonicalize(once) == once
 
 
-def test_style_for():
-    assert style_for("answer-line") is ANSWER_LINE
-    assert style_for("boxed") is BOXED
-    with pytest.raises(ValueError):
-        style_for("prose")
-    with pytest.raises(ValueError):
-        AnswerStyle("prose")
+def test_unknown_style_raises():
+    with pytest.raises(ValueError, match="unknown answer style: 'prose'"):
+        extract_answer("The answer is 3.", "prose")
+    with pytest.raises(ValueError, match="unknown answer style: 'prose'"):
+        split_steps("The answer is 3.", "prose")
 
 
 class TestExtractAnswer:
     def test_answer_line(self):
-        assert extract_answer("work\nThe answer is 72.", ANSWER_LINE) == "72"
+        assert extract_answer("work\nThe answer is 72.", "answer-line") == "72"
 
     def test_currency_and_separators(self):
-        assert extract_answer("The answer is $1,000.", ANSWER_LINE) == "1000"
+        assert extract_answer("The answer is $1,000.", "answer-line") == "1000"
 
     def test_last_declaration_wins(self):
         raw = "The answer is 3.\nmore work\nThe answer is 9."
-        assert extract_answer(raw, ANSWER_LINE) == "9"
+        assert extract_answer(raw, "answer-line") == "9"
 
     def test_no_match_is_none(self):
-        assert extract_answer("no declaration here", ANSWER_LINE) is None
+        assert extract_answer("no declaration here", "answer-line") is None
 
     def test_boxed_fraction(self):
         raw = "thus the area is \\boxed{\\tfrac{1}{2}} which concludes"
-        assert extract_answer(raw, BOXED) == "1/2"
+        assert extract_answer(raw, "boxed") == "1/2"
 
     def test_boxed_last_group(self):
         raw = "\\boxed{3} intermediate \\boxed{7}"
-        assert extract_answer(raw, BOXED) == "7"
+        assert extract_answer(raw, "boxed") == "7"
 
     def test_boxed_unbalanced_is_none(self):
-        assert extract_answer("\\boxed{3", BOXED) is None
+        assert extract_answer("\\boxed{3", "boxed") is None
 
     def test_case_insensitive_declaration(self):
-        assert extract_answer("the ANSWER IS 5", ANSWER_LINE) == "5"
+        assert extract_answer("the ANSWER IS 5", "answer-line") == "5"
 
 
 class TestSplitSteps:
     def test_declaration_becomes_conclusion(self):
-        steps, conclusion = split_steps("A.\nB.\nThe answer is 7.", ANSWER_LINE)
+        steps, conclusion = split_steps("A.\nB.\nThe answer is 7.", "answer-line")
         assert steps == ["A.", "B."]
         assert conclusion == "The answer is 7."
 
     def test_no_declaration(self):
-        steps, conclusion = split_steps("A.", ANSWER_LINE)
+        steps, conclusion = split_steps("A.", "answer-line")
         assert steps == ["A."]
         assert conclusion is None
 
     def test_internal_blank_lines_dropped(self):
-        steps, conclusion = split_steps("A.\n\n\nB.\n\nC.", ANSWER_LINE)
+        steps, conclusion = split_steps("A.\n\n\nB.\n\nC.", "answer-line")
         assert steps == ["A.", "B.", "C."]
         assert conclusion is None
 
     def test_all_blank_raises(self):
         with pytest.raises(EmptyRationaleError):
-            split_steps("\n  \n\t\n", ANSWER_LINE)
+            split_steps("\n  \n\t\n", "answer-line")
 
     def test_rejoin_fixed_point(self):
         rng = np.random.default_rng(3)
@@ -140,9 +134,9 @@ class TestSplitSteps:
             if rng.random() < 0.5:
                 lines.append(f"The answer is {int(rng.integers(0, 9))}.")
             raw = "\n".join(lines)
-            steps, conclusion = split_steps(raw, ANSWER_LINE)
+            steps, conclusion = split_steps(raw, "answer-line")
             rejoined = "\n".join(steps + ([conclusion] if conclusion else []))
-            assert split_steps(rejoined, ANSWER_LINE) == (steps, conclusion)
+            assert split_steps(rejoined, "answer-line") == (steps, conclusion)
 
 
 def _r(steps, conclusion=None):
@@ -209,18 +203,18 @@ _lines = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
 _answers = st.text(max_size=20).map(canonicalize).filter(bool)
 
 
-@given(st.lists(_lines.filter(lambda ln: not ANSWER_LINE.is_declaration(ln)),
+@given(st.lists(_lines.filter(lambda ln: split_steps(ln)[1] is None),
                 min_size=1, max_size=5),
        st.none() | _answers)
 @settings(max_examples=200, deadline=None)
 def test_split_steps_roundtrip_hypothesis(steps, answer):
     conclusion = None if answer is None else f"The answer is {answer}."
     raw = "\n".join(steps + ([conclusion] if conclusion else []))
-    assert split_steps(raw, ANSWER_LINE) == (steps, conclusion)
+    assert split_steps(raw, "answer-line") == (steps, conclusion)
 
 
 @given(st.lists(_lines, max_size=5), _answers)
 @settings(max_examples=200, deadline=None)
 def test_extract_answer_of_known_conclusion_hypothesis(steps, answer):
     rationale = Rationale(steps=tuple(steps), conclusion=f"The answer is {answer}.")
-    assert extract_answer(rationale.text(), ANSWER_LINE) == answer
+    assert extract_answer(rationale.text(), "answer-line") == answer

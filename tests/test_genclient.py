@@ -2,7 +2,7 @@ import pytest
 
 import steppref.genclient as genclient
 from steppref.corpus import Problem
-from steppref.extraction import extract_answer, style_for
+from steppref.extraction import extract_answer
 from steppref.genclient import (
     PromptError,
     ProviderError,
@@ -60,7 +60,7 @@ class TestSyntheticProvider:
         provider = synth_provider(eps=0.9, seed=3)
         p = gen_problem(provider.synth_config, 0)
         (text,) = sample(provider, p.question, SamplingConfig(n=1, temperature=0.0))
-        assert extract_answer(text, style_for(p.style)) == p.gold_answer
+        assert extract_answer(text, p.style) == p.gold_answer
 
     def test_prefix_prompt_continues(self):
         provider = synth_provider(eps=0.0, seed=3)

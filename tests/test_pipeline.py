@@ -18,7 +18,7 @@ from steppref.corpus import (
     RationaleRecord,
     write_dataset,
 )
-from steppref.extraction import EmptyRationaleError, extract_answer, style_for
+from steppref.extraction import EmptyRationaleError, extract_answer
 from steppref.genclient import ProviderHandle, SamplingConfig, sample
 from steppref.pipeline import (
     DropEntry,
@@ -274,7 +274,7 @@ class TestExploreFirstPit:
                 assert pit.rescue is not None
                 prefix = "\n".join(rejected.steps[: e - 1])
                 assert extract_answer(prefix + "\n" + pit.rescue,
-                                      style_for(p.style)) == p.gold_answer
+                                      p.style) == p.gold_answer
 
     def test_never_late(self):
         cfg = SynthConfig(t=5, epsilon=0.25, seed=5)
@@ -339,7 +339,7 @@ class TestBuildGranularPairs:
         assert rec.rejected.steps == (record.rejected.steps[2],)
         assert rec.rejected.conclusion is None
         assert rec.chosen.label == "correct"
-        assert extract_answer(rec.chosen.text(), style_for(p.style)) == p.gold_answer
+        assert extract_answer(rec.chosen.text(), p.style) == p.gold_answer
 
     def test_variant_reject_all(self):
         cfg, p, record = self._setup(e=3)
@@ -429,7 +429,7 @@ class TestBuildGranularPairs:
             assert n_prefix == rec.pit_index - 1
             assert rec.rejected.steps[0] not in rec.input.splitlines()
             if rec.pit_index > 1:
-                assert extract_answer(rec.chosen.text(), style_for(p.style)) == p.gold_answer
+                assert extract_answer(rec.chosen.text(), p.style) == p.gold_answer
 
     def test_requires_outcome_granularity(self):
         cfg, p, record = self._setup(e=2)
@@ -509,11 +509,10 @@ class TestSweep:
 
 def _serial_table(problem, rejected, explorer, k, temperature, seed):
     sampling = SamplingConfig(n=k, temperature=temperature, seed=seed)
-    style = style_for(problem.style)
     table = []
     for i in range(1, len(rejected.steps) + 1):
         prompt = problem.question + "\n" + "\n".join(rejected.steps[:i])
-        row = [(c, extract_answer(c, style) == problem.gold_answer)
+        row = [(c, extract_answer(c, problem.style) == problem.gold_answer)
                for c in sample(explorer, prompt, sampling)]
         table.append(row)
         if not any(ok for _, ok in row):

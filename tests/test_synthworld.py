@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from steppref.extraction import extract_answer, style_for
+from steppref.extraction import extract_answer
 from steppref.synthworld import (
     PrefixError,
     QuestionParseError,
@@ -80,7 +80,7 @@ class TestSimulate:
         assert tr.rationale.label == "correct"
         assert tr.rationale.extracted_answer == p.gold_answer
         text = tr.rationale.text()
-        assert extract_answer(text, style_for(p.style)) == p.gold_answer
+        assert extract_answer(text, p.style) == p.gold_answer
 
     def test_eps1_errors_at_step_one(self):
         cfg = SynthConfig(t=4, epsilon=1.0, seed=1)
@@ -120,7 +120,7 @@ class TestCompleteFrom:
         gold = simulate_solution(p, dataclasses.replace(cfg, epsilon=0.0), 0).rationale
         completion = complete_from(p, list(gold.steps), cfg, draw_seed=9)
         assert completion == gold.conclusion
-        assert extract_answer(completion, style_for(p.style)) == p.gold_answer
+        assert extract_answer(completion, p.style) == p.gold_answer
 
     def test_corrupted_prefix_always_wrong(self):
         cfg = SynthConfig(t=5, epsilon=0.2, seed=6)
@@ -130,7 +130,7 @@ class TestCompleteFrom:
             for prefix_len in range(error_at, 6):
                 for draw in range(10):
                     completion = complete_from(p, list(bad.steps[:prefix_len]), cfg, draw)
-                    got = extract_answer(completion, style_for(p.style))
+                    got = extract_answer(completion, p.style)
                     assert got != p.gold_answer
 
     def test_empty_prefix_eps0_equals_simulation(self):
