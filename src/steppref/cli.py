@@ -9,9 +9,11 @@ as resolved: nothing else, and no flag left out.
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
 of (config, seed): rerunning a stage with identical inputs produces
-byte-identical files. --model and --max-in-flight need --endpoint; an HTTP
-run records `epsilon: null` (--epsilon is the synthetic solver's error
-rate) and its effective --max-in-flight.
+byte-identical files. Each other provider flag belongs to one provider:
+--model and --max-in-flight need --endpoint, and --epsilon (the synthetic
+solver's error rate, 0.2 when not given) is refused beside it. An endpoint
+must be an http(s) URL. An HTTP run records `epsilon: null` and its
+effective --max-in-flight.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs before the
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -90,11 +93,6 @@ class _StageIO:
     def write_text(self, name: str, text: str) -> None:
         self.write_bytes(name, text.encode("utf-8"))
 
-    def write_json(self, name: str, obj: dict) -> None:
-        self.write_text(
-            name, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-        )
-
     def write_dataset(self, name: str, records: list, header: DatasetHeader) -> None:
         write_dataset(records, header, self.register(name))
 
@@ -111,21 +109,20 @@ class _StageIO:
 
 def _manifest(io: _StageIO, stage: str, seed: int, config: dict,
               inputs: dict[str, str]) -> None:
-    io.write_json(
-        f"{stage}_manifest.json",
-        {
-            "stage": stage,
-            "seed": seed,
-            "config": config,
-            "inputs": inputs,
-            "outputs": [p.name for p in io.written],
-            "versions": {
-                "steppref": __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
+    manifest = {
+        "stage": stage,
+        "seed": seed,
+        "config": config,
+        "inputs": inputs,
+        "outputs": [p.name for p in io.written],
+        "versions": {
+            "steppref": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
-    )
+    }
+    io.write_text(f"{stage}_manifest.json",
+                  json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -141,14 +138,13 @@ class Input:
 @dataclass(frozen=True)
 class StageRun:
     """What a stage body gets: typed arguments, its config objects and, keyed
-    by input dest, the inputs' records, dataset kinds and sha256."""
+    by input dest, the inputs' records and sha256."""
 
     args: argparse.Namespace
     cfg: Any
     io: _StageIO
     created_with: dict[str, Any]  # recorded in output headers and the manifest
     records: dict[str, list]
-    kinds: dict[str, str]
     sha256: dict[str, str]
 
     def header(self, kind: str, source: str, **extra: Any) -> DatasetHeader:
@@ -157,15 +153,15 @@ class StageRun:
 
 
 def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
-                 ) -> tuple[dict[str, list], dict[str, str], dict[str, str]]:
-    """Check, hash and read a stage's inputs; returns (records, kinds, sha256)."""
+                 ) -> tuple[dict[str, list], dict[str, str]]:
+    """Check, hash and read a stage's inputs; returns (records, sha256)."""
     given = {i: Path(getattr(args, i.dest)) for i in inputs
              if getattr(args, i.dest) is not None}
     for path in given.values():
         if not path.is_file():
             raise ValidationFailure(f"input file not found: {path}")
     sha256 = {i.dest: file_sha256(path) for i, path in given.items()}
-    records, kinds = {}, {}
+    records = {}
     for inp, path in given.items():
         if not inp.kinds:
             continue
@@ -173,7 +169,6 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
             records[inp.dest], header = read_dataset(path, *inp.kinds)
         except (DatasetParseError, DatasetSchemaError) as e:
             raise ValidationFailure(f"{path}: {e}") from None
-        kinds[inp.dest] = header.kind
         if inp.source and header.source_hash not in ("", sha256[inp.source]):
             raise ValidationFailure(
                 f"{path} has source_hash {header.source_hash}, but "
@@ -187,7 +182,7 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
             if missing:
                 raise ValidationFailure(
                     f"{getattr(args, dest)} references unknown problem {missing[0]}")
-    return records, kinds, sha256
+    return records, sha256
 
 
 @dataclass(frozen=True)
@@ -224,10 +219,16 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
     if args.endpoint is None:
         if args.model is not None or args.max_in_flight is not None:
             raise ValueError("--model and --max-in-flight need --endpoint")
+        if args.epsilon is None:
+            args.epsilon = 0.2
         return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon,
                                                     seed=args.seed))
-    # --epsilon is the synthetic provider's error rate; an endpoint has none
-    args.epsilon = None
+    if args.epsilon is not None:
+        raise ValueError("--epsilon is the synthetic solver's error rate; "
+                         "an endpoint has none")
+    url = urlsplit(args.endpoint)
+    if url.scheme not in ("http", "https") or not url.netloc:
+        raise ValueError(f"--endpoint {args.endpoint!r} is not an http(s) URL")
     if args.max_in_flight is None:
         args.max_in_flight = 4
     return ProviderHandle.http(args.endpoint, args.model, max_in_flight=args.max_in_flight)
@@ -342,20 +343,6 @@ def _run_train(run: StageRun) -> None:
     buf = BytesIO()
     np.save(buf, policy.logits)
     run.io.write_bytes("policy.npy", buf.getvalue())
-    run.io.write_json(
-        "policy_meta.json",
-        {
-            "alphabet_size": args.alphabet,
-            "order": args.order,
-            "objective": cfg.objective,
-            "beta": cfg.beta,
-            "tau": cfg.tau,
-            "kto_weights": list(cfg.kto_weights),
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "pairs_kind": run.kinds["pairs_file"],
-        },
-    )
 
 
 def _run_metrics(run: StageRun) -> None:
@@ -438,8 +425,8 @@ _PROVIDER_FLAGS = {
     "--model": dict(help="model name sent to the endpoint"),
     "--max-in-flight": dict(type=int, help="concurrent requests to the endpoint "
                             "(default 4)"),
-    "--epsilon": dict(type=float, default=0.2,
-                      help="per-step error rate of the synthetic provider"),
+    "--epsilon": dict(type=float, help="per-step error rate of the synthetic "
+                      "provider (default 0.2)"),
     "--temperature": dict(type=float, default=0.7),
 }
 _PROBLEMS = Input("problems_file", (KIND_D,))

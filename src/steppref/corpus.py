@@ -37,10 +37,7 @@ PRODUCERS = ("SFT", "RFT", "EXPLORER", "HUMAN", "SYNTH")
 LABELS = ("correct", "incorrect", "ungraded")
 
 GRAN_OUTCOME = "outcome"
-GRAN_FULL = "granular-full"
-GRAN_FIRST_STEP = "granular-first-step"
-GRAN_REJECT_ALL = "granular-reject-all"
-GRANULARITIES = (GRAN_OUTCOME, GRAN_FULL, GRAN_FIRST_STEP, GRAN_REJECT_ALL)
+GRANULARITIES = (GRAN_OUTCOME, "granular-full", "granular-first-step", "granular-reject-all")
 
 
 class DatasetParseError(ValueError):

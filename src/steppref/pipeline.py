@@ -15,7 +15,8 @@
    ExplorationError). read_pit reads the pit at any k up to the explored one.
 4. build_granular_pairs / sweep_exploration_size: reassemble pairs at step
    granularity around the pit, with the Table-2-style ablation variants and
-   a nested exploration-size sweep that explores once at max(ks).
+   a nested exploration-size sweep that explores once at max(ks). A variant
+   is its granularity's suffix: variant "full" builds "granular-full" pairs.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from statistics import fmean
 
 from . import genclient, kernels
 from .corpus import (
-    GRAN_FIRST_STEP,
-    GRAN_FULL,
     GRAN_OUTCOME,
-    GRAN_REJECT_ALL,
+    GRANULARITIES,
     PairRecord,
     Problem,
     Rationale,
@@ -44,16 +43,7 @@ from .extraction import (
 from .genclient import GenClientError, ProviderHandle, SamplingConfig
 from .rng import rng_for
 
-VARIANT_FULL = "full"
-VARIANT_FIRST_STEP = "first-step"
-VARIANT_REJECT_ALL = "reject-all"
-VARIANTS = (VARIANT_FULL, VARIANT_FIRST_STEP, VARIANT_REJECT_ALL)
-
-_GRANULARITY_FOR_VARIANT = {
-    VARIANT_FULL: GRAN_FULL,
-    VARIANT_FIRST_STEP: GRAN_FIRST_STEP,
-    VARIANT_REJECT_ALL: GRAN_REJECT_ALL,
-}
+VARIANTS = tuple(g.removeprefix("granular-") for g in GRANULARITIES if g != GRAN_OUTCOME)
 
 
 class ExplorationError(RuntimeError):
@@ -366,7 +356,7 @@ def _assemble_granular(
 ) -> PairRecord:
     w = pit.pit_index
     steps = record.rejected.steps
-    if variant == VARIANT_REJECT_ALL:
+    if variant == "reject-all":
         rejected_steps = steps[w - 1:]
     else:
         rejected_steps = steps[w - 1: w]
@@ -383,7 +373,7 @@ def _assemble_granular(
     else:
         input_text = problem.question + "\n" + "\n".join(steps[: w - 1])
         rescue_steps, rescue_conclusion = split_steps(pit.rescue, problem.style)
-        if variant == VARIANT_FIRST_STEP:
+        if variant == "first-step":
             if not rescue_steps:
                 raise ValueError("rescue completion has no step to keep")
             chosen = Rationale(
@@ -406,7 +396,7 @@ def _assemble_granular(
         input=input_text,
         chosen=chosen,
         rejected=rejected,
-        granularity=_GRANULARITY_FOR_VARIANT[variant],
+        granularity="granular-" + variant,
         pit_index=w,
     )
 
@@ -451,7 +441,7 @@ def build_granular_pairs(
     d_pair: list[PairRecord],
     explorer: ProviderHandle,
     cfg: ExploreConfig,
-    variant: str = VARIANT_FULL,
+    variant: str = "full",
 ) -> GranularBuild:
     """Explore each rejected rationale and re-pair around its first pit.
 
@@ -486,5 +476,5 @@ def sweep_exploration_size(
         raise ValueError("sweep_exploration_size requires cfg.nested_sampling")
     explored = explore_all(problems, d_pair, explorer, max(ks), cfg.temperature,
                            cfg.seed)
-    return [_granular_entry(problems, d_pair, explored, k, cfg.seed, VARIANT_FULL)
+    return [_granular_entry(problems, d_pair, explored, k, cfg.seed, "full")
             for k in ks]

@@ -119,9 +119,10 @@ def test_train_and_metrics(tmp_path):
     lines = (base / "train_history.tsv").read_text().splitlines()
     assert lines[0] == "epoch\tloss\treward_accuracy"
     assert len(lines) == 5
-    meta = json.loads((base / "policy_meta.json").read_text())
-    assert meta["objective"] == "dpo"
+    manifest = json.loads((base / "train_manifest.json").read_text())
+    assert manifest["config"]["objective"] == "dpo"
     assert (base / "policy.npy").exists()
+    assert not (base / "policy_meta.json").exists()
 
     assert run(["--seed", 3, "--out", base, "metrics",
                 "--problems-file", base / "problems.jsonl",
@@ -272,9 +273,13 @@ def _run_stderr(args, capsys):
     (["rft", "--max-in-flight", 9], None),
     (["metrics", "--k", 0], None),
     (["metrics", "--k", 9], None),
+    (["rft", "--endpoint", "http://127.0.0.1:9/v1", "--epsilon", 0.5], None),
+    (["rft", "--endpoint", ""], None),
+    (["rft", "--endpoint", "localhost:8000/v1"], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
-        "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9"])
+        "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
+        "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
@@ -459,14 +464,23 @@ def test_endpoint_selects_http(tmp_path, stub_server, capsys):
     assert len(err) == 1 and err[0].startswith("error: validation: unrecognized arguments")
 
 
-def test_cli_import_loads_no_third_party_http_client():
+def _loaded_by_fresh_import(module: str, names: set[str]) -> list[str]:
+    """Which of `names` are in sys.modules after a fresh interpreter imports `module`."""
     src = str(Path(steppref.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, steppref.cli; "
-         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        [sys.executable, "-c", f"import json, sys, {module}; "
+         f"print(json.dumps(sorted(set({sorted(names)!r}) & set(sys.modules))))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    assert _loaded_by_fresh_import("steppref.cli", {"requests", "urllib3"}) == []
+
+
+def test_corpus_import_loads_no_numpy_or_trainer():
+    assert _loaded_by_fresh_import("steppref.corpus", {"numpy", "steppref.preflearn"}) == []
 
 
 def test_provider_failure_names_last_cause(tmp_path, stub_server):

@@ -6,9 +6,6 @@ import pytest
 
 from steppref import cli, genclient
 from steppref.corpus import (
-    GRAN_FIRST_STEP,
-    GRAN_FULL,
-    GRAN_REJECT_ALL,
     KIND_D,
     KIND_PAIR,
     DatasetHeader,
@@ -333,7 +330,7 @@ class TestBuildGranularPairs:
                                    ExploreConfig(k=3, seed=2), "full")
         assert out.dropped == [] and out.failures == []
         (rec,) = out.records
-        assert rec.granularity == GRAN_FULL
+        assert rec.granularity == "granular-full"
         assert rec.pit_index == 3
         assert rec.input == p.question + "\n" + "\n".join(record.rejected.steps[:2])
         assert rec.rejected.steps == (record.rejected.steps[2],)
@@ -346,7 +343,7 @@ class TestBuildGranularPairs:
         out = build_granular_pairs([p], [record], _explorer(0.0),
                                    ExploreConfig(k=3, seed=2), "reject-all")
         (rec,) = out.records
-        assert rec.granularity == GRAN_REJECT_ALL
+        assert rec.granularity == "granular-reject-all"
         assert rec.rejected.steps == record.rejected.steps[2:]
         assert rec.rejected.conclusion is None
 
@@ -355,7 +352,7 @@ class TestBuildGranularPairs:
         out = build_granular_pairs([p], [record], _explorer(0.0),
                                    ExploreConfig(k=3, seed=2), "first-step")
         (rec,) = out.records
-        assert rec.granularity == GRAN_FIRST_STEP
+        assert rec.granularity == "granular-first-step"
         assert len(rec.chosen.steps) == 1
         assert rec.chosen.conclusion is None
         # the single kept step continues the prefix correctly
