@@ -83,6 +83,7 @@ class _StageIO:
         self.written: list[Path] = []
 
     def register(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)  # a failed validation makes none
         p = self.out_dir / name
         self.written.append(p)
         return p
@@ -571,7 +572,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         io = _StageIO(Path(args.out))
-        io.out_dir.mkdir(parents=True, exist_ok=True)
         _STAGES[args.stage](args, io)
         return 0
     except ValidationFailure as e:

@@ -11,7 +11,9 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     line is the question, any following lines are solution steps already
     taken. Completions are a pure function of (seed, prompt, index), which
     also means the first k completions of a larger draw are always the
-    same as a smaller draw (nested sampling falls out for free).
+    same as a smaller draw (nested sampling falls out for free). From a
+    prefix that already went wrong they do not depend on the index either,
+    so the provider builds one completion and returns it n times.
 
 ``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
 provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
@@ -120,6 +122,8 @@ def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -
     base = sampling.seed if sampling.seed is not None else 0
     try:
         problem = synthworld.problem_from_question(lines[0])
+        if synthworld.check_prefix(problem, prefix)[1]:
+            return [synthworld.complete_from(problem, prefix, cfg, None)] * sampling.n
         return [
             synthworld.complete_from(problem, prefix, cfg, stable_seed(base, prompt, i))
             for i in range(sampling.n)

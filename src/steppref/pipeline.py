@@ -292,8 +292,10 @@ def _explore_frontier(
                     f"provider failed at step {step} of {problem.id}: {result}", partial
                 )
                 continue
-            row = [(c, extract_answer(c, problem.style) == problem.gold_answer)
-                   for c in result]
+            # grade each distinct completion once: a wrong prefix gives k copies
+            reached = {c: extract_answer(c, problem.style) == problem.gold_answer
+                       for c in set(result)}
+            row = [(c, reached[c]) for c in result]
             table.append(row)
             if any(ok for _, ok in row) and step < len(rejected.steps):
                 unresolved.append(j)

@@ -195,7 +195,7 @@ def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int) -> SynthTrac
     return SynthTrace(rationale=rationale, true_first_error=first_error)
 
 
-def _check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
+def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
     """(running value after the prefix, whether the prefix went wrong)."""
     start, ops = parse_question(p.question)
     if len(prefix_steps) > len(ops):
@@ -222,16 +222,17 @@ def _check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
 
 
 def complete_from(p: Problem, prefix_steps: list[str], cfg: SynthConfig,
-                  draw_seed: int) -> str:
+                  draw_seed: int | None) -> str:
     """Continue a partial solution to a full answer under the epsilon process.
 
     A wrong prefix is propagated with exact arithmetic (no fresh corruption),
-    so its final answer is wrong with certainty.
+    so its final answer is wrong with certainty and its completion does not
+    depend on `draw_seed` (None will do): no generator is built for it.
     """
-    value, wrong = _check_prefix(p, prefix_steps)
+    value, wrong = check_prefix(p, prefix_steps)
     _, ops = parse_question(p.question)
-    lines, value, _ = _walk(ops[len(prefix_steps):], value, wrong, cfg.epsilon,
-                            rng_for(cfg.seed, "complete", p.id, draw_seed))
+    rng = None if wrong else rng_for(cfg.seed, "complete", p.id, draw_seed)
+    lines, value, _ = _walk(ops[len(prefix_steps):], value, wrong, cfg.epsilon, rng)
     lines.append(f"The answer is {value}.")
     return "\n".join(lines)
 

@@ -298,7 +298,7 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     code, err = _run_stderr([*top, *stage_args, *inputs], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: validation:")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_config_values_are_typed_like_flags(tmp_path):
@@ -345,7 +345,7 @@ def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
                              base / "problems.jsonl", flag, bad, *extra], capsys)
     assert code == 2
     assert err == [f"error: validation: {bad} references unknown problem synth-99999"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 _GOOD_ROW = json.dumps({"id": "synth-00000", "embeddings": [[0.0], [1.0]]})
@@ -393,7 +393,7 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     code, err = _run_stderr(["--out", out, *args], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: validation: {bad}: line {line}: ")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_source_hash_checked_against_problems_file(tmp_path, capsys):
@@ -411,7 +411,7 @@ def test_source_hash_checked_against_problems_file(tmp_path, capsys):
     code, err = _run_stderr(["--out", out, "metrics", *problems, "--dgen",
                              base / "dgen.jsonl"], capsys)
     assert code == 2 and len(err) == 1 and "has source_hash" in err[0]
-    assert not any(out.iterdir())
+    assert not out.exists()
     # the regenerated samples match; an empty hash is an unknown upstream
     assert run(["--out", out, "metrics", *problems, "--dgen", base / "samples.jsonl"]) == 0
     for name, kind in (("dgen.jsonl", KIND_GEN), ("drft.jsonl", KIND_RFT)):

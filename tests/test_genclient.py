@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steppref.genclient as genclient
+from steppref import synthworld
 from steppref.corpus import Problem
 from steppref.extraction import extract_answer
 from steppref.genclient import (
@@ -13,7 +18,16 @@ from steppref.genclient import (
     sample_batch,
 )
 from steppref.pipeline import build_rft
-from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
+from steppref.rng import stable_seed
+from steppref.synthworld import (
+    SynthConfig,
+    complete_from,
+    gen_problem,
+    problem_from_question,
+    simulate_solution,
+)
+
+from conftest import correct_rationale, trace_with_error
 
 
 def synth_provider(eps=0.3, seed=0, **kw):
@@ -224,3 +238,72 @@ class TestSampleBatch:
         results = sample_batch(provider, prompts, SamplingConfig(n=2, seed=4))
         singles = [sample(provider, p, SamplingConfig(n=2, seed=4)) for p in prompts]
         assert results == singles
+
+
+# ---------------------------------------------------------------------------
+# The synthetic provider against its per-draw definition: completion i of a
+# prompt is `complete_from` at draw seed stable_seed(seed or 0, prompt, i),
+# with epsilon 0 at temperature 0. A prefix that already went wrong takes a
+# shortcut (one completion, returned n times) that must not change a byte.
+
+
+@given(idx=st.integers(0, 50), t=st.integers(1, 6),
+       epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+       error_at=st.none() | st.integers(1, 6), delta=st.sampled_from([-3, -1, 2]),
+       cut=st.integers(0, 6), temperature=st.sampled_from([0.0, 0.7]),
+       seed=st.none() | st.integers(0, 2**40), n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_sample_equals_per_draw_reference_hypothesis(idx, t, epsilon, error_at, delta,
+                                                     cut, temperature, seed, n):
+    cfg = SynthConfig(t=t, epsilon=epsilon, seed=idx % 3)
+    p = gen_problem(cfg, idx)
+    if error_at is None or error_at > t:
+        steps = correct_rationale(p, cfg).steps
+    else:
+        steps = trace_with_error(p, cfg, error_at, delta).steps
+    prefix = list(steps[:min(cut, t)])
+    prompt = "\n".join([p.question, *prefix])
+    got = sample(ProviderHandle.synthetic(cfg), prompt,
+                 SamplingConfig(n=n, temperature=temperature, seed=seed))
+    draw_cfg = cfg if temperature else dataclasses.replace(cfg, epsilon=0.0)
+    problem = problem_from_question(p.question)
+    base = 0 if seed is None else seed
+    assert got == [complete_from(problem, prefix, draw_cfg, stable_seed(base, prompt, i))
+                   for i in range(n)]
+
+
+def test_wrong_prefix_builds_no_generator(monkeypatch):
+    provider = synth_provider(eps=0.5, seed=2)
+    p = gen_problem(provider.synth_config, 1)
+    bad = trace_with_error(p, provider.synth_config, 2)
+
+    def forbidden(*parts):
+        raise AssertionError(f"seeded a draw from {parts!r}")
+
+    monkeypatch.setattr(synthworld, "rng_for", forbidden)
+    monkeypatch.setattr(genclient, "stable_seed", forbidden)
+    for cut in (2, 3):
+        prompt = "\n".join([p.question, *bad.steps[:cut]])
+        texts = sample(provider, prompt, SamplingConfig(n=5, seed=1))
+        assert len(texts) == 5 and len(set(texts)) == 1
+    # a prefix that is still right draws per index
+    with pytest.raises(AssertionError, match="seeded a draw"):
+        sample(provider, p.question + "\n" + bad.steps[0], SamplingConfig(n=2))
+
+
+def test_bad_step_after_a_wrong_one_is_one_prompt_error():
+    provider = synth_provider(eps=0.0, seed=3)
+    p = gen_problem(provider.synth_config, 0)
+    bad = trace_with_error(p, provider.synth_config, 1)
+    prompts = [
+        p.question + "\n" + bad.steps[0] + "\ntwo plus two is five.",  # step grammar
+        p.question + "\n" + bad.steps[0] + "\n999+999=1998.",  # off the problem
+        p.question + "\n" + "\n".join(bad.steps + bad.steps[-1:]),  # one step too many
+    ]
+    for prompt in prompts:
+        with pytest.raises(PromptError):
+            sample(provider, prompt, SamplingConfig(n=3, seed=1))
+    results = sample_batch(provider, [p.question + "\n" + bad.steps[0], *prompts],
+                           SamplingConfig(n=3))
+    assert len(results[0]) == 3
+    assert [type(r) for r in results[1:]] == [PromptError] * 3

@@ -42,7 +42,7 @@ def chain_digests(base: Path) -> dict[str, str]:
     """Run STAGES in `base` and return {file name: sha256} of what they wrote."""
     base.mkdir(parents=True, exist_ok=True)
     for stage in STAGES:
-        args = [a if not a.endswith(".jsonl") else str(base / a) for a in stage]
+        args = [str(base / a) if a.endswith(".jsonl") else a for a in stage]
         assert main(["--seed", "0", "--out", str(base), *args]) == 0, stage
     digests = {}
     for path in sorted(base.iterdir()):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from steppref import cli, genclient
+from steppref import cli, genclient, pipeline
 from steppref.corpus import (
     KIND_D,
     KIND_PAIR,
@@ -722,3 +722,26 @@ class TestPerRecordFailures:
         for entry in entries:
             assert entry.build.failures == [failure]
             assert entry.pits[1] is None
+
+
+def test_explore_grades_each_distinct_rollout_once(monkeypatch):
+    errors_at = [3, 2, 3, 1, 4]
+    problems, d_pair = _distinct_records(errors_at)
+    explorer, k = _explorer(0.3), 4
+    want = [_serial_table(p, r.rejected, explorer, k, 0.7, 0)
+            for p, r in zip(problems, d_pair)]
+    graded = []
+
+    def counted(text, style):
+        graded.append(text)
+        return extract_answer(text, style)
+
+    monkeypatch.setattr(pipeline, "extract_answer", counted)
+    assert explore_all(problems, d_pair, explorer, k, 0.7, 0) == want
+    assert sorted(graded) == sorted(c for table in want for row in table
+                                    for c in {c for c, _ in row})
+    # a row from a prefix that already went wrong is k copies of one text
+    wrong_rows = [table[e - 1] for table, e in zip(want, errors_at) if len(table) >= e]
+    assert len(wrong_rows) >= 3
+    assert all(len(row) == k and len({c for c, _ in row}) == 1 for row in wrong_rows)
+    assert len(graded) < sum(len(row) for table in want for row in table)
