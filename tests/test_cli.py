@@ -256,6 +256,13 @@ def test_malformed_rejected_step_is_itemised(tmp_path):
             "reason": errors[0]["error"]} in dropped
 
 
+@dataclasses.dataclass(frozen=True)
+class HeaderOnly:
+    """A chain output cut to its header line: a dataset with no records."""
+
+    name: str
+
+
 def _run_stderr(args, capsys):
     code = run(args)
     return code, capsys.readouterr().err.strip().splitlines()
@@ -276,12 +283,28 @@ def _run_stderr(args, capsys):
     (["rft", "--endpoint", "http://127.0.0.1:9/v1", "--epsilon", 0.5], None),
     (["rft", "--endpoint", ""], None),
     (["rft", "--endpoint", "localhost:8000/v1"], None),
+    (["rft"], "{not json"),
+    (["rft"], [3]),
+    (["rft"], {"n": [3]}),
+    (["sweep-k", "--ks", ","], None),
+    (["train", "--pairs-file", HeaderOnly("dgpair.jsonl")], None),
+    (["metrics", "--dgen", HeaderOnly("samples.jsonl")], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
-        "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme"])
+        "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
+        "config-not-json", "config-array", "config-non-scalar", "ks-empty",
+        "train-no-records", "metrics-no-records"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
+    """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
+
+    def resolve(arg):
+        if not isinstance(arg, HeaderOnly):
+            return arg
+        path = tmp_path / arg.name
+        path.write_text((base / arg.name).read_text().splitlines(keepends=True)[0])
+        return path
     out = tmp_path / "out"
     inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
               "train": ["--pairs-file", base / "dgpair.jsonl"],
@@ -293,9 +316,11 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     top = ["--out", out]
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         top += ["--config", cfg]
-    code, err = _run_stderr([*top, *stage_args, *inputs], capsys)
+    # the stage's own flags come last, so an input they name wins
+    code, err = _run_stderr([*top, stage_args[0], *inputs,
+                             *map(resolve, stage_args[1:])], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: validation:")
     assert not out.exists()

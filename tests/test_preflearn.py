@@ -80,6 +80,32 @@ class TestSeqLogprob:
             assert seq_logprob(pol, pair.x, pair.y_minus) <= 0.0
 
 
+def row_oracle(x, y, j, order, alphabet):
+    """The base-(alphabet+1) value of the `order` tokens before y[j] in
+    (pad,)*order + x + y, where the pad symbol is `alphabet`."""
+    window = ((alphabet,) * order + tuple(x) + tuple(y))[len(x) + j: len(x) + j + order]
+    return sum(tok * (alphabet + 1) ** (order - 1 - m) for m, tok in enumerate(window))
+
+
+class TestRowIndex:
+    def test_matches_padded_window_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(1000):
+            alphabet, order = int(rng.integers(2, 41)), int(rng.integers(1, 5))
+            x = tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 4))))
+            y = tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 7))))
+            # the row index reads no logits; a full table at alphabet 40 and
+            # order 4 would take about 900 MB
+            pol = object.__new__(ToyPolicy)
+            pol.alphabet_size, pol.order = alphabet, order
+            rows = context_indices(x, y, order, alphabet)
+            assert rows.dtype == np.int64 and rows.shape == (len(y),)
+            for j in range(len(y)):
+                want = row_oracle(x, y, j, order, alphabet)
+                assert rows[j] == want
+                assert pol.context_index(x + y[:j]) == want
+
+
 class TestNormalization:
     def test_next_probs_sum_to_one(self):
         rng = np.random.default_rng(2)
