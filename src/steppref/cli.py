@@ -283,9 +283,7 @@ def _run_explore(run: StageRun) -> None:
     rows = []
     for idx, (record, found) in enumerate(zip(d_pair, explored)):
         row = {"id": record.problem_id, "record_index": idx}
-        if found is None:
-            row.update(error="empty-rejected", partial=[])
-        elif isinstance(found, pipeline.ExplorationError):
+        if isinstance(found, pipeline.ExplorationError):
             row.update(error=str(found), partial=found.partial)
         else:
             pit = pipeline.read_pit(found, cfg.k, len(record.rejected.steps),

@@ -239,13 +239,12 @@ def explore_all(
     k: int,
     temperature: float,
     seed: int,
-) -> list[Rollouts | ExplorationError | None]:
+) -> list[Rollouts | ExplorationError]:
     """Roll out k completions from every step prefix of every rejected side.
 
-    Positionally aligned with `d_pair`: each record's rollout table, its
-    ExplorationError (with the tallies gathered before the failing step), or
-    None for a record with no rejected step. Every record is validated before
-    any request is sent.
+    Positionally aligned with `d_pair`: each record's rollout table, or its
+    ExplorationError (with the tallies gathered before the failing step).
+    Every record is validated before any request is sent.
     """
     by_id = {p.id: p for p in problems}
     for record in d_pair:
@@ -263,7 +262,7 @@ def _explore_frontier(
     k: int,
     temperature: float,
     seed: int,
-) -> list[Rollouts | ExplorationError | None]:
+) -> list[Rollouts | ExplorationError]:
     """Level-synchronous exploration: round i sends the i-step prefixes of all
     unresolved rationales in one batch. A rationale leaves the frontier at its
     first zero-success step, after its last step, or on a provider failure, so
@@ -271,10 +270,8 @@ def _explore_frontier(
     if any(rejected.label != "incorrect" for _, rejected in jobs):
         raise ValueError("exploration expects a rationale labeled incorrect")
     sampling = SamplingConfig(n=k, temperature=temperature, seed=seed)
-    out: list[Rollouts | ExplorationError | None] = [
-        [] if rejected.steps else None for _, rejected in jobs
-    ]
-    frontier = [j for j, table in enumerate(out) if table is not None]
+    out: list[Rollouts | ExplorationError] = [[] for _ in jobs]
+    frontier = list(range(len(jobs)))
     step = 1
     while frontier:
         prompts = [
@@ -343,8 +340,6 @@ def explore_first_pit(
     """
     (found,) = _explore_frontier([(problem, rejected)], explorer, cfg.k,
                                  cfg.temperature, cfg.seed)
-    if found is None:
-        raise ValueError("exploration expects at least one step")
     if isinstance(found, ExplorationError):
         raise found
     return read_pit(found, cfg.k, len(rejected.steps), problem, cfg.seed)
@@ -406,7 +401,7 @@ def _assemble_granular(
 def _granular_entry(
     problems: list[Problem],
     d_pair: list[PairRecord],
-    explored: list[Rollouts | ExplorationError | None],
+    explored: list[Rollouts | ExplorationError],
     k: int,
     seed: int,
     variant: str,
@@ -417,9 +412,6 @@ def _granular_entry(
     pits: list[int | None] = []
     for idx, (record, found) in enumerate(zip(d_pair, explored)):
         pits.append(None)
-        if found is None:
-            out.dropped.append(DropEntry(record.problem_id, idx, "empty-rejected"))
-            continue
         if isinstance(found, ExplorationError):
             out.failures.append(DropEntry(record.problem_id, idx, str(found)))
             continue
@@ -431,7 +423,7 @@ def _granular_entry(
         pits[-1] = pit.pit_index
         try:
             out.records.append(_assemble_granular(problem, record, pit, variant))
-        except (ValueError, EmptyRationaleError) as e:
+        except ValueError as e:  # EmptyRationaleError is one
             out.failures.append(DropEntry(record.problem_id, idx, f"assembly: {e}"))
     found_pits = [p for p in pits if p is not None]
     return SweepEntry(k=k, build=out, pits=pits,

@@ -66,23 +66,12 @@ class ToyPolicy:
         shape = ((alphabet_size + 1) ** order, alphabet_size)
         return cls(alphabet_size, order, np.zeros(shape))
 
-    @property
-    def pad_id(self) -> int:
-        return self.alphabet_size
-
     def copy(self) -> "ToyPolicy":
         return ToyPolicy(self.alphabet_size, self.order, self.logits.copy())
 
     def context_index(self, window: tuple[int, ...]) -> int:
         """Row index for the last `order` tokens (shorter windows are padded)."""
-        base = self.alphabet_size + 1
-        padded = (self.pad_id,) * max(0, self.order - len(window)) + tuple(
-            window[-self.order:]
-        )
-        idx = 0
-        for c in padded:
-            idx = idx * base + c
-        return idx
+        return _rows(tuple(window)[-self.order:], self.order, self.alphabet_size)[-1]
 
     def next_probs(self, window: tuple[int, ...]) -> np.ndarray:
         row = self.logits[self.context_index(window)]
@@ -127,22 +116,24 @@ def _validate_tokens(seq: tuple[int, ...], alphabet_size: int) -> None:
             raise DomainError(f"token {tok} outside alphabet of size {alphabet_size}")
 
 
+def _rows(seq: tuple[int, ...], order: int, alphabet_size: int) -> list[int]:
+    """Table row ahead of each token of `seq` and after the last one: the
+    last `order` tokens read as a base-(alphabet_size+1) number, starting
+    from the all-pad row (the pad symbol is alphabet_size)."""
+    base, size = alphabet_size + 1, (alphabet_size + 1) ** order
+    rows = [size - 1]
+    for tok in seq:
+        rows.append((rows[-1] * base + tok) % size)
+    return rows
+
+
 def context_indices(
     x: tuple[int, ...], y: tuple[int, ...], order: int, alphabet_size: int
 ) -> np.ndarray:
     """Row index of the rolling context ahead of each y position."""
-    base = alphabet_size + 1
-    pad = alphabet_size
-    seq = tuple(x) + tuple(y)
-    nx = len(x)
-    out = np.empty(len(y), dtype=np.int64)
-    for j in range(len(y)):
-        idx = 0
-        for m in range(order):
-            pos = nx + j - order + m
-            idx = idx * base + (seq[pos] if pos >= 0 else pad)
-        out[j] = idx
-    return out
+    head = tuple(x)[-order:]
+    rows = _rows(head + tuple(y), order, alphabet_size)
+    return np.array(rows[len(head):-1], dtype=np.int64)
 
 
 def _check_compat(policy: ToyPolicy, ref: ToyPolicy) -> None:
@@ -263,40 +254,22 @@ def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
 def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
                    cfg: ObjectiveConfig, reference_point: float | None = None
                    ) -> tuple[float, np.ndarray]:
-    """Batch-mean loss of `cfg.objective` and its gradient in the logits;
-    `reference_point` pins KTO's z (see kto_loss)."""
+    """Batch-mean loss of `cfg.objective` and its gradient in the logits.
+
+    KTO's reference point z is the clamped batch mean of the implicit
+    rewards and carries no gradient. `reference_point`, if given, pins z
+    instead, because the finite-difference checks must probe at a fixed z.
+    DPO and IPO ignore it.
+    """
     loss, grad, _ = _loss_pass(policy, _flatten(policy, ref, batch), cfg, reference_point)
     return loss, grad
 
 
 def dpo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
              beta: float) -> tuple[float, np.ndarray]:
-    """Batch-mean -log sigmoid(beta * delta) and its gradient in the logits."""
+    """Batch-mean -log sigmoid(beta * delta) and its gradient in the logits.
+    Kept because the benchmark calls it; other callers use objective_loss."""
     return objective_loss(policy, ref, batch, ObjectiveConfig("dpo", beta=beta))
-
-
-def ipo_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
-             tau: float) -> tuple[float, np.ndarray]:
-    """Batch-mean (delta - 1/(2*tau))^2 with beta absorbed into delta (=1)."""
-    return objective_loss(policy, ref, batch, ObjectiveConfig("ipo", tau=tau))
-
-
-def kto_loss(
-    policy: ToyPolicy,
-    ref: ToyPolicy,
-    batch: list[TokenizedPair],
-    weights: tuple[float, float],
-    beta: float,
-    reference_point: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Paired KTO-style loss around a per-batch constant reference point z.
-
-    z is the clamped batch mean of the implicit rewards and carries no
-    gradient; pass `reference_point` to pin it externally (used by the
-    finite-difference checks, which must probe at fixed z).
-    """
-    cfg = ObjectiveConfig("kto", beta=beta, kto_weights=tuple(weights))
-    return objective_loss(policy, ref, batch, cfg, reference_point)
 
 
 def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
@@ -368,11 +341,8 @@ def tokenize_pair_records(
     vocab: dict[str, int] = {}
 
     def toks(text: str) -> list[int]:
-        ids = []
-        for t in text.split():
-            tid = token_id(t, alphabet_size)
-            vocab.setdefault(t, tid)
-            ids.append(tid)
+        ids = tokenize_text(text, alphabet_size)
+        vocab.update(zip(text.split(), ids))
         return ids
 
     pairs = []
@@ -398,8 +368,6 @@ def fit_mle(
     for x, y in examples:
         _validate_tokens(tuple(x), alphabet_size)
         _validate_tokens(tuple(y), alphabet_size)
-        if not y:
-            continue
         ctx = context_indices(tuple(x), tuple(y), order, alphabet_size)
         for c, tok in zip(ctx, y):
             counts[c, tok] += 1.0

@@ -47,8 +47,7 @@ from steppref.preflearn import (
     dpo_loss,
     fit_mle,
     greedy_decode,
-    ipo_loss,
-    kto_loss,
+    objective_loss,
     reward_accuracy,
     tokenize_pair_records,
     tokenize_text,
@@ -250,9 +249,11 @@ def test_acceptance_06_objective_math():
     batch = [rand_pair(rng, alphabet=6) for _ in range(6)]
     loss, _ = dpo_loss(pol, pol, batch, beta=0.5)
     assert abs(loss - math.log(2)) <= 1e-12
-    loss_ipo, _ = ipo_loss(pol, pol, batch, tau=0.01)
+    loss_ipo, _ = objective_loss(pol, pol, batch, ObjectiveConfig("ipo", tau=0.01))
     assert loss_ipo == 2500.0
 
+    ipo = ObjectiveConfig("ipo", tau=0.5)
+    kto = ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3))
     for trial in range(50):
         alphabet = int(rng.integers(3, 9))
         order = int(rng.integers(1, 3))
@@ -263,14 +264,12 @@ def test_acceptance_06_objective_math():
                              lambda p: dpo_loss(p, ref, fd_batch, 0.7))
         assert err < 1e-4, ("dpo", trial, err)
         err = fd_max_rel_err(policy, fd_batch,
-                             lambda p: ipo_loss(p, ref, fd_batch, 0.5))
+                             lambda p: objective_loss(p, ref, fd_batch, ipo))
         assert err < 1e-4, ("ipo", trial, err)
-        beta = 0.6
-        z = kto_reference_point(policy, ref, fd_batch, beta)
+        z = kto_reference_point(policy, ref, fd_batch, kto.beta)
         err = fd_max_rel_err(
             policy, fd_batch,
-            lambda p: kto_loss(p, ref, fd_batch, (1.0, 1.3), beta,
-                               reference_point=z),
+            lambda p: objective_loss(p, ref, fd_batch, kto, reference_point=z),
         )
         assert err < 1e-4, ("kto", trial, err)
     elapsed = time.perf_counter() - start

@@ -305,6 +305,7 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
         path = tmp_path / arg.name
         path.write_text((base / arg.name).read_text().splitlines(keepends=True)[0])
         return path
+
     out = tmp_path / "out"
     inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
               "train": ["--pairs-file", base / "dgpair.jsonl"],

@@ -14,8 +14,6 @@ from steppref.preflearn import (
     dpo_loss,
     fit_mle,
     greedy_decode,
-    ipo_loss,
-    kto_loss,
     objective_loss,
     reward_accuracy,
     seq_logprob,
@@ -203,9 +201,9 @@ class TestIpoLoss:
         rng = np.random.default_rng(5)
         pol = rand_policy(rng)
         batch = [rand_pair(rng) for _ in range(3)]
-        loss, _ = ipo_loss(pol, pol, batch, tau=0.01)
+        loss, _ = objective_loss(pol, pol, batch, ObjectiveConfig("ipo", tau=0.01))
         assert loss == 2500.0
-        loss2, _ = ipo_loss(pol, pol, batch, tau=0.5)
+        loss2, _ = objective_loss(pol, pol, batch, ObjectiveConfig("ipo", tau=0.5))
         assert loss2 == pytest.approx(1.0 / (4 * 0.5**2), abs=1e-12)
 
     def test_exact_root(self):
@@ -214,14 +212,14 @@ class TestIpoLoss:
         pol.logits[pol.context_index((0,))] = np.array([1.0, 0.0])
         ref = ToyPolicy.zeros(2, 1)
         batch = [TokenizedPair((0,), (0,), (1,))]
-        loss, _ = ipo_loss(pol, ref, batch, tau=0.5)
+        loss, _ = objective_loss(pol, ref, batch, ObjectiveConfig("ipo", tau=0.5))
         assert loss < 1e-20
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         pol, ref = rand_policy(rng), rand_policy(rng)
         batch = [rand_pair(rng) for _ in range(4)]
-        loss, _ = ipo_loss(pol, ref, batch, tau=0.3)
+        loss, _ = objective_loss(pol, ref, batch, ObjectiveConfig("ipo", tau=0.3))
         assert loss >= 0.0
 
     def test_gradient_matches_finite_differences(self):
@@ -229,7 +227,8 @@ class TestIpoLoss:
         for _ in range(5):
             pol, ref = rand_policy(rng), rand_policy(rng)
             batch = [rand_pair(rng) for _ in range(4)]
-            err = fd_max_rel_err(pol, batch, lambda p: ipo_loss(p, ref, batch, 0.5))
+            cfg = ObjectiveConfig("ipo", tau=0.5)
+            err = fd_max_rel_err(pol, batch, lambda p: objective_loss(p, ref, batch, cfg))
             assert err < 1e-4
 
 
@@ -238,9 +237,11 @@ class TestKtoLoss:
         rng = np.random.default_rng(8)
         pol = rand_policy(rng)
         batch = [rand_pair(rng) for _ in range(3)]
-        loss, _ = kto_loss(pol, pol, batch, (1.0, 1.0), beta=0.5)
+        cfg = ObjectiveConfig("kto", beta=0.5, kto_weights=(1.0, 1.0))
+        loss, _ = objective_loss(pol, pol, batch, cfg)
         assert loss == pytest.approx(1.0, abs=1e-12)
-        loss, _ = kto_loss(pol, pol, batch, (0.4, 1.2), beta=0.5)
+        cfg = ObjectiveConfig("kto", beta=0.5, kto_weights=(0.4, 1.2))
+        loss, _ = objective_loss(pol, pol, batch, cfg)
         assert loss == pytest.approx(0.5 * (0.4 + 1.2), abs=1e-12)
 
     def test_saturation_drives_loss_to_zero(self):
@@ -252,7 +253,8 @@ class TestKtoLoss:
         pol.logits[row] = np.array([30.0, -30.0])
         ref.logits[row] = np.array([-30.0, 30.0])
         batch = [TokenizedPair((0,), (0,), (1,))]
-        loss, _ = kto_loss(pol, ref, batch, (1.0, 1.0), beta=1.0, reference_point=0.0)
+        cfg = ObjectiveConfig("kto", beta=1.0, kto_weights=(1.0, 1.0))
+        loss, _ = objective_loss(pol, ref, batch, cfg, reference_point=0.0)
         assert loss < 1e-6
 
     def test_gradient_matches_finite_differences_fixed_z(self):
@@ -261,11 +263,11 @@ class TestKtoLoss:
             pol, ref = rand_policy(rng), rand_policy(rng)
             batch = [rand_pair(rng) for _ in range(4)]
             # pin z at its unperturbed value: no gradient flows through it
-            beta = 0.6
-            z = kto_reference_point(pol, ref, batch, beta)
+            cfg = ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3))
+            z = kto_reference_point(pol, ref, batch, cfg.beta)
             err = fd_max_rel_err(
                 pol, batch,
-                lambda p: kto_loss(p, ref, batch, (1.0, 1.3), beta, reference_point=z),
+                lambda p: objective_loss(p, ref, batch, cfg, reference_point=z),
             )
             assert err < 1e-4
 
@@ -434,13 +436,9 @@ class TestOnePassMatchesLoop:
         cfg, z = LOOP_CASES[case]
         for pol, ref, batch in loop_batches(20):
             want_loss, want_grad = loop_loss(pol, ref, batch, cfg, z)
+            runs = [objective_loss(pol, ref, batch, cfg, z)]
             if cfg.objective == "dpo":
-                got = dpo_loss(pol, ref, batch, cfg.beta)
-            elif cfg.objective == "ipo":
-                got = ipo_loss(pol, ref, batch, cfg.tau)
-            else:
-                got = kto_loss(pol, ref, batch, cfg.kto_weights, cfg.beta, reference_point=z)
-            runs = [got] if z is not None else [got, objective_loss(pol, ref, batch, cfg)]
+                runs.append(dpo_loss(pol, ref, batch, cfg.beta))
             for loss, grad in runs:
                 assert loss == want_loss
                 assert grad.tobytes() == want_grad.tobytes()
