@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,64 @@ class TestDedup:
         # stable order: survivors appear in first-occurrence order
         positions = [rationales.index(r) for r in once]
         assert positions == sorted(positions)
+
+
+# dedup as first written: a fresh regex pass over every step of every
+# rationale. The package version must keep exactly the same survivors.
+_REF_DIGIT_RUN_RE = re.compile(r"\d+")
+
+
+def _reference_dedup(rationales):
+    seen, out = set(), []
+    for r in rationales:
+        key = "\n".join(
+            _REF_DIGIT_RUN_RE.sub(lambda m: str(int(m.group(0))), " ".join(s.split()))
+            for s in r.steps
+        )
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+# Tokens in one group normalize alike on their own: whitespace runs, and one
+# number as plain ASCII, with leading zeros, or in non-ASCII decimal digits
+# (Arabic-Indic, fullwidth). Letters and operators stand alone.
+_TOKEN_GROUPS = [
+    [" ", "\t", "  ", " \t "],
+    ["0", "00", "\u0660"],
+    ["3", "03", "\u0663", "\uff13"],
+    ["7", "007", "\u0660\u0667"],
+    ["12", "012", "\uff11\uff12"],
+    ["x"], ["ab"], ["+"], ["-"], ["*"], ["="], ["."],
+]
+
+
+@st.composite
+def _step_variants(draw):
+    groups = draw(st.lists(st.sampled_from(_TOKEN_GROUPS), min_size=1, max_size=6))
+    render = st.tuples(*(st.sampled_from(g) for g in groups)).map("".join)
+    return draw(st.lists(render, min_size=1, max_size=3))
+
+
+@st.composite
+def _rationale_lists(draw):
+    """Rationales rendered from a few step templates, each step as one of a
+    few cosmetic variants, so whole step tuples, single steps and variants
+    of one step all repeat."""
+    templates = draw(st.lists(st.lists(_step_variants(), max_size=4), min_size=1, max_size=4))
+    steps = st.sampled_from(templates).flatmap(
+        lambda slots: st.tuples(*(st.sampled_from(vs) for vs in slots)))
+    picks = draw(st.lists(st.tuples(steps, st.sampled_from([None, "The answer is 1."])),
+                          max_size=20))
+    return [_r(steps, conclusion) for steps, conclusion in picks]
+
+
+@given(_rationale_lists())
+@settings(max_examples=300, deadline=None)
+def test_dedup_matches_reference_hypothesis(rationales):
+    got, want = dedup(rationales), _reference_dedup(rationales)
+    assert [id(r) for r in got] == [id(r) for r in want]
 
 
 class TestStripConclusion:
