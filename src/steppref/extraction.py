@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .corpus import Rationale
@@ -121,29 +121,42 @@ def split_steps(raw: str, style: str = "answer-line") -> tuple[list[str], str | 
 
 
 _DIGIT_RUN_RE = re.compile(r"\d+")
+_LEADING_ZERO_RE = re.compile(r"(?<![0-9])0[0-9]")
 
 
-def _dedup_key(steps: Iterable[str]) -> str:
-    # Whitespace-normalize each step and canonicalize digit runs (leading
-    # zeros dropped) so cosmetic variants collapse while distinct numbers
-    # keep distinct keys.
-    norm = []
-    for step in steps:
-        collapsed = " ".join(step.split())
-        norm.append(_DIGIT_RUN_RE.sub(lambda m: str(int(m.group(0))), collapsed))
-    return "\n".join(norm)
+def _normalize_step(step: str) -> str:
+    collapsed = " ".join(step.split())
+    # An ASCII step without a leading zero already has every digit run in
+    # str(int(run)) form; only other steps need the per-run rewrite, which
+    # also maps non-ASCII decimal digits to ASCII.
+    if collapsed.isascii() and not _LEADING_ZERO_RE.search(collapsed):
+        return collapsed
+    return _DIGIT_RUN_RE.sub(lambda m: str(int(m.group(0))), collapsed)
 
 
 def dedup(rationales: list[Rationale]) -> list[Rationale]:
-    """Keep the first occurrence per dedup key; order is preserved."""
-    seen: set[str] = set()
+    """Keep the first rationale per dedup key; order is preserved.
+
+    The key is the steps, each with whitespace runs collapsed to one space
+    and every digit run written as str(int(run)). A step tuple already seen
+    is skipped before its key is built; each distinct step is normalized
+    once per call.
+    """
+    seen_steps: set[tuple[str, ...]] = set()
+    seen_keys: set[str] = set()
+    normalized: dict[str, str] = {}
     out = []
     for r in rationales:
-        key = _dedup_key(r.steps)
-        if key in seen:
+        if r.steps in seen_steps:
             continue
-        seen.add(key)
-        out.append(r)
+        seen_steps.add(r.steps)
+        for step in r.steps:
+            if step not in normalized:
+                normalized[step] = _normalize_step(step)
+        key = "\n".join(normalized[step] for step in r.steps)
+        if key not in seen_keys:
+            seen_keys.add(key)
+            out.append(r)
     return out
 
 

@@ -121,17 +121,15 @@ def _tokens(r: Rationale) -> list[str]:
     return " ".join(r.steps).split()
 
 
-def token_edit_distance(a: Rationale, b: Rationale) -> int:
-    """Levenshtein distance over whitespace tokens of the joined steps."""
-    return kernels.levenshtein(_tokens(a), _tokens(b))
-
-
 def build_rft(
     problems: list[Problem],
     provider: ProviderHandle,
     cfg: SamplingConfig,
 ) -> RftBuild:
     """Sample, parse, grade and dedup rationales for each problem.
+
+    Identical completions of a problem are parsed and graded once, in
+    first-occurrence order; dedup would drop the repeats anyway.
 
     Problems whose sampling failed, or that yielded no parseable or no
     correct rationale, are listed in the skip report rather than dropped
@@ -146,7 +144,7 @@ def build_rft(
             out.skipped.append(SkipEntry(problem.id, f"provider-error: {result}"))
             continue
         rationales = []
-        for text in result:
+        for text in dict.fromkeys(result):
             try:
                 steps, conclusion = split_steps(text, problem.style)
             except EmptyRationaleError:

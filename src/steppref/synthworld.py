@@ -236,15 +236,3 @@ def complete_from(p: Problem, prefix_steps: list[str], cfg: SynthConfig,
     lines.append(f"The answer is {value}.")
     return "\n".join(lines)
 
-
-def oracle_first_error(p: Problem, r: Rationale) -> int | None:
-    """Smallest step index whose declared result disagrees with exact
-    evaluation of that step's operation on the prior declared value."""
-    start, _ = parse_question(p.question)
-    value = start
-    for i, line in enumerate(r.steps, start=1):
-        op, operand, _, declared = parse_step(line, i)
-        if declared != _apply(op, value, operand):
-            return i
-        value = declared
-    return None

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from steppref.corpus import PairRecord, Problem, Rationale, RationaleRecord
 from steppref.synthworld import (
@@ -16,6 +17,11 @@ from steppref.synthworld import (
     parse_question,
     simulate_solution,
 )
+
+
+# CI selects this profile (--hypothesis-profile=ci): the same examples on
+# every run, and a failure prints the blob that replays it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def make_rationale(rng: np.random.Generator, label: str = "ungraded",

@@ -53,8 +53,9 @@ from steppref.preflearn import (
     tokenize_text,
     train,
 )
-from steppref.synthworld import SynthConfig, gen_problem, oracle_first_error, simulate_solution
+from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
+from oracles import oracle_first_error
 from test_kernels import lev_oracle
 from test_preflearn import fd_max_rel_err, kto_reference_point, rand_pair, rand_policy
 

@@ -15,7 +15,7 @@ from steppref.corpus import (
     RationaleRecord,
     write_dataset,
 )
-from steppref.extraction import EmptyRationaleError, extract_answer
+from steppref.extraction import EmptyRationaleError, dedup, extract_answer, split_steps
 from steppref.genclient import ProviderHandle, SamplingConfig, sample
 from steppref.pipeline import (
     DropEntry,
@@ -24,6 +24,8 @@ from steppref.pipeline import (
     GranularBuild,
     PairingConfig,
     PitResult,
+    RftBuild,
+    SkipEntry,
     _assemble_granular,
     build_granular_pairs,
     build_pairs,
@@ -31,12 +33,12 @@ from steppref.pipeline import (
     explore_all,
     explore_first_pit,
     sweep_exploration_size,
-    token_edit_distance,
 )
 from steppref.rng import rng_for
-from steppref.synthworld import SynthConfig, gen_problem, oracle_first_error, simulate_solution
+from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
 from conftest import correct_rationale, trace_with_error
+from oracles import oracle_first_error, token_edit_distance
 from test_kernels import lev_oracle
 
 
@@ -247,6 +249,86 @@ class TestBuildRft:
         assert len(out.skipped) == 1
         assert out.skipped[0].problem_id == "bad"
         assert "provider-error" in out.skipped[0].reason
+
+
+def _rft_reference(problems, results):
+    """build_rft's grading as a loop that parses and grades every completion."""
+    out = RftBuild()
+    for problem, texts in zip(problems, results):
+        rationales = []
+        for text in texts:
+            try:
+                steps, conclusion = split_steps(text, problem.style)
+            except EmptyRationaleError:
+                continue
+            if steps:
+                extracted = extract_answer(text, problem.style)
+                label = "correct" if extracted == problem.gold_answer else "incorrect"
+                rationales.append(Rationale(tuple(steps), conclusion, "SFT", label, extracted))
+        if not rationales:
+            out.skipped.append(SkipEntry(problem.id, "no-parseable-samples"))
+            continue
+        deduped = dedup(rationales)
+        out.gen.extend(RationaleRecord(problem.id, r) for r in deduped)
+        if not any(r.label == "correct" for r in deduped):
+            out.skipped.append(SkipEntry(problem.id, "no-correct-samples"))
+        out.rft.extend(RationaleRecord(problem.id, r) for r in deduped if r.label == "correct")
+    return out
+
+
+def _counting_parsers(monkeypatch):
+    """Texts passed to pipeline.split_steps and pipeline.extract_answer."""
+    calls = {"split_steps": [], "extract_answer": []}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(text, style, _name=name, _original=original):
+            calls[_name].append(text)
+            return _original(text, style)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+class TestRftParsesDistinctCompletionsOnce:
+    def test_temperature_0_parses_one_text_per_problem(self, monkeypatch):
+        cfg = SynthConfig(t=4, epsilon=0.4, seed=6)
+        provider = ProviderHandle.synthetic(cfg)
+        problems = [gen_problem(cfg, i) for i in range(4)]
+        sampling = SamplingConfig(n=8, temperature=0.0, seed=6)
+        results = genclient.sample_batch(provider, [p.question for p in problems], sampling)
+        assert all(len(set(texts)) == 1 for texts in results)
+        calls = _counting_parsers(monkeypatch)
+        out = build_rft(problems, provider, sampling)
+        assert calls["split_steps"] == [texts[0] for texts in results]
+        assert calls["extract_answer"] == calls["split_steps"]
+        assert out == _rft_reference(problems, results)
+
+    def test_duplicate_empty_and_bare_answer_texts(self, monkeypatch, stub_server):
+        script = {
+            "q-none": ["", "The answer is 3.", "  \n", "The answer is 3.", "", "\n"],
+            "q-mixed": ["a\nThe answer is 3.", "", "b\nThe answer is 4.",
+                        "a\nThe answer is 3.", "The answer is 3.", "a \nThe answer is 3."],
+            "q-wrong": ["c\nThe answer is 5."] * 6,
+        }
+
+        def respond(payload):
+            return 200, {"choices": [{"text": t} for t in script[payload["prompt"]]]}
+
+        problems = [Problem(id=q.removeprefix("q-"), question=q, gold_answer="3")
+                    for q in script]
+        calls = _counting_parsers(monkeypatch)
+        provider = ProviderHandle.http(stub_server(respond).url, max_in_flight=1)
+        out = build_rft(problems, provider, SamplingConfig(n=6))
+        distinct = [t for texts in script.values() for t in dict.fromkeys(texts)]
+        assert calls["split_steps"] == distinct
+        assert calls["extract_answer"] == [
+            "a\nThe answer is 3.", "b\nThe answer is 4.", "a \nThe answer is 3.",
+            "c\nThe answer is 5."]
+        assert out == _rft_reference(problems, list(script.values()))
+        assert [r.rationale.steps for r in out.gen] == [("a",), ("b",), ("c",)]
+        assert out.skipped == [SkipEntry("none", "no-parseable-samples"),
+                               SkipEntry("wrong", "no-correct-samples")]
 
 
 def _explorer(eps, seed=0, t=5):

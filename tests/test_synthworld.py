@@ -12,12 +12,12 @@ from steppref.synthworld import (
     SynthConfig,
     complete_from,
     gen_problem,
-    oracle_first_error,
     problem_from_question,
     simulate_solution,
 )
 
 from conftest import trace_with_error
+from oracles import oracle_first_error
 
 
 def eval_question_oracle(question: str) -> int:
