@@ -126,37 +126,24 @@ _LEADING_ZERO_RE = re.compile(r"(?<![0-9])0[0-9]")
 
 def _normalize_step(step: str) -> str:
     collapsed = " ".join(step.split())
-    # An ASCII step without a leading zero already has every digit run in
-    # str(int(run)) form; only other steps need the per-run rewrite, which
-    # also maps non-ASCII decimal digits to ASCII.
+    # Only non-ASCII digits (which \d also matches) or leading zeros need the rewrite.
     if collapsed.isascii() and not _LEADING_ZERO_RE.search(collapsed):
         return collapsed
     return _DIGIT_RUN_RE.sub(lambda m: str(int(m.group(0))), collapsed)
 
 
 def dedup(rationales: list[Rationale]) -> list[Rationale]:
-    """Keep the first rationale per dedup key; order is preserved.
-
-    The key is the steps, each with whitespace runs collapsed to one space
-    and every digit run written as str(int(run)). A step tuple already seen
-    is skipped before its key is built; each distinct step is normalized
-    once per call.
-    """
-    seen_steps: set[tuple[str, ...]] = set()
-    seen_keys: set[str] = set()
-    normalized: dict[str, str] = {}
+    """Keep the first rationale per key, in order. The key is the steps with
+    whitespace runs collapsed and digit runs written as str(int(run)), so
+    cosmetic variants collapse while distinct numbers keep distinct keys."""
+    seen: set[str] = set()
     out = []
     for r in rationales:
-        if r.steps in seen_steps:
+        key = "\n".join(map(_normalize_step, r.steps))
+        if key in seen:
             continue
-        seen_steps.add(r.steps)
-        for step in r.steps:
-            if step not in normalized:
-                normalized[step] = _normalize_step(step)
-        key = "\n".join(normalized[step] for step in r.steps)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            out.append(r)
+        seen.add(key)
+        out.append(r)
     return out
 
 

@@ -128,12 +128,9 @@ def build_rft(
 ) -> RftBuild:
     """Sample, parse, grade and dedup rationales for each problem.
 
-    Identical completions of a problem are parsed and graded once, in
-    first-occurrence order; dedup would drop the repeats anyway.
-
-    Problems whose sampling failed, or that yielded no parseable or no
-    correct rationale, are listed in the skip report rather than dropped
-    silently.
+    Identical completions are parsed and graded once. Problems whose
+    sampling failed, or that yielded no parseable or no correct rationale,
+    are listed in the skip report rather than dropped silently.
     """
     out = RftBuild()
     if not problems:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from steppref import kernels
+from steppref import kernels, pipeline
 from steppref.corpus import Problem, Rationale
 from steppref.synthworld import _apply, parse_question, parse_step
 
 
 def token_edit_distance(a: Rationale, b: Rationale) -> int:
     """Levenshtein distance over whitespace tokens of the joined steps."""
-    return kernels.levenshtein(" ".join(a.steps).split(), " ".join(b.steps).split())
+    return kernels.levenshtein(pipeline._tokens(a), pipeline._tokens(b))
 
 
 def oracle_first_error(p: Problem, r: Rationale) -> int | None:
