@@ -245,9 +245,9 @@ def _run_synth(run: StageRun) -> None:
     io.write_dataset("problems.jsonl", problems, DatasetHeader(KIND_D, run.created_with))
     if run.args.samples > 0:
         records = [
-            RationaleRecord(p.id, synthworld.simulate_solution(p, cfg, draw_seed=j).rationale)
+            RationaleRecord(p.id, trace.rationale)
             for p in problems
-            for j in range(run.args.samples)
+            for trace in synthworld.simulate_solution(p, cfg, 0, n=run.args.samples)
         ]
         io.write_dataset(
             "samples.jsonl",

@@ -9,11 +9,12 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     any status >= 400 and a body other than ``{"choices": [{"text": str}]}``.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
-    taken. Completions are a pure function of (seed, prompt, index), which
-    also means the first k completions of a larger draw are always the
-    same as a smaller draw (nested sampling falls out for free). From a
-    prefix that already went wrong they do not depend on the index either,
-    so the provider builds one completion and returns it n times.
+    taken. Completions are a function of (seed, prompt): one
+    ``synthworld.complete_from`` call per prompt, whose draws come in index
+    order from one generator, so the first k completions of a larger draw
+    equal a smaller draw (nested sampling holds by construction). From a
+    prefix that already went wrong they do not depend on the seed either, so
+    the provider builds one completion and returns it n times.
 
 ``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
 provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
@@ -38,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import synthworld
-from .rng import stable_seed
 from .synthworld import SynthConfig
 
 API_KEY_ENV = "STEPPREF_API_KEY"
@@ -119,15 +119,10 @@ def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -
     if sampling.temperature == 0:
         # Greedy decoding of the toy solver is its error-free chain.
         cfg = dataclasses.replace(cfg, epsilon=0.0)
-    base = sampling.seed if sampling.seed is not None else 0
     try:
         problem = synthworld.problem_from_question(lines[0])
-        if synthworld.check_prefix(problem, prefix)[1]:
-            return [synthworld.complete_from(problem, prefix, cfg, None)] * sampling.n
-        return [
-            synthworld.complete_from(problem, prefix, cfg, stable_seed(base, prompt, i))
-            for i in range(sampling.n)
-        ]
+        return synthworld.complete_from(problem, prefix, cfg, (sampling.seed, prompt),
+                                        sampling.n)
     except (synthworld.QuestionParseError, synthworld.StepGrammarError,
             synthworld.PrefixError) as e:
         raise PromptError(str(e)) from e

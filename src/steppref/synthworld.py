@@ -180,23 +180,29 @@ def _walk(ops: tuple[tuple[str, int], ...], value: int, wrong: bool, epsilon: fl
     return lines, value, corrupted
 
 
-def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int) -> SynthTrace:
-    """One sampled solution; corruption strikes each step with prob epsilon."""
+def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int,
+                      n: int | None = None) -> SynthTrace | list[SynthTrace]:
+    """Sampled solutions (corruption strikes each step with prob epsilon), drawn
+    in index order from one generator per `draw_seed`: the first k of n equal
+    a k-draw. Without `n`, the first draw alone."""
     start, ops = parse_question(p.question)
-    steps, value, first_error = _walk(ops, start, False, cfg.epsilon,
-                                      rng_for(cfg.seed, "draw", p.id, draw_seed))
-    rationale = Rationale(
-        steps=tuple(steps),
-        conclusion=f"The answer is {value}.",
-        producer="SYNTH",
-        label="correct" if first_error is None else "incorrect",
-        extracted_answer=canonicalize(str(value)),
-    )
-    return SynthTrace(rationale=rationale, true_first_error=first_error)
+    rng = rng_for(cfg.seed, "draw", p.id, draw_seed)
+    traces = []
+    for _ in range(1 if n is None else n):
+        steps, value, first_error = _walk(ops, start, False, cfg.epsilon, rng)
+        rationale = Rationale(
+            steps=tuple(steps),
+            conclusion=f"The answer is {value}.",
+            producer="SYNTH",
+            label="correct" if first_error is None else "incorrect",
+            extracted_answer=canonicalize(str(value)),
+        )
+        traces.append(SynthTrace(rationale=rationale, true_first_error=first_error))
+    return traces[0] if n is None else traces
 
 
-def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
-    """(running value after the prefix, whether the prefix went wrong)."""
+def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool, tuple]:
+    """(value after the prefix, whether it went wrong, the ops left after it)."""
     start, ops = parse_question(p.question)
     if len(prefix_steps) > len(ops):
         raise PrefixError(
@@ -218,21 +224,20 @@ def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool]:
         if declared != _apply(op, value, operand):
             wrong = True
         value = declared
-    return value, wrong
+    return value, wrong, ops[len(prefix_steps):]
 
 
 def complete_from(p: Problem, prefix_steps: list[str], cfg: SynthConfig,
-                  draw_seed: int | None) -> str:
-    """Continue a partial solution to a full answer under the epsilon process.
-
-    A wrong prefix is propagated with exact arithmetic (no fresh corruption),
-    so its final answer is wrong with certainty and its completion does not
-    depend on `draw_seed` (None will do): no generator is built for it.
-    """
-    value, wrong = check_prefix(p, prefix_steps)
-    _, ops = parse_question(p.question)
-    rng = None if wrong else rng_for(cfg.seed, "complete", p.id, draw_seed)
-    lines, value, _ = _walk(ops[len(prefix_steps):], value, wrong, cfg.epsilon, rng)
-    lines.append(f"The answer is {value}.")
-    return "\n".join(lines)
-
+                  stream: object, n: int) -> list[str]:
+    """n continuations of a partial solution under the epsilon process, walked
+    in index order from one generator per `stream`: the first k of n equal a
+    k-draw. A wrong prefix is propagated with exact arithmetic, so its answer
+    is wrong with certainty and independent of `stream`: no generator is
+    built, and one text comes back n times."""
+    value, wrong, ops = check_prefix(p, prefix_steps)
+    rng = None if wrong else rng_for(cfg.seed, "complete", p.id, stream)
+    texts = []
+    for _ in range(1 if wrong else n):
+        lines, final, _ = _walk(ops, value, wrong, cfg.epsilon, rng)
+        texts.append("\n".join([*lines, f"The answer is {final}."]))
+    return texts * n if wrong else texts

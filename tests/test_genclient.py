@@ -1,11 +1,11 @@
-import dataclasses
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steppref.genclient as genclient
 from steppref import synthworld
+from steppref.cli import main
 from steppref.corpus import Problem
 from steppref.extraction import extract_answer
 from steppref.genclient import (
@@ -21,8 +21,9 @@ from steppref.pipeline import build_rft
 from steppref.rng import stable_seed
 from steppref.synthworld import (
     SynthConfig,
-    complete_from,
+    _apply,
     gen_problem,
+    parse_question,
     problem_from_question,
     simulate_solution,
 )
@@ -246,20 +247,51 @@ class TestSampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# The synthetic provider against its per-draw definition: completion i of a
-# prompt is `complete_from` at draw seed stable_seed(seed or 0, prompt, i),
-# with epsilon 0 at temperature 0. A prefix that already went wrong takes a
-# shortcut (one completion, returned n times) that must not change a byte.
+# The synthetic provider against its documented draw protocol, written out
+# here without synthworld's walk. A prompt whose prefix is still right builds
+# one generator, default_rng(stable_seed(cfg.seed, "complete", problem id,
+# (seed, prompt))), and takes its completions from it in index order: while
+# the chain is still right, one random() per step, and on a hit (below
+# epsilon, which is 0 at temperature 0) one integers(0, 6) into the deltas.
+# A prefix that already went wrong takes no draw: every completion propagates
+# it with exact arithmetic.
+
+_REF_DELTAS = (-3, -2, -1, 1, 2, 3)
+_REF_SYMBOLS = {"add": "+", "subtract": "-", "multiply": "*"}
 
 
-@given(idx=st.integers(0, 50), t=st.integers(1, 6),
-       epsilon=st.sampled_from([0.0, 0.3, 1.0]),
-       error_at=st.none() | st.integers(1, 6), delta=st.sampled_from([-3, -1, 2]),
-       cut=st.integers(0, 6), temperature=st.sampled_from([0.0, 0.7]),
-       seed=st.none() | st.integers(0, 2**40), n=st.integers(1, 6))
-@settings(max_examples=200, deadline=None)
-def test_sample_equals_per_draw_reference_hypothesis(idx, t, epsilon, error_at, delta,
-                                                     cut, temperature, seed, n):
+def _reference_sample(p, prefix, epsilon, synth_seed, seed, prompt, n):
+    value, ops = parse_question(p.question)
+    wrong = False
+    for (op, operand), line in zip(ops, prefix):
+        declared = int(line.split("=")[1].rstrip("."))
+        wrong = wrong or declared != _apply(op, value, operand)
+        value = declared
+    rng = None if wrong else np.random.default_rng(
+        stable_seed(synth_seed, "complete", problem_from_question(p.question).id,
+                    (seed, prompt)))
+    texts = []
+    for _ in range(n):
+        v, hit, lines = value, wrong, []
+        for op, operand in ops[len(prefix):]:
+            declared = _apply(op, v, operand)
+            if not hit and rng.random() < epsilon:
+                declared += _REF_DELTAS[int(rng.integers(0, 6))]
+                hit = True
+            lines.append(f"{v}{_REF_SYMBOLS[op]}{operand}={declared}.")
+            v = declared
+        texts.append("\n".join([*lines, f"The answer is {v}."]))
+    return texts
+
+
+_PROMPTS = dict(idx=st.integers(0, 50), t=st.integers(1, 6),
+                epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+                error_at=st.none() | st.integers(1, 6), delta=st.sampled_from([-3, -1, 2]),
+                cut=st.integers(0, 6), temperature=st.sampled_from([0.0, 0.7]),
+                seed=st.none() | st.integers(0, 2**40))
+
+
+def _prompt(idx, t, epsilon, error_at, delta, cut):
     cfg = SynthConfig(t=t, epsilon=epsilon, seed=idx % 3)
     p = gen_problem(cfg, idx)
     if error_at is None or error_at > t:
@@ -267,31 +299,56 @@ def test_sample_equals_per_draw_reference_hypothesis(idx, t, epsilon, error_at, 
     else:
         steps = trace_with_error(p, cfg, error_at, delta).steps
     prefix = list(steps[:min(cut, t)])
-    prompt = "\n".join([p.question, *prefix])
+    return cfg, p, prefix, "\n".join([p.question, *prefix])
+
+
+@given(**_PROMPTS, n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_sample_equals_per_prompt_reference_hypothesis(idx, t, epsilon, error_at, delta,
+                                                       cut, temperature, seed, n):
+    cfg, p, prefix, prompt = _prompt(idx, t, epsilon, error_at, delta, cut)
     got = sample(ProviderHandle.synthetic(cfg), prompt,
                  SamplingConfig(n=n, temperature=temperature, seed=seed))
-    draw_cfg = cfg if temperature else dataclasses.replace(cfg, epsilon=0.0)
-    problem = problem_from_question(p.question)
-    base = 0 if seed is None else seed
-    assert got == [complete_from(problem, prefix, draw_cfg, stable_seed(base, prompt, i))
-                   for i in range(n)]
+    assert got == _reference_sample(p, prefix, epsilon if temperature else 0.0,
+                                    cfg.seed, seed, prompt, n)
 
 
-def test_wrong_prefix_builds_no_generator(monkeypatch):
+@given(**_PROMPTS, n=st.integers(1, 12), k=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_sample_draws_nest_hypothesis(idx, t, epsilon, error_at, delta, cut, temperature,
+                                      seed, n, k):
+    cfg, _, _, prompt = _prompt(idx, t, epsilon, error_at, delta, cut)
+    k = min(k, n)
+    provider = ProviderHandle.synthetic(cfg)
+    large = sample(provider, prompt, SamplingConfig(n=n, temperature=temperature, seed=seed))
+    small = sample(provider, prompt, SamplingConfig(n=k, temperature=temperature, seed=seed))
+    assert large[:k] == small
+
+
+def test_wrong_prefix_builds_no_generator(monkeypatch, tmp_path):
     provider = synth_provider(eps=0.5, seed=2)
     p = gen_problem(provider.synth_config, 1)
     bad = trace_with_error(p, provider.synth_config, 2)
+    seeded = []
 
-    def forbidden(*parts):
-        raise AssertionError(f"seeded a draw from {parts!r}")
+    def counted(*parts):
+        seeded.append(parts)
+        return np.random.default_rng(stable_seed(*parts))
 
-    monkeypatch.setattr(synthworld, "rng_for", forbidden)
-    monkeypatch.setattr(genclient, "stable_seed", forbidden)
+    monkeypatch.setattr(synthworld, "rng_for", counted)
+    # a wrong prefix builds none
     for cut in (2, 3):
         prompt = "\n".join([p.question, *bad.steps[:cut]])
         texts = sample(provider, prompt, SamplingConfig(n=5, seed=1))
         assert len(texts) == 5 and len(set(texts)) == 1
-    # a prefix that is still right draws per index
-    with pytest.raises(AssertionError, match="seeded a draw"):
-        sample(provider, p.question + "\n" + bad.steps[0], SamplingConfig(n=2))
-
+    assert seeded == []
+    # a prefix that is still right builds exactly one, whatever n
+    for n in (1, 5, 32):
+        seeded.clear()
+        sample(provider, p.question + "\n" + bad.steps[0], SamplingConfig(n=n))
+        assert len(seeded) == 1 and seeded[0][1] == "complete"
+    # synth --samples builds one per problem
+    seeded.clear()
+    assert main(["--seed", "0", "--out", str(tmp_path), "synth", "--problems", "3",
+                 "--samples", "5"]) == 0
+    assert [parts[1] for parts in seeded].count("draw") == 3

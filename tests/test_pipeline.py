@@ -638,10 +638,12 @@ def _serial_build(problems, d_pair, explorer, ks, temperature, seed, variant):
 
 
 def _outcome_pairs(seed, eps, n_problems=12, t=5):
+    # 32 draws a problem: at eps <= 0.3 and t = 5 a problem misses a correct
+    # draw with probability 0.832**32 < 0.3%, so nearly every problem pairs.
     cfg = SynthConfig(t=t, epsilon=eps, seed=seed)
     problems = [gen_problem(cfg, i) for i in range(n_problems)]
     rft = build_rft(problems, ProviderHandle.synthetic(cfg),
-                    SamplingConfig(n=8, temperature=0.7, seed=seed))
+                    SamplingConfig(n=32, temperature=0.7, seed=seed))
     return problems, build_pairs(problems, rft.rft, rft.gen, PairingConfig())
 
 
@@ -807,7 +809,9 @@ class TestPerRecordFailures:
 
 
 def test_explore_grades_each_distinct_rollout_once(monkeypatch):
-    errors_at = [3, 2, 3, 1, 4]
+    # A first-step error's wrong row is its table's first row, so the three
+    # step-1 records reach their wrong row whatever the rollouts draw.
+    errors_at = [3, 2, 3, 1, 4, 1, 1]
     problems, d_pair = _distinct_records(errors_at)
     explorer, k = _explorer(0.3), 4
     want = [_serial_table(p, r.rejected, explorer, k, 0.7, 0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steppref.extraction import extract_answer
 from steppref.synthworld import (
@@ -104,6 +106,19 @@ class TestSimulate:
         ok = sum(simulate_solution(p, cfg, d).true_first_error is None for d in range(n))
         assert abs(ok / n - 0.7**5) < 0.05
 
+    @given(idx=st.integers(0, 50), t=st.integers(1, 6),
+           epsilon=st.sampled_from([0.0, 0.3, 1.0]), stream=st.integers(0, 2**40),
+           n=st.integers(1, 12), k=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_stream_draws_nest_hypothesis(self, idx, t, epsilon, stream, n, k):
+        cfg = SynthConfig(t=t, epsilon=epsilon, seed=idx % 3)
+        p = gen_problem(cfg, idx)
+        k = min(k, n)
+        draws = simulate_solution(p, cfg, stream, n=n)
+        assert len(draws) == n
+        assert draws[:k] == simulate_solution(p, cfg, stream, n=k)
+        assert draws[0] == simulate_solution(p, cfg, stream)
+
     def test_incorrect_trace_answer_differs_from_gold(self):
         cfg = SynthConfig(t=4, epsilon=0.6, seed=5)
         p = gen_problem(cfg, 1)
@@ -118,7 +133,7 @@ class TestCompleteFrom:
         cfg = SynthConfig(t=3, epsilon=0.4, seed=4)
         p = gen_problem(cfg, 0)
         gold = simulate_solution(p, dataclasses.replace(cfg, epsilon=0.0), 0).rationale
-        completion = complete_from(p, list(gold.steps), cfg, draw_seed=9)
+        (completion,) = complete_from(p, list(gold.steps), cfg, 9, 1)
         assert completion == gold.conclusion
         assert extract_answer(completion, p.style) == p.gold_answer
 
@@ -128,8 +143,7 @@ class TestCompleteFrom:
         for error_at in (1, 3, 5):
             bad = trace_with_error(p, cfg, error_at)
             for prefix_len in range(error_at, 6):
-                for draw in range(10):
-                    completion = complete_from(p, list(bad.steps[:prefix_len]), cfg, draw)
+                for completion in complete_from(p, list(bad.steps[:prefix_len]), cfg, 0, 10):
                     got = extract_answer(completion, p.style)
                     assert got != p.gold_answer
 
@@ -137,26 +151,26 @@ class TestCompleteFrom:
         cfg = SynthConfig(t=4, epsilon=0.0, seed=7)
         p = gen_problem(cfg, 3)
         tr = simulate_solution(p, cfg, 0)
-        assert complete_from(p, [], cfg, 123) == tr.rationale.text()
+        assert complete_from(p, [], cfg, 123, 1) == [tr.rationale.text()]
 
     def test_unparseable_prefix(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
         with pytest.raises(PrefixError):
-            complete_from(p, ["first we think hard"], cfg, 0)
+            complete_from(p, ["first we think hard"], cfg, 0, 1)
 
     def test_prefix_with_wrong_operation(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
         with pytest.raises(PrefixError):
-            complete_from(p, ["999+999=1998."], cfg, 0)
+            complete_from(p, ["999+999=1998."], cfg, 0, 1)
 
     def test_too_long_prefix(self):
         cfg = SynthConfig(t=2, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
         gold = simulate_solution(p, cfg, 0).rationale
         with pytest.raises(PrefixError):
-            complete_from(p, list(gold.steps) + [gold.steps[-1]], cfg, 0)
+            complete_from(p, list(gold.steps) + [gold.steps[-1]], cfg, 0, 1)
 
 
 class TestOracle:
