@@ -278,3 +278,34 @@ def test_split_steps_roundtrip_hypothesis(steps, answer):
 def test_extract_answer_of_known_conclusion_hypothesis(steps, answer):
     rationale = Rationale(steps=tuple(steps), conclusion=f"The answer is {answer}.")
     assert extract_answer(rationale.text(), "answer-line") == answer
+
+
+# Reference for the "boxed" style: a character walk from the last "\boxed{"
+# that copies every character up to the brace closing it, or gives None
+# when the group never closes.
+def _reference_last_boxed_group(text):
+    start = text.rfind("\\boxed{")
+    if start < 0:
+        return None
+    depth, out = 1, []
+    for ch in text[start + len("\\boxed{"):]:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return "".join(out)
+        out.append(ch)
+    return None
+
+
+_BOXED_PIECES = ["{", "}", "\\boxed{", "\\frac", "\\tfrac{1}{2}", "\\boxed", "12", "x",
+                 " ", ".", "$", "1,5"]
+
+
+@given(st.lists(st.sampled_from(_BOXED_PIECES), max_size=14).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_boxed_matches_reference_walk_hypothesis(text):
+    group = _reference_last_boxed_group(text)
+    want = None if group is None else canonicalize(group) or None
+    assert extract_answer(text, "boxed") == want

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,22 @@ class TestSampleBatch:
         results = sample_batch(provider, ["a", "b", "c"], SamplingConfig(n=1))
         assert len(results) == 3
         assert all(isinstance(r, ProviderError) for r in results)
+
+    def test_alignment_when_later_prompts_finish_first(self, stub_server):
+        finished = []
+
+        def respond(payload):
+            i = int(payload["prompt"][1:])
+            time.sleep(0.04 * (6 - i))  # the later the prompt, the sooner it answers
+            finished.append(i)
+            return 200, {"choices": [{"text": f"got:p{i}"}]}
+
+        server = stub_server(respond)
+        provider = ProviderHandle.http(server.url, max_in_flight=6)
+        prompts = [f"p{i}" for i in range(6)]
+        results = sample_batch(provider, prompts, SamplingConfig(n=1))
+        assert finished != sorted(finished)
+        assert results == [[f"got:p{i}"] for i in range(6)]
 
     def test_empty_prompts_rejected(self):
         with pytest.raises(ValueError):

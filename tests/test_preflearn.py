@@ -543,3 +543,38 @@ class TestMleAndDecode:
         y = (2, 3, 2)
         pol = fit_mle([(x, y)] * 5, alphabet_size=4, order=1, smoothing=0.01)
         assert greedy_decode(pol, x, max_len=3) == y
+
+
+def loop_fit_mle(examples, alphabet, order, smoothing):
+    """Reference table: one count per (row, token) position, added one at a time."""
+    counts = np.zeros(((alphabet + 1) ** order, alphabet))
+    for x, y in examples:
+        for j, tok in enumerate(y):
+            counts[row_oracle(x, y, j, order, alphabet), tok] += 1.0
+    return np.log(counts + smoothing)
+
+
+class TestFitMleMatchesLoop:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_random_examples(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(30):
+            alphabet = int(rng.integers(2, 7))
+            examples = [
+                (tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 4)))),
+                 tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 9)))))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            got = fit_mle(examples, alphabet, order, smoothing=0.5).logits
+            assert got.tobytes() == loop_fit_mle(examples, alphabet, order, 0.5).tobytes()
+
+    @pytest.mark.parametrize("examples", [[], [((0, 1), ())], [((1,), ()), ((), (2, 2))]],
+                             ids=["no-examples", "empty-y", "empty-y-and-x"])
+    def test_empty_inputs(self, examples):
+        got = fit_mle(examples, 3, 2, smoothing=0.25).logits
+        assert got.tobytes() == loop_fit_mle(examples, 3, 2, 0.25).tobytes()
+
+    @pytest.mark.parametrize("x,y", [((0, 3), (1,)), ((0,), (1, -1)), ((), (3,))])
+    def test_token_outside_alphabet(self, x, y):
+        with pytest.raises(DomainError):
+            fit_mle([((0,), (1,)), (x, y)], 3, 1)
