@@ -61,9 +61,7 @@ def _check_k(sets: list[SampleSet], k: int) -> None:
 
 
 def top1_accuracy(sets: list[SampleSet]) -> float:
-    if not sets:
-        return 0.0
-    return sum(s.predictions[0] == s.gold_answer for s in sets) / len(sets)
+    return pass_at_k(sets, 1)
 
 
 def pass_at_k(sets: list[SampleSet], k: int) -> float:
@@ -77,14 +75,9 @@ def maj_at_k(sets: list[SampleSet], k: int) -> float:
     _check_k(sets, k)
     if not sets:
         return 0.0
-    hits = 0
-    for s in sets:
-        first_k = s.predictions[:k]
-        counts = Counter(first_k)
-        best = max(counts.values())
-        modal = next(a for a in first_k if counts[a] == best)
-        hits += modal == s.gold_answer
-    return hits / len(sets)
+    # most_common orders equal counts by first appearance
+    modes = [Counter(s.predictions[:k]).most_common(1)[0][0] for s in sets]
+    return sum(m == s.gold_answer for m, s in zip(modes, sets)) / len(sets)
 
 
 def answer_stats(sets: list[SampleSet], k: int) -> list[tuple[int, float]]:

@@ -58,8 +58,7 @@ def canonicalize(ans: str) -> str:
     s = _THOUSANDS_RE.sub("", s)
     s = _SLASH_RE.sub("/", s)
     s = " ".join(s.split())
-    while s and s[-1] in _TRAILING:
-        s = s[:-1]
+    s = s.rstrip(_TRAILING)
     return s.lower().strip()
 
 
@@ -67,22 +66,16 @@ def _last_boxed_group(text: str) -> str | None:
     start = text.rfind("\\boxed{")
     if start < 0:
         return None
-    i = start + len("\\boxed{")
+    start += len("\\boxed{")
     depth = 1
-    out = []
-    while i < len(text) and depth > 0:
-        ch = text[i]
-        if ch == "{":
+    for end in range(start, len(text)):
+        if text[end] == "{":
             depth += 1
-        elif ch == "}":
+        elif text[end] == "}":
             depth -= 1
             if depth == 0:
-                break
-        out.append(ch)
-        i += 1
-    if depth != 0:
-        return None
-    return "".join(out)
+                return text[start:end]
+    return None
 
 
 def extract_answer(raw: str, style: str) -> str | None:

@@ -187,34 +187,20 @@ def build_pairs(
 
     pairs: list[PairRecord] = []
     for problem in problems:
+        # the still-unused incorrect rationales, in dataset order, so that
+        # max() breaks a distance tie toward the earliest
+        pool = {j: (r, _tokens(r)) for j, r in enumerate(incorrects.get(problem.id, []))}
         pos = corrects.get(problem.id, [])
-        neg = incorrects.get(problem.id, [])
-        neg_tokens = [_tokens(r) for r in neg]
-        used = [False] * len(neg)
-        emitted = 0
-        for chosen in pos:
-            if emitted >= cfg.max_pairs_per_problem:
-                break
-            best_idx = -1
-            best_dist = -1
+        for chosen in pos[: min(cfg.max_pairs_per_problem, len(pool))]:
             chosen_tokens = _tokens(chosen)
-            for j, tokens in enumerate(neg_tokens):
-                if used[j]:
-                    continue
-                dist = kernels.levenshtein(chosen_tokens, tokens)
-                if dist > best_dist:
-                    best_dist = dist
-                    best_idx = j
-            if best_idx < 0:
-                break
-            used[best_idx] = True
-            emitted += 1
+            far = max(pool, key=lambda j: kernels.levenshtein(chosen_tokens, pool[j][1]))
+            rejected, _ = pool.pop(far)
             pairs.append(
                 PairRecord(
                     problem_id=problem.id,
                     input=problem.question,
                     chosen=chosen,
-                    rejected=strip_conclusion(neg[best_idx]),
+                    rejected=strip_conclusion(rejected),
                     granularity=GRAN_OUTCOME,
                     pit_index=None,
                 )

@@ -141,12 +141,23 @@ def _check_compat(policy: ToyPolicy, ref: ToyPolicy) -> None:
         raise ValueError("policy and reference must share alphabet_size and order")
 
 
+def _token_rows(seqs: list[tuple[tuple[int, ...], tuple[int, ...]]], order: int,
+                alphabet_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y) sequences laid end to end, every token checked: ctx[i] is the
+    table row ahead of token tok[i], and lengths holds each len(y)."""
+    ctx, tok = [np.zeros(0, np.int64)], []
+    for x, y in seqs:
+        _validate_tokens(tuple(x), alphabet_size)
+        _validate_tokens(tuple(y), alphabet_size)
+        ctx.append(context_indices(tuple(x), tuple(y), order, alphabet_size))
+        tok += y
+    lengths = np.array([len(y) for _, y in seqs], dtype=np.int64)
+    return np.concatenate(ctx), np.array(tok, dtype=np.int64), lengths
+
+
 def seq_logprob(policy: ToyPolicy, x: tuple[int, ...], y: tuple[int, ...]) -> float:
     """log pi(y | x): sum of per-token log softmax terms. Empty y gives 0."""
-    _validate_tokens(tuple(x), policy.alphabet_size)
-    _validate_tokens(tuple(y), policy.alphabet_size)
-    ctx = context_indices(tuple(x), tuple(y), policy.order, policy.alphabet_size)
-    tok = np.asarray(y, dtype=np.int64)
+    ctx, tok, _ = _token_rows([(x, y)], policy.order, policy.alphabet_size)
     return float(kernels.seq_logprob(policy.logits, ctx, tok, np.zeros(1, np.int64))[0])
 
 
@@ -178,16 +189,8 @@ def _flatten(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]) -> _
     _check_compat(policy, ref)
     if not batch:
         raise ValueError("batch must be non-empty")
-    seqs = []
-    for pair in batch:
-        _validate_tokens(pair.x, policy.alphabet_size)
-        _validate_tokens(pair.y_plus, policy.alphabet_size)
-        _validate_tokens(pair.y_minus, policy.alphabet_size)
-        seqs += [(pair.x, pair.y_plus), (pair.x, pair.y_minus)]
-    ctx = np.concatenate([context_indices(x, y, policy.order, policy.alphabet_size)
-                          for x, y in seqs])
-    tok = np.array([t for _, y in seqs for t in y], dtype=np.int64)
-    lengths = np.array([len(y) for _, y in seqs], dtype=np.int64)
+    seqs = [(p.x, y) for p in batch for y in (p.y_plus, p.y_minus)]
+    ctx, tok, lengths = _token_rows(seqs, policy.order, policy.alphabet_size)
     starts = np.cumsum(lengths) - lengths
     return _Flat(ctx, tok, starts, lengths, _logprobs(ref.logits, ctx, tok, starts))
 
@@ -364,13 +367,9 @@ def fit_mle(
     if smoothing <= 0:
         raise ValueError("smoothing must be > 0")
     policy = ToyPolicy.zeros(alphabet_size, order)
+    ctx, tok, _ = _token_rows(examples, order, alphabet_size)
     counts = np.zeros_like(policy.logits)
-    for x, y in examples:
-        _validate_tokens(tuple(x), alphabet_size)
-        _validate_tokens(tuple(y), alphabet_size)
-        ctx = context_indices(tuple(x), tuple(y), order, alphabet_size)
-        for c, tok in zip(ctx, y):
-            counts[c, tok] += 1.0
+    np.add.at(counts, (ctx, tok), 1.0)  # whole numbers: the order of adds cannot matter
     policy.logits = np.log(counts + smoothing)
     return policy
 
