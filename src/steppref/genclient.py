@@ -5,8 +5,11 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     stdlib ``urllib.request``: POST a JSON body with prompt/n/temperature/
     max_tokens/stop (the last two fixed at ``MAX_TOKENS`` and ``STOP``), read
     back ``choices[].text``. If the server caps ``n`` the client loops until
-    it has collected n choices. Exponential backoff retries a transport error,
-    any status >= 400 and a body other than ``{"choices": [{"text": str}]}``.
+    it has collected n choices, posting each follow-up request with
+    ``seed + len(collected)`` (no seed when the caller gave none), so a seeded
+    server that caps ``n`` returns fresh draws rather than its first choices
+    again. Exponential backoff retries a transport error, any status >= 400
+    and a body other than ``{"choices": [{"text": str}]}``.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
     taken. Completions are a function of (seed, prompt): one
@@ -123,8 +126,7 @@ def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -
         problem = synthworld.problem_from_question(lines[0])
         return synthworld.complete_from(problem, prefix, cfg, (sampling.seed, prompt),
                                         sampling.n)
-    except (synthworld.QuestionParseError, synthworld.StepGrammarError,
-            synthworld.PrefixError) as e:
+    except (synthworld.QuestionParseError, synthworld.PrefixError) as e:
         raise PromptError(str(e)) from e
 
 
@@ -182,7 +184,9 @@ def _sample_http(provider: ProviderHandle, prompt: str,
                  sampling: SamplingConfig) -> list[str]:
     collected: list[str] = []
     while len(collected) < sampling.n:
-        got = _post_with_retries(provider, prompt, sampling.n - len(collected), sampling)
+        seed = None if sampling.seed is None else sampling.seed + len(collected)
+        got = _post_with_retries(provider, prompt, sampling.n - len(collected),
+                                 dataclasses.replace(sampling, seed=seed))
         if not got:
             raise ShortResponseError(
                 f"endpoint returned no choices; have {len(collected)} of {sampling.n}"
@@ -209,20 +213,16 @@ def sample_batch(
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
-    results: list[list[str] | GenClientError] = [None] * len(prompts)  # type: ignore[list-item]
 
-    def work(i: int) -> None:
+    def sample_or_error(prompt: str) -> list[str] | GenClientError:
         try:
-            results[i] = sample(provider, prompts[i], cfg)
+            return sample(provider, prompt, cfg)
         except GenClientError as e:
-            results[i] = e
+            return e
 
     if provider.synth_config is not None:
         # The toy solver is pure Python: threads would only take turns on the
         # interpreter lock, so its prompts run inline.
-        for i in range(len(prompts)):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
-            list(pool.map(work, range(len(prompts))))
-    return results
+        return [sample_or_error(prompt) for prompt in prompts]
+    with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
+        return list(pool.map(sample_or_error, prompts))  # map yields in prompt order

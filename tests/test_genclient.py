@@ -137,6 +137,27 @@ class TestHttpProvider:
         assert server.calls[0]["model"] == "toy-model"
         assert server.calls[0]["seed"] == 1
 
+    def test_follow_up_requests_advance_the_seed(self, stub_server):
+        synthetic = synth_provider(eps=0.5, seed=2)
+
+        def respond(payload):  # caps n at 2, draws with the posted seed
+            cfg = SamplingConfig(n=min(int(payload["n"]), 2),
+                                 temperature=payload["temperature"], seed=payload.get("seed"))
+            return 200, {"choices": [{"text": text} for text in
+                                     sample(synthetic, payload["prompt"], cfg)]}
+
+        server = stub_server(respond)
+        provider = ProviderHandle.http(server.url)
+        prompt = gen_problem(synthetic.synth_config, 0).question
+        got = sample(provider, prompt, SamplingConfig(n=6, seed=5))
+        assert [c["seed"] for c in server.calls] == [5, 7, 9]
+        assert got == [text for seed in (5, 7, 9)
+                       for text in sample(synthetic, prompt, SamplingConfig(n=2, seed=seed))]
+        assert got[:3] == sample(provider, prompt, SamplingConfig(n=3, seed=5))
+        del server.calls[:]
+        assert len(sample(provider, prompt, SamplingConfig(n=3))) == 3
+        assert ["seed" in c for c in server.calls] == [False, False]
+
     def test_empty_choices_short_response(self, stub_server):
         server = stub_server(lambda payload: (200, {"choices": []}))
         provider = ProviderHandle.http(server.url)
