@@ -4,7 +4,10 @@ Each subcommand realizes one pipeline stage and writes exactly its declared
 artifacts plus a `<stage>_manifest.json` (config, input hashes, seed,
 versions) into --out. The manifest's `config`, like the `created_with` of
 each output header, is the stage name, --seed and every flag of the stage
-as resolved: nothing else, and no flag left out.
+as resolved: nothing else, and no flag left out. A stage that re-pairs at
+step granularity lists every outcome pair it leaves out, with the reason
+(no pit, provider failure or assembly failure): `gpair` in
+`gpair_dropped.jsonl`, `sweep-k` in `sweep_dropped.jsonl` once per k.
 
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
@@ -295,19 +298,19 @@ def _run_explore(run: StageRun) -> None:
     run.io.write_jsonl("pits.jsonl", rows)
 
 
+def _dropped_rows(build: pipeline.GranularBuild, **keys: Any) -> list[dict]:
+    """One row per record a granular build left out: no-pit drops, then failures."""
+    return [{"id": d.problem_id, **keys, "record_index": d.record_index, "reason": d.reason}
+            for d in build.dropped + build.failures]
+
+
 def _run_gpair(run: StageRun) -> None:
     provider, cfg = run.cfg
     build = pipeline.build_granular_pairs(run.records["problems_file"],
                                           run.records["dpair"], provider, cfg,
                                           variant=run.args.variant)
     run.io.write_dataset("dgpair.jsonl", build.records, run.header(KIND_GPAIR, "dpair"))
-    run.io.write_jsonl(
-        "gpair_dropped.jsonl",
-        [
-            {"id": d.problem_id, "record_index": d.record_index, "reason": d.reason}
-            for d in build.dropped + build.failures
-        ],
-    )
+    run.io.write_jsonl("gpair_dropped.jsonl", _dropped_rows(build))
 
 
 def _run_sweep_k(run: StageRun) -> None:
@@ -322,6 +325,8 @@ def _run_sweep_k(run: StageRun) -> None:
         mean = "" if entry.mean_pit_index is None else f"{entry.mean_pit_index:.12g}"
         summary.append(f"{entry.k}\t{len(entry.build.records)}\t{mean}")
     run.io.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")
+    run.io.write_jsonl("sweep_dropped.jsonl",
+                       [row for e in entries for row in _dropped_rows(e.build, k=e.k)])
 
 
 def _run_train(run: StageRun) -> None:
@@ -471,7 +476,8 @@ _STAGE_DECLS = (
           flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS,
                  "--variant": dict(choices=list(VARIANTS), default="full")},
           inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
-    Stage("sweep-k", "exploration-size sweep (nested)", _run_sweep_k,
+    Stage("sweep-k", "exploration-size sweep (nested); sweep_dropped.jsonl lists "
+          "each record left out at each k, and why", _run_sweep_k,
           flags={"--ks": dict(type=_list_of(int), default="4,8,16,32"), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config),
     Stage("train", "train the toy policy on a pair dataset", _run_train,

@@ -111,6 +111,85 @@ def test_sweep_k_outputs(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_k_itemises_dropped_records(tmp_path, stub_server):
+    base = chain(tmp_path / "run")
+    problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
+    pairs, _ = read_dataset(base / "dpair.jsonl", KIND_PAIR)
+    assert len(pairs) >= 2
+    gold = {p.question: p.gold_answer for p in problems}
+    failing = {r.problem_id for r in pairs[0::2]}
+
+    # every rollout of a failing problem gets a 500, any other reaches the gold
+    def respond(payload):
+        question = payload["prompt"].split("\n")[0]
+        if next(p.id for p in problems if p.question == question) in failing:
+            return 500, {}
+        return 200, {"choices": [{"text": f"The answer is {gold[question]}."}]
+                     * payload["n"]}
+
+    server = stub_server(respond)
+    out = tmp_path / "sweep"
+    assert run(["--out", out, "sweep-k", "--problems-file", base / "problems.jsonl",
+                "--dpair", base / "dpair.jsonl", "--ks", "1,2",
+                "--endpoint", server.url]) == 0
+    summary = (out / "sweep_summary.tsv").read_text().splitlines()
+    assert summary == ["k\trecords\tmean_pit_index", "1\t0\t", "2\t0\t"]
+    rows = [json.loads(line) for line in (out / "sweep_dropped.jsonl").read_text().splitlines()]
+    indexed = list(enumerate(pairs))
+    want = [(r.problem_id, k, i)
+            for k in (1, 2)
+            for fails in (False, True)  # no-pit drops, then failures
+            for i, r in indexed if (r.problem_id in failing) == fails]
+    assert [(row["id"], row["k"], row["record_index"]) for row in rows] == want
+    for row in rows:
+        if row["id"] in failing:
+            assert row["reason"].startswith(f"provider failed at step 1 of {row['id']}: ")
+            assert row["reason"].endswith("HTTPError: HTTP Error 500: Internal Server Error")
+        else:
+            assert row["reason"] == "no-pit"
+    manifest = json.loads((out / "sweep-k_manifest.json").read_text())
+    assert "sweep_dropped.jsonl" in manifest["outputs"]
+
+
+@pytest.mark.parametrize("variant", ["first-step", "full"])
+def test_rescue_without_a_step_is_an_assembly_drop(tmp_path, stub_server, variant):
+    base = chain(tmp_path / "run")
+    problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
+    pairs, _ = read_dataset(base / "dpair.jsonl", KIND_PAIR)
+    assert len(pairs) >= 2 and all(len(r.rejected.steps) >= 2 for r in pairs)
+    gold = {p.question: p.gold_answer for p in problems}
+    bare = {r.problem_id for r in pairs[0::2]}
+
+    # From one step in, every rollout reaches the gold: a bare answer line for
+    # the problems in `bare`, a step and then the answer for the others. From
+    # two steps in, none does, so every pit is 2 and its rescue is a 1-step
+    # rollout.
+    def respond(payload):
+        question, *prefix = payload["prompt"].split("\n")
+        pid = next(p.id for p in problems if p.question == question)
+        if len(prefix) > 1:
+            text = "The answer is -1."
+        elif pid in bare:
+            text = f"The answer is {gold[question]}."
+        else:
+            text = f"1+1=2.\nThe answer is {gold[question]}."
+        return 200, {"choices": [{"text": text}] * payload["n"]}
+
+    server = stub_server(respond)
+    out = tmp_path / "gpair"
+    assert run(["--out", out, "gpair", "--problems-file", base / "problems.jsonl",
+                "--dpair", base / "dpair.jsonl", "--k", 2, "--variant", variant,
+                "--endpoint", server.url]) == 0
+    rows = [json.loads(line) for line in (out / "gpair_dropped.jsonl").read_text().splitlines()]
+    assert [(row["id"], row["record_index"]) for row in rows] == [
+        (r.problem_id, i) for i, r in enumerate(pairs) if r.problem_id in bare]
+    assert all(row["reason"].startswith("assembly: ") for row in rows)
+    kept, _ = read_dataset(out / "dgpair.jsonl", KIND_GPAIR)
+    assert [g.problem_id for g in kept] == [r.problem_id for r in pairs
+                                            if r.problem_id not in bare]
+    assert all(g.pit_index == 2 and g.chosen.steps[0] == "1+1=2." for g in kept)
+
+
 def test_train_and_metrics(tmp_path):
     base = chain(tmp_path / "run")
     assert run(["--seed", 3, "--out", base, "train",
