@@ -5,11 +5,11 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     stdlib ``urllib.request``: POST a JSON body with prompt/n/temperature/
     max_tokens/stop (the last two fixed at ``MAX_TOKENS`` and ``STOP``), read
     back ``choices[].text``. If the server caps ``n`` the client loops until
-    it has collected n choices, posting each follow-up request with
-    ``seed + len(collected)`` (no seed when the caller gave none), so a seeded
-    server that caps ``n`` returns fresh draws rather than its first choices
-    again. Exponential backoff retries a transport error, any status >= 400
-    and a body other than ``{"choices": [{"text": str}]}``.
+    it has collected n choices. Each follow-up request carries seed
+    ``seed + len(collected)`` (and no seed when the caller gave none), so a
+    seeded server does not send its first choices again. Exponential backoff
+    retries a transport error, any status >= 400 and a body other than
+    ``{"choices": [{"text": str}]}``.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
     taken. Completions are a function of (seed, prompt): one
