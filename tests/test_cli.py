@@ -116,15 +116,15 @@ def test_sweep_k_itemises_dropped_records(tmp_path, stub_server):
     problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
     pairs, _ = read_dataset(base / "dpair.jsonl", KIND_PAIR)
     assert len(pairs) >= 2
-    gold = {p.question: p.gold_answer for p in problems}
+    by_question = {p.question: p for p in problems}
     failing = {r.problem_id for r in pairs[0::2]}
 
     # every rollout of a failing problem gets a 500, any other reaches the gold
     def respond(payload):
-        question = payload["prompt"].split("\n")[0]
-        if next(p.id for p in problems if p.question == question) in failing:
+        problem = by_question[payload["prompt"].split("\n")[0]]
+        if problem.id in failing:
             return 500, {}
-        return 200, {"choices": [{"text": f"The answer is {gold[question]}."}]
+        return 200, {"choices": [{"text": f"The answer is {problem.gold_answer}."}]
                      * payload["n"]}
 
     server = stub_server(respond)
@@ -135,11 +135,10 @@ def test_sweep_k_itemises_dropped_records(tmp_path, stub_server):
     summary = (out / "sweep_summary.tsv").read_text().splitlines()
     assert summary == ["k\trecords\tmean_pit_index", "1\t0\t", "2\t0\t"]
     rows = [json.loads(line) for line in (out / "sweep_dropped.jsonl").read_text().splitlines()]
-    indexed = list(enumerate(pairs))
     want = [(r.problem_id, k, i)
             for k in (1, 2)
             for fails in (False, True)  # no-pit drops, then failures
-            for i, r in indexed if (r.problem_id in failing) == fails]
+            for i, r in enumerate(pairs) if (r.problem_id in failing) == fails]
     assert [(row["id"], row["k"], row["record_index"]) for row in rows] == want
     for row in rows:
         if row["id"] in failing:
@@ -157,7 +156,7 @@ def test_rescue_without_a_step_is_an_assembly_drop(tmp_path, stub_server, varian
     problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
     pairs, _ = read_dataset(base / "dpair.jsonl", KIND_PAIR)
     assert len(pairs) >= 2 and all(len(r.rejected.steps) >= 2 for r in pairs)
-    gold = {p.question: p.gold_answer for p in problems}
+    by_question = {p.question: p for p in problems}
     bare = {r.problem_id for r in pairs[0::2]}
 
     # From one step in, every rollout reaches the gold: a bare answer line for
@@ -166,13 +165,13 @@ def test_rescue_without_a_step_is_an_assembly_drop(tmp_path, stub_server, varian
     # rollout.
     def respond(payload):
         question, *prefix = payload["prompt"].split("\n")
-        pid = next(p.id for p in problems if p.question == question)
+        problem = by_question[question]
         if len(prefix) > 1:
             text = "The answer is -1."
-        elif pid in bare:
-            text = f"The answer is {gold[question]}."
+        elif problem.id in bare:
+            text = f"The answer is {problem.gold_answer}."
         else:
-            text = f"1+1=2.\nThe answer is {gold[question]}."
+            text = f"1+1=2.\nThe answer is {problem.gold_answer}."
         return 200, {"choices": [{"text": text}] * payload["n"]}
 
     server = stub_server(respond)
