@@ -35,6 +35,28 @@ def test_levenshtein_matches_oracle(seed):
         assert kernels.levenshtein([words[v] for v in a], [words[v] for v in b]) == want
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_levenshtein_matches_oracle_past_64_tokens(seed):
+    # Longer than one 64-bit word on either side, and across the boundary.
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(8):
+        a = rng.integers(0, 4, size=rng.integers(50, 161)).tolist()
+        b = rng.integers(0, 4, size=rng.integers(0, 161)).tolist()
+        want = lev_oracle(a, b)
+        assert kernels.levenshtein(a, b) == want
+        assert kernels.levenshtein(b, a) == want
+
+
+def kernel_logprob(logits, ctx, tok, starts):
+    return kernels.seq_logprob(logits, ctx, tok, starts)
+
+
+def kernel_grad(logits, ctx, tok, coef):
+    grad = np.zeros_like(logits)
+    kernels.add_seq_grad(logits, ctx, tok, coef, grad)
+    return grad
+
+
 def seq_logprob_oracle(logits, ctx, tok):
     total = 0.0
     for c, v in zip(ctx, tok):
@@ -66,7 +88,7 @@ def test_seq_logprob_matches_oracle():
     for _ in range(30):
         logits = rng.normal(size=(17, 5))
         ctx, tok, starts, lengths = rand_flat(rng, 17, 5, max_len=12)
-        got = kernels.seq_logprob(logits, ctx, tok, starts)
+        got = kernel_logprob(logits, ctx, tok, starts)
         assert got.shape == (len(starts),)
         for s, (a, n) in enumerate(zip(starts, lengths)):
             want = seq_logprob_oracle(logits, ctx[a:a + n], tok[a:a + n])
@@ -79,9 +101,8 @@ def test_add_seq_grad_matches_oracle():
         logits = rng.normal(size=(11, 4))
         ctx, tok, _, lengths = rand_flat(rng, 11, 4, max_len=7)
         coef = np.repeat(rng.normal(size=len(lengths)), lengths)
-        got = np.zeros_like(logits)
+        got = kernel_grad(logits, ctx, tok, coef)
         want = np.zeros_like(logits)
-        kernels.add_seq_grad(logits, ctx, tok, coef, got)
         add_seq_grad_oracle(logits, ctx, tok, coef, want)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -93,9 +114,61 @@ def test_add_seq_grad_rows_sum_to_zero():
     logits = rng.normal(size=(9, 6))
     ctx = rng.integers(0, 9, size=12).astype(np.int64)
     tok = rng.integers(0, 6, size=12).astype(np.int64)
-    grad = np.zeros_like(logits)
-    kernels.add_seq_grad(logits, ctx, tok, rng.normal(size=12), grad)
+    grad = kernel_grad(logits, ctx, tok, rng.normal(size=12))
     np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+def position_terms(logits, ctx, tok):
+    """Per position, log softmax(logits[ctx])[tok] and the softmax row, in
+    the order of operations the trainer has always used."""
+    rows = logits[ctx]
+    m = rows.max(axis=1)
+    e = np.exp(rows - m[:, None])
+    s = e.sum(axis=1)
+    return rows[np.arange(len(ctx)), tok] - m - np.log(s), e / s[:, None]
+
+
+def test_seq_logprob_bits_match_per_slice_sums():
+    # Every length 0-40 in one batch, shuffled, so that both numpy's short
+    # sequential sums and its 8-way unrolled pairwise sums are exercised.
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(23, 7)) * 3.0
+    lengths = rng.permutation(np.r_[np.arange(41), np.arange(41)])
+    starts = np.cumsum(lengths) - lengths
+    ctx = rng.integers(0, 23, size=int(lengths.sum())).astype(np.int64)
+    tok = rng.integers(0, 7, size=len(ctx)).astype(np.int64)
+    picked, _ = position_terms(logits, ctx, tok)
+    want = np.array([picked[a:a + n].sum() for a, n in zip(starts, lengths)])
+    got = kernel_logprob(logits, ctx, tok, starts)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_add_seq_grad_bits_match_2d_add_at(layout):
+    # Row 3 is read at 30 positions, so its terms must be summed in position
+    # order. Rows 3 and 5 hold logits at -1000: their softmax entries
+    # underflow to 0, and with a positive coefficient the term is -0.0, which
+    # a sum seeded with zeros turns into +0.0.
+    rng = np.random.default_rng(6)
+    logits = rng.normal(size=(9, 6))
+    logits[3, 2:] = -1000.0
+    logits[5, :4] = -1000.0
+    logits = np.asarray(logits, order=layout)
+    ctx = np.r_[np.full(30, 3), rng.integers(0, 9, size=40), np.full(10, 5)]
+    ctx = rng.permutation(ctx).astype(np.int64)
+    tok = rng.integers(0, 6, size=len(ctx)).astype(np.int64)
+    coef = rng.normal(size=len(ctx))
+    coef[::3] = np.abs(coef[::3])
+    _, probs = position_terms(logits, ctx, tok)
+    delta = probs * -coef[:, None]
+    delta[np.arange(len(ctx)), tok] += coef
+    want = np.zeros(logits.shape)
+    np.add.at(want, ctx, delta)
+    terms = delta[ctx == 3]
+    assert (np.signbit(terms) & (terms == 0)).any()
+    got = kernel_grad(logits, ctx, tok, coef)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_active_path_is_numpy():
