@@ -7,45 +7,94 @@ call per batch.
 
 Kernels:
   levenshtein(a, b)                       -- edit distance between two token
-                                             sequences, in plain Python
+                                             sequences, bit-parallel in plain
+                                             Python ints
   seq_logprob(logits, ctx, tok, starts)   -- per sequence, the sum of
-                                             log softmax(logits[ctx])[tok]
-  add_seq_grad(logits, ctx, tok, c, g)    -- g[ctx] += c * (onehot(tok) - softmax),
-                                             one coefficient per token
+                                             log softmax(logits[ctx])[tok],
+                                             and the softmax it took
+  add_seq_grad(logits, ctx, tok, c, soft) -- a fresh gradient: zeros, then
+                                             += c * (onehot(tok) - softmax)
+                                             at row ctx, one coefficient
+                                             per token
+
+Each distinct table row a batch reads is softmaxed once, by seq_logprob;
+add_seq_grad reuses that softmax. Results are bit-identical to the
+per-position forms: every position's terms are the same floating-point
+operations, a sequence's sum is numpy's pairwise `.sum()` over its own
+positions, and the gradient starts from zeros and adds each position's terms
+in position order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
+# Gradient terms are built and scattered this many table entries at a time,
+# which bounds the scratch memory at any alphabet size.
+_CHUNK = 1 << 15
+
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Two-row DP over any sequences whose items compare with ==. Rationales
-    run to a few tokens, where numpy's per-row overhead would dominate."""
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b):
-            cur.append(min(prev[j + 1] + 1, cur[j] + 1, prev[j] + (x != y)))
-        prev = cur
-    return int(prev[-1])
+    """Edit distance between any sequences of hashable items, by Myers'
+    bit-vector algorithm (Myers 1999) in Hyyrö's form: a column of the DP
+    over `a` is a pair of Python ints holding its +1 and -1 vertical deltas,
+    advanced once per item of `b`."""
+    m = len(a)
+    if m == 0:
+        return len(b)
+    match: dict = {}
+    for i, x in enumerate(a):
+        match[x] = match.get(x, 0) | 1 << i
+    mask, high = (1 << m) - 1, 1 << (m - 1)
+    plus, minus, dist = mask, 0, m
+    for y in b:
+        eq = match.get(y, 0)
+        diag = (((eq & plus) + plus) ^ plus) | eq | minus
+        h_plus = minus | (~(diag | plus) & mask)
+        h_minus = plus & diag
+        if h_plus & high:
+            dist += 1
+        elif h_minus & high:
+            dist -= 1
+        h_plus = h_plus << 1 | 1  # the first row counts up: one more insertion
+        h_minus <<= 1
+        plus = (h_minus | ~(diag | h_plus)) & mask
+        minus = h_plus & diag & mask
+    return dist
+
+
+class RowSoftmax(NamedTuple):
+    """Softmax of each distinct table row a batch reads: the softmax of
+    logits[ctx[i]] is probs[inv[i]]."""
+
+    inv: np.ndarray
+    probs: np.ndarray
 
 
 def seq_logprob(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
-                starts: np.ndarray) -> np.ndarray:
-    """One log-probability sum per sequence; an empty sequence sums to 0."""
-    rows = logits[ctx]  # a copy; worked on in place to keep one batch-sized array
-    m = rows.max(axis=1)
-    picked = rows[np.arange(ctx.shape[0]), tok]
-    rows -= m[:, None]
-    np.exp(rows, out=rows)
-    picked = picked - m - np.log(rows.sum(axis=1))
-    bounds = [*starts.tolist(), ctx.shape[0]]
-    # numpy's pairwise .sum() per segment: np.add.reduceat sums sequentially,
-    # which differs in the last bits from a per-sequence sum.
-    return np.array([picked[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+                starts: np.ndarray) -> tuple[np.ndarray, RowSoftmax]:
+    """One log-probability sum per sequence (an empty sequence sums to 0),
+    and the softmax taken on the way, for add_seq_grad."""
+    rows, inv = np.unique(ctx, return_inverse=True)
+    exp = logits[rows]  # a copy, turned in place into exp(row - max)
+    m = exp.max(axis=1)
+    exp -= m[:, None]
+    np.exp(exp, out=exp)
+    total = exp.sum(axis=1)
+    picked = logits[ctx, tok] - m[inv] - np.log(total)[inv]
+    # One 2-D .sum(axis=1) per distinct length runs numpy's pairwise sum over
+    # each sequence's own positions, as picked[a:b].sum() would;
+    # np.add.reduceat sums sequentially and differs in the last bits.
+    lengths = np.diff(starts, append=ctx.shape[0])
+    sums = np.zeros(starts.shape[0])
+    for n in sorted(set(lengths.tolist())):  # np.unique here costs ~1 MB of RSS
+        seqs = np.flatnonzero(lengths == n)
+        sums[seqs] = picked[starts[seqs, None] + np.arange(n)].sum(axis=1)
+    exp /= total[:, None]
+    return sums, RowSoftmax(inv, exp)
 
 
 def add_seq_grad(
@@ -53,17 +102,27 @@ def add_seq_grad(
     ctx: np.ndarray,
     tok: np.ndarray,
     coef: np.ndarray,
-    grad: np.ndarray,
-) -> None:
-    """Accumulate into `grad` in position order, so a row touched by several
-    sequences sums their terms in batch order."""
-    delta = logits[ctx]  # a copy, turned in place into the rows' terms
-    delta -= delta.max(axis=1, keepdims=True)
-    np.exp(delta, out=delta)
-    delta /= delta.sum(axis=1, keepdims=True)
-    delta *= -coef[:, None]
-    delta[np.arange(ctx.shape[0]), tok] += coef
-    np.add.at(grad, ctx, delta)
+    soft: RowSoftmax,
+) -> np.ndarray:
+    """The gradient of sum_i coef[i] * log softmax(logits[ctx[i]])[tok[i]] in
+    the logits, from `soft`, seq_logprob's softmax of the same batch.
+
+    It is a fresh C-ordered array of zeros to which each position's terms
+    are added in position order, so a row touched by several sequences sums
+    their terms in batch order. The flat scatter keeps that order, as the
+    row-wise np.add.at did."""
+    grad = np.zeros(logits.shape)
+    flat = grad.reshape(-1)  # a view, because grad is C-ordered
+    width = logits.shape[1]
+    cols = np.arange(width)
+    step = max(1, _CHUNK // width)
+    for a in range(0, ctx.shape[0], step):
+        b = a + step
+        delta = soft.probs[soft.inv[a:b]]
+        delta *= -coef[a:b, None]
+        delta[np.arange(delta.shape[0]), tok[a:b]] += coef[a:b]
+        np.add.at(flat, (ctx[a:b, None] * width + cols).ravel(), delta.ravel())
+    return grad
 
 
 def active_path() -> str:

@@ -10,8 +10,9 @@ reward-accuracy (winrate) tracker.
 A batch is flattened once: tokens validated, the table row ahead of each
 chosen and rejected token found, reference log-probs computed. One loss pass
 serves all three objectives: one kernel call for every sequence's log-prob,
-one gradient coefficient per sequence from the pairs' log-ratios (the only
-objective-specific step), one kernel call to scatter the gradient. Reward
+which softmaxes each distinct table row once, one gradient coefficient per
+sequence from the pairs' log-ratios (the only objective-specific step), one
+kernel call that scatters the gradient from that softmax. Reward
 accuracy reuses those log-probs; `train` flattens once per call.
 
 Loss conventions, with r(y) = beta * [log pi(y|x) - log pi_ref(y|x)]:
@@ -158,7 +159,7 @@ def _token_rows(seqs: list[tuple[tuple[int, ...], tuple[int, ...]]], order: int,
 def seq_logprob(policy: ToyPolicy, x: tuple[int, ...], y: tuple[int, ...]) -> float:
     """log pi(y | x): sum of per-token log softmax terms. Empty y gives 0."""
     ctx, tok, _ = _token_rows([(x, y)], policy.order, policy.alphabet_size)
-    return float(kernels.seq_logprob(policy.logits, ctx, tok, np.zeros(1, np.int64))[0])
+    return float(_logprobs(policy.logits, ctx, tok, np.zeros(1, np.int64))[0])
 
 
 def _sigmoid(z: float) -> float:
@@ -182,7 +183,7 @@ class _Flat:
 
 def _logprobs(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
               starts: np.ndarray) -> list[float]:
-    return kernels.seq_logprob(logits, ctx, tok, starts).tolist()
+    return kernels.seq_logprob(logits, ctx, tok, starts)[0].tolist()
 
 
 def _flatten(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]) -> _Flat:
@@ -228,14 +229,17 @@ def _terms(cfg: ObjectiveConfig, ratios: list[float],
             coefs += [-lam_c * beta * beta * s_p * (1.0 - s_p) / m,
                       lam_r * beta * beta * s_m * (1.0 - s_m) / m]
         return total / m, coefs
-    for delta in (p - n for p, n in zip(chosen, rejected)):
-        if cfg.objective == "dpo":
-            total += float(np.logaddexp(0.0, -cfg.beta * delta))
-            coef = -cfg.beta * _sigmoid(-cfg.beta * delta) / m
-        else:
-            miss = delta - 1.0 / (2.0 * cfg.tau)
-            total += miss * miss  # not **2: float pow raises instead of inf
-            coef = 2.0 * miss / m
+    deltas = [p - n for p, n in zip(chosen, rejected)]
+    if cfg.objective == "dpo":
+        # one call for the batch: elementwise the same bits as one per pair
+        losses = np.logaddexp(0.0, [-cfg.beta * d for d in deltas]).tolist()
+        grads = [-cfg.beta * _sigmoid(-cfg.beta * d) / m for d in deltas]
+    else:
+        misses = [d - 1.0 / (2.0 * cfg.tau) for d in deltas]
+        losses = [miss * miss for miss in misses]  # not **2: float pow raises instead of inf
+        grads = [2.0 * miss / m for miss in misses]
+    for loss, coef in zip(losses, grads):
+        total += loss
         coefs += [coef, -coef]
     return total / m, coefs
 
@@ -244,13 +248,14 @@ def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
                reference_point: float | None = None
                ) -> tuple[float, np.ndarray, list[float]]:
     """Loss, its gradient in the logits, and the policy log-prob of each
-    sequence: one seq_logprob call and one add_seq_grad call."""
-    pol_lp = _logprobs(policy.logits, flat.ctx, flat.tok, flat.starts)
+    sequence: one seq_logprob call, and one add_seq_grad call that reuses
+    its softmax."""
+    sums, soft = kernels.seq_logprob(policy.logits, flat.ctx, flat.tok, flat.starts)
+    pol_lp = sums.tolist()
     loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)],
                          reference_point)
-    grad = np.zeros_like(policy.logits)
-    kernels.add_seq_grad(policy.logits, flat.ctx, flat.tok,
-                         np.repeat(coefs, flat.lengths), grad)
+    grad = kernels.add_seq_grad(policy.logits, flat.ctx, flat.tok,
+                                np.repeat(coefs, flat.lengths), soft)
     return loss, grad, pol_lp
 
 
