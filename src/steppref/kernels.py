@@ -7,22 +7,19 @@ call per batch.
 
 Kernels:
   levenshtein(a, b)                       -- edit distance between two token
-                                             sequences, bit-parallel in plain
-                                             Python ints
+                                             sequences, bit-parallel
   seq_logprob(logits, ctx, tok, starts)   -- per sequence, the sum of
-                                             log softmax(logits[ctx])[tok],
-                                             and the softmax it took
-  add_seq_grad(logits, ctx, tok, c, soft) -- a fresh gradient: zeros, then
-                                             += c * (onehot(tok) - softmax)
-                                             at row ctx, one coefficient
-                                             per token
+                                             log softmax(logits[ctx])[tok];
+                                             and that softmax
+  add_seq_grad(logits, ctx, tok, c, soft) -- zeros, then += c * (onehot(tok)
+                                             - softmax) at row ctx, one
+                                             coefficient per token
 
-Each distinct table row a batch reads is softmaxed once, by seq_logprob;
-add_seq_grad reuses that softmax. Results are bit-identical to the
-per-position forms: every position's terms are the same floating-point
-operations, a sequence's sum is numpy's pairwise `.sum()` over its own
-positions, and the gradient starts from zeros and adds each position's terms
-in position order.
+seq_logprob softmaxes each distinct row once, and add_seq_grad reuses that
+softmax. Both give the bits of the per-position forms: each position's terms
+are the same operations, a sequence sums its own positions with numpy's
+pairwise `.sum()`, and a gradient entry adds its terms to 0.0 in position
+order.
 """
 
 from __future__ import annotations
@@ -32,16 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Gradient terms are built and scattered this many table entries at a time,
-# which bounds the scratch memory at any alphabet size.
+# add_seq_grad's scratch, in table entries: bounded at any alphabet size
 _CHUNK = 1 << 15
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Edit distance between any sequences of hashable items, by Myers'
-    bit-vector algorithm (Myers 1999) in Hyyrö's form: a column of the DP
-    over `a` is a pair of Python ints holding its +1 and -1 vertical deltas,
-    advanced once per item of `b`."""
+    """Edit distance between sequences of hashable items: Myers' bit-vector
+    algorithm (Myers 1999) in Hyyrö's form, a DP column over `a` held as two
+    Python ints of +1 and -1 vertical deltas, advanced once per item of `b`."""
     m = len(a)
     if m == 0:
         return len(b)
@@ -78,7 +73,12 @@ def seq_logprob(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
                 starts: np.ndarray) -> tuple[np.ndarray, RowSoftmax]:
     """One log-probability sum per sequence (an empty sequence sums to 0),
     and the softmax taken on the way, for add_seq_grad."""
-    rows, inv = np.unique(ctx, return_inverse=True)
+    # A mask over the table, not np.unique: no sort, and no sort code paged in
+    # (~0.6 MB of RSS).
+    read = np.zeros(logits.shape[0], bool)
+    read[ctx] = True
+    rows = np.flatnonzero(read)  # the distinct rows, ascending
+    inv = np.cumsum(read)[ctx] - 1  # rows[inv] == ctx
     exp = logits[rows]  # a copy, turned in place into exp(row - max)
     m = exp.max(axis=1)
     exp -= m[:, None]
@@ -104,13 +104,10 @@ def add_seq_grad(
     coef: np.ndarray,
     soft: RowSoftmax,
 ) -> np.ndarray:
-    """The gradient of sum_i coef[i] * log softmax(logits[ctx[i]])[tok[i]] in
-    the logits, from `soft`, seq_logprob's softmax of the same batch.
-
-    It is a fresh C-ordered array of zeros to which each position's terms
-    are added in position order, so a row touched by several sequences sums
-    their terms in batch order. The flat scatter keeps that order, as the
-    row-wise np.add.at did."""
+    """Gradient in the logits of sum_i coef[i] * log softmax(logits[ctx[i]])[tok[i]],
+    from `soft`, seq_logprob's softmax of this batch: a fresh C-ordered array
+    of zeros to which a 1-D np.add.at adds each position's terms in position
+    order, so a row touched by several sequences sums them in batch order."""
     grad = np.zeros(logits.shape)
     flat = grad.reshape(-1)  # a view, because grad is C-ordered
     width = logits.shape[1]
