@@ -233,12 +233,12 @@ def _terms(cfg: ObjectiveConfig, ratios: list[float],
     if cfg.objective == "dpo":
         # one call for the batch: elementwise the same bits as one per pair
         losses = np.logaddexp(0.0, [-cfg.beta * d for d in deltas]).tolist()
-        grads = [-cfg.beta * _sigmoid(-cfg.beta * d) / m for d in deltas]
+        slopes = [-cfg.beta * _sigmoid(-cfg.beta * d) / m for d in deltas]
     else:
         misses = [d - 1.0 / (2.0 * cfg.tau) for d in deltas]
         losses = [miss * miss for miss in misses]  # not **2: float pow raises instead of inf
-        grads = [2.0 * miss / m for miss in misses]
-    for loss, coef in zip(losses, grads):
+        slopes = [2.0 * miss / m for miss in misses]
+    for loss, coef in zip(losses, slopes):
         total += loss
         coefs += [coef, -coef]
     return total / m, coefs

@@ -118,8 +118,8 @@ def test_add_seq_grad_rows_sum_to_zero():
 
 
 def position_terms(logits, ctx, tok):
-    """Per position, log softmax(logits[ctx])[tok] and the softmax row, in
-    the order of operations the trainer has always used."""
+    """Per position, log softmax(logits[ctx])[tok] and the softmax row, by
+    the per-position operations whose bits the kernels must reproduce."""
     rows = logits[ctx]
     m = rows.max(axis=1)
     e = np.exp(rows - m[:, None])
