@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -449,6 +450,18 @@ def _sweep_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConf
                                           nested_sampling=True, seed=args.seed)
 
 
+def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
+    for ok, rule in ((args.epochs >= 1, "--epochs must be >= 1"),
+                     (math.isfinite(args.lr) and args.lr >= 0, "--lr must be finite and >= 0"),
+                     (args.alphabet >= 3, "--alphabet must be >= 3"),
+                     (args.order >= 1, "--order must be >= 1"),
+                     (args.smoothing > 0, "--smoothing must be > 0")):
+        if not ok:
+            raise ValueError(rule)
+    return preflearn.ObjectiveConfig(objective=args.objective, beta=args.beta, tau=args.tau,
+                                     kto_weights=tuple(args.kto_weights))
+
+
 _STAGE_DECLS = (
     Stage("synth", "generate synthetic problems", _run_synth,
           flags={"--problems": dict(type=int, default=20),
@@ -491,9 +504,7 @@ _STAGE_DECLS = (
                  "--order": dict(type=int, default=2),
                  "--smoothing": dict(type=float, default=0.5)},
           inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
-          configure=lambda a: preflearn.ObjectiveConfig(
-              objective=a.objective, beta=a.beta, tau=a.tau,
-              kto_weights=tuple(a.kto_weights))),
+          configure=_train_config),
     Stage("metrics", "score prediction sets; --embeddings is a JSONL of "
           "{id, embeddings} for the diversity metric", _run_metrics,
           flags={"--k": dict(type=_list_of(int), default="1")},

@@ -2,19 +2,28 @@
 
 The trainer flattens a batch of sequences once: `ctx[i]` is the policy-table
 row ahead of token `tok[i]`, and sequence s spans the positions from
-`starts[s]` up to the next start (or the end). Each kernel then makes one
-call per batch.
+`starts[s]` up to the next start (or the end). It plans the batch once too,
+so each epoch over a fixed batch is arithmetic on the rows it reads, one
+kernel call each.
 
-Kernels:
-  levenshtein(a, b)                       -- edit distance between two token
-                                             sequences, bit-parallel
-  seq_logprob(logits, ctx, tok, starts)   -- per sequence, the sum of
-                                             log softmax(logits[ctx])[tok];
-                                             and that softmax
-  add_seq_grad(logits, ctx, tok, c, soft) -- zeros, then += c * (onehot(tok)
-                                             - softmax) at row ctx, one
-                                             coefficient per token
+  levenshtein(a, b)                   -- edit distance between two token
+                                         sequences, bit-parallel
+  plan_batch(ctx, tok, starts, shape) -- all the kernels need that does not
+                                         depend on the logits: the distinct
+                                         rows read, each position's index
+                                         among them and (row, token) pick,
+                                         each sequence's positions by length
+  seq_logprob(logits, ctx, plan)      -- per sequence, the sum of log
+                                         softmax(logits[ctx])[tok]; and the
+                                         softmax of each planned row
+  add_seq_grad(logits, ctx, coef,     -- a (planned rows x width) block of
+               plan, probs)              zeros, += coef * (onehot(tok) -
+                                         softmax) at each position's row:
+                                         the gradient, zero in other rows
 
+seq_logprob and add_seq_grad take the logits table and ctx first, whatever
+else they read, so that a wrapper (bench/tracing.py) sees each call's width
+and positions.
 seq_logprob softmaxes each distinct row once, and add_seq_grad reuses that
 softmax. Both give the bits of the per-position forms: each position's terms
 are the same operations, a sequence sums its own positions with numpy's
@@ -61,65 +70,81 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return dist
 
 
-class RowSoftmax(NamedTuple):
-    """Softmax of each distinct table row a batch reads: the softmax of
-    logits[ctx[i]] is probs[inv[i]]."""
+class BatchPlan(NamedTuple):
+    """What the kernels need of a flattened batch, whatever the logits: its
+    distinct table rows, each position's place among them, its (row, token)
+    pick, and the positions each sequence spans, grouped by length."""
 
-    inv: np.ndarray
-    probs: np.ndarray
+    rows: np.ndarray  # the distinct table rows read, ascending
+    inv: np.ndarray  # per position, its row's index in rows: rows[inv] == ctx
+    tok: np.ndarray  # per position, the token read
+    pick: np.ndarray  # per position, inv * width + tok: its entry in a block of rows
+    lengths: np.ndarray  # per sequence, its number of positions
+    # per distinct length n, ascending: the sequences that long, and an array
+    # of their positions, one row of n per sequence
+    spans: list[tuple[np.ndarray, np.ndarray]]
 
 
-def seq_logprob(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
-                starts: np.ndarray) -> tuple[np.ndarray, RowSoftmax]:
-    """One log-probability sum per sequence (an empty sequence sums to 0),
-    and the softmax taken on the way, for add_seq_grad."""
+def plan_batch(ctx: np.ndarray, tok: np.ndarray, starts: np.ndarray,
+               shape: tuple[int, int]) -> BatchPlan:
+    """The plan of a batch over a table of `shape`."""
     # A mask over the table, not np.unique: no sort, and no sort code paged in
     # (~0.6 MB of RSS).
-    read = np.zeros(logits.shape[0], bool)
+    read = np.zeros(shape[0], bool)
     read[ctx] = True
-    rows = np.flatnonzero(read)  # the distinct rows, ascending
-    inv = np.cumsum(read)[ctx] - 1  # rows[inv] == ctx
-    exp = logits[rows]  # a copy, turned in place into exp(row - max)
+    rows = np.flatnonzero(read)
+    inv = np.cumsum(read)[ctx] - 1
+    lengths = np.diff(starts, append=ctx.shape[0])
+    spans = []
+    for n in sorted(set(lengths.tolist())):  # np.unique's hash path pages in ~1.5 MB
+        seqs = np.flatnonzero(lengths == n)
+        spans.append((seqs, starts[seqs, None] + np.arange(n)))
+    return BatchPlan(rows, inv, tok, inv * shape[1] + tok, lengths, spans)
+
+
+def seq_logprob(logits: np.ndarray, ctx: np.ndarray,
+                plan: BatchPlan) -> tuple[np.ndarray, np.ndarray]:
+    """One log-probability sum per sequence (an empty sequence sums to 0),
+    and the softmax of each of plan.rows, for add_seq_grad."""
+    exp = logits[plan.rows]  # a copy, turned in place into exp(row - max)
+    picked = exp.reshape(-1)[plan.pick]
     m = exp.max(axis=1)
     exp -= m[:, None]
     np.exp(exp, out=exp)
     total = exp.sum(axis=1)
-    picked = logits[ctx, tok] - m[inv] - np.log(total)[inv]
+    picked -= m[plan.inv]
+    picked -= np.log(total)[plan.inv]
     # One 2-D .sum(axis=1) per distinct length runs numpy's pairwise sum over
     # each sequence's own positions, as picked[a:b].sum() would;
     # np.add.reduceat sums sequentially and differs in the last bits.
-    lengths = np.diff(starts, append=ctx.shape[0])
-    sums = np.zeros(starts.shape[0])
-    for n in sorted(set(lengths.tolist())):  # np.unique's hash path pages in ~1.5 MB
-        seqs = np.flatnonzero(lengths == n)
-        sums[seqs] = picked[starts[seqs, None] + np.arange(n)].sum(axis=1)
+    sums = np.zeros(plan.lengths.shape[0])
+    for seqs, span in plan.spans:
+        sums[seqs] = picked[span].sum(axis=1)
     exp /= total[:, None]
-    return sums, RowSoftmax(inv, exp)
+    return sums, exp
 
 
-def add_seq_grad(
-    logits: np.ndarray,
-    ctx: np.ndarray,
-    tok: np.ndarray,
-    coef: np.ndarray,
-    soft: RowSoftmax,
-) -> np.ndarray:
-    """Gradient in the logits of sum_i coef[i] * log softmax(logits[ctx[i]])[tok[i]],
-    from `soft`, seq_logprob's softmax of this batch: a fresh C-ordered array
-    of zeros to which a 1-D np.add.at adds each position's terms in position
-    order, so a row touched by several sequences sums them in batch order."""
-    grad = np.zeros(logits.shape)
-    flat = grad.reshape(-1)  # a view, because grad is C-ordered
-    width = logits.shape[1]
+def add_seq_grad(logits: np.ndarray, ctx: np.ndarray, coef: np.ndarray,
+                 plan: BatchPlan, probs: np.ndarray) -> np.ndarray:
+    """Gradient in logits[plan.rows] of sum_i coef[i] * log
+    softmax(logits[ctx[i]])[tok[i]], from `probs`, seq_logprob's softmax of
+    this batch: a block of zeros, one row per plan row, to which a 1-D
+    np.add.at adds each position's terms in position order, so a row touched
+    by several sequences sums them in batch order. Every other table row's
+    gradient is zero."""
+    block = np.zeros(probs.shape)
+    flat = block.reshape(-1)  # a view, because block is C-ordered
+    width = probs.shape[1]
     cols = np.arange(width)
     step = max(1, _CHUNK // width)
     for a in range(0, ctx.shape[0], step):
         b = a + step
-        delta = soft.probs[soft.inv[a:b]]
+        inv = plan.inv[a:b]
+        delta = probs[inv]
         delta *= -coef[a:b, None]
-        delta[np.arange(delta.shape[0]), tok[a:b]] += coef[a:b]
-        np.add.at(flat, (ctx[a:b, None] * width + cols).ravel(), delta.ravel())
-    return grad
+        delta[np.arange(delta.shape[0]), plan.tok[a:b]] += coef[a:b]
+        np.add.at(flat, (inv[:, None] * width + cols).ravel(), delta.ravel())
+    return block
 
 
 def active_path() -> str:

@@ -7,13 +7,17 @@ analytic gradients over that table, verified elsewhere against central
 finite differences, plus a plain full-batch gradient-descent trainer and a
 reward-accuracy (winrate) tracker.
 
-A batch is flattened once: tokens validated, the table row ahead of each
-chosen and rejected token found, reference log-probs computed. One loss pass
-serves all three objectives: one kernel call for every sequence's log-prob,
-which softmaxes each distinct table row once, one gradient coefficient per
-sequence from the pairs' log-ratios (the only objective-specific step), one
-kernel call that scatters the gradient from that softmax. Reward
-accuracy reuses those log-probs; `train` flattens once per call.
+A batch is flattened and planned once: all its tokens validated as one
+array, the table row ahead of each chosen and rejected token found with
+integer numpy, the kernels' batch plan built (`kernels.plan_batch`: the
+distinct rows read and what indexes them), reference log-probs computed.
+One loss pass serves all three objectives: one kernel call for every
+sequence's log-prob, which softmaxes each distinct table row once, one
+gradient coefficient per sequence from the pairs' log-ratios (the only
+objective-specific step), one kernel call that scatters the gradient from
+that softmax into a block of the rows read. Reward accuracy reuses those
+log-probs. `train` flattens once per call, and each epoch checks and steps
+only the rows read; `objective_loss` writes the block into a dense gradient.
 
 Loss conventions, with r(y) = beta * [log pi(y|x) - log pi_ref(y|x)]:
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,8 +76,13 @@ class ToyPolicy:
         return ToyPolicy(self.alphabet_size, self.order, self.logits.copy())
 
     def context_index(self, window: tuple[int, ...]) -> int:
-        """Row index for the last `order` tokens (shorter windows are padded)."""
-        return _rows(tuple(window)[-self.order:], self.order, self.alphabet_size)[-1]
+        """Row index for the last `order` tokens (shorter windows are padded),
+        as _token_rows finds it; for one window, plain ints beat numpy's
+        per-call cost."""
+        row = 0
+        for tok in ((self.alphabet_size,) * self.order + tuple(window))[-self.order:]:
+            row = row * (self.alphabet_size + 1) + tok
+        return row
 
     def next_probs(self, window: tuple[int, ...]) -> np.ndarray:
         row = self.logits[self.context_index(window)]
@@ -111,30 +121,17 @@ class ObjectiveConfig:
             raise ValueError("kto weights must be > 0")
 
 
-def _validate_tokens(seq: tuple[int, ...], alphabet_size: int) -> None:
-    for tok in seq:
-        if not 0 <= tok < alphabet_size:
-            raise DomainError(f"token {tok} outside alphabet of size {alphabet_size}")
-
-
-def _rows(seq: tuple[int, ...], order: int, alphabet_size: int) -> list[int]:
-    """Table row ahead of each token of `seq` and after the last one: the
-    last `order` tokens read as a base-(alphabet_size+1) number, starting
-    from the all-pad row (the pad symbol is alphabet_size)."""
-    base, size = alphabet_size + 1, (alphabet_size + 1) ** order
-    rows = [size - 1]
-    for tok in seq:
-        rows.append((rows[-1] * base + tok) % size)
-    return rows
+def _validate_tokens(toks: np.ndarray, alphabet_size: int) -> None:
+    bad = np.flatnonzero((toks < 0) | (toks >= alphabet_size))
+    if bad.shape[0]:
+        raise DomainError(f"token {toks[bad[0]]} outside alphabet of size {alphabet_size}")
 
 
 def context_indices(
     x: tuple[int, ...], y: tuple[int, ...], order: int, alphabet_size: int
 ) -> np.ndarray:
     """Row index of the rolling context ahead of each y position."""
-    head = tuple(x)[-order:]
-    rows = _rows(head + tuple(y), order, alphabet_size)
-    return np.array(rows[len(head):-1], dtype=np.int64)
+    return _token_rows([(x, y)], order, alphabet_size)[0]
 
 
 def _check_compat(policy: ToyPolicy, ref: ToyPolicy) -> None:
@@ -145,21 +142,29 @@ def _check_compat(policy: ToyPolicy, ref: ToyPolicy) -> None:
 def _token_rows(seqs: list[tuple[tuple[int, ...], tuple[int, ...]]], order: int,
                 alphabet_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y) sequences laid end to end, every token checked: ctx[i] is the
-    table row ahead of token tok[i], and lengths holds each len(y)."""
-    ctx, tok = [np.zeros(0, np.int64)], []
-    for x, y in seqs:
-        _validate_tokens(tuple(x), alphabet_size)
-        _validate_tokens(tuple(y), alphabet_size)
-        ctx.append(context_indices(tuple(x), tuple(y), order, alphabet_size))
-        tok += y
+    table row ahead of token tok[i], and lengths holds each len(y). A row is
+    the `order` tokens before a token read as a base-(alphabet_size+1)
+    number, with the pad symbol alphabet_size in place of each one before
+    its sequence's x."""
+    toks = np.fromiter(chain.from_iterable(chain.from_iterable(seqs)), np.int64)
+    _validate_tokens(toks, alphabet_size)  # the first bad token in x1, y1, x2, y2, ... order
+    x_len = np.array([len(x) for x, _ in seqs], dtype=np.int64)
     lengths = np.array([len(y) for _, y in seqs], dtype=np.int64)
-    return np.concatenate(ctx), np.array(tok, dtype=np.int64), lengths
+    # each y token's place in toks, and where its sequence's x starts
+    pos = np.arange(lengths.sum()) + np.repeat(np.cumsum(x_len), lengths)
+    first = np.repeat(np.cumsum(x_len + lengths) - x_len - lengths, lengths)
+    ctx = np.zeros(pos.shape[0], np.int64)
+    for back in range(order, 0, -1):
+        ctx *= alphabet_size + 1
+        ctx += np.where(pos - back >= first, toks.take(pos - back, mode="clip"), alphabet_size)
+    return ctx, toks[pos], lengths
 
 
 def seq_logprob(policy: ToyPolicy, x: tuple[int, ...], y: tuple[int, ...]) -> float:
     """log pi(y | x): sum of per-token log softmax terms. Empty y gives 0."""
     ctx, tok, _ = _token_rows([(x, y)], policy.order, policy.alphabet_size)
-    return float(_logprobs(policy.logits, ctx, tok, np.zeros(1, np.int64))[0])
+    plan = kernels.plan_batch(ctx, tok, np.zeros(1, np.int64), policy.logits.shape)
+    return float(_logprobs(policy.logits, ctx, plan)[0])
 
 
 def _sigmoid(z: float) -> float:
@@ -171,19 +176,16 @@ def _sigmoid(z: float) -> float:
 
 @dataclass(frozen=True)
 class _Flat:
-    """A batch flattened once. Sequences run y+_1, y-_1, y+_2, y-_2, ...;
-    sequence s spans ctx/tok[starts[s] : starts[s] + lengths[s]]."""
+    """A batch flattened and planned once. Sequences run y+_1, y-_1, y+_2,
+    y-_2, ...; ctx[i] is the table row ahead of position i."""
 
     ctx: np.ndarray
-    tok: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
+    plan: kernels.BatchPlan
     ref_lp: list[float]  # log pi_ref of each sequence
 
 
-def _logprobs(logits: np.ndarray, ctx: np.ndarray, tok: np.ndarray,
-              starts: np.ndarray) -> list[float]:
-    return kernels.seq_logprob(logits, ctx, tok, starts)[0].tolist()
+def _logprobs(logits: np.ndarray, ctx: np.ndarray, plan: kernels.BatchPlan) -> list[float]:
+    return kernels.seq_logprob(logits, ctx, plan)[0].tolist()
 
 
 def _flatten(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]) -> _Flat:
@@ -192,8 +194,8 @@ def _flatten(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]) -> _
         raise ValueError("batch must be non-empty")
     seqs = [(p.x, y) for p in batch for y in (p.y_plus, p.y_minus)]
     ctx, tok, lengths = _token_rows(seqs, policy.order, policy.alphabet_size)
-    starts = np.cumsum(lengths) - lengths
-    return _Flat(ctx, tok, starts, lengths, _logprobs(ref.logits, ctx, tok, starts))
+    plan = kernels.plan_batch(ctx, tok, np.cumsum(lengths) - lengths, policy.logits.shape)
+    return _Flat(ctx, plan, _logprobs(ref.logits, ctx, plan))
 
 
 def _accuracy(pol_lp: list[float], ref_lp: list[float]) -> float:
@@ -247,16 +249,17 @@ def _terms(cfg: ObjectiveConfig, ratios: list[float],
 def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
                reference_point: float | None = None
                ) -> tuple[float, np.ndarray, list[float]]:
-    """Loss, its gradient in the logits, and the policy log-prob of each
-    sequence: one seq_logprob call, and one add_seq_grad call that reuses
-    its softmax."""
-    sums, soft = kernels.seq_logprob(policy.logits, flat.ctx, flat.tok, flat.starts)
+    """Loss, its gradient in logits[flat.plan.rows] (zero in every other
+    row), and the policy log-prob of each sequence: one seq_logprob call,
+    and one add_seq_grad call that reuses its softmax."""
+    plan = flat.plan
+    sums, probs = kernels.seq_logprob(policy.logits, flat.ctx, plan)
     pol_lp = sums.tolist()
     loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)],
                          reference_point)
-    grad = kernels.add_seq_grad(policy.logits, flat.ctx, flat.tok,
-                                np.repeat(coefs, flat.lengths), soft)
-    return loss, grad, pol_lp
+    block = kernels.add_seq_grad(policy.logits, flat.ctx, np.repeat(coefs, plan.lengths),
+                                 plan, probs)
+    return loss, block, pol_lp
 
 
 def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
@@ -269,7 +272,10 @@ def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair]
     instead, because the finite-difference checks must probe at a fixed z.
     DPO and IPO ignore it.
     """
-    loss, grad, _ = _loss_pass(policy, _flatten(policy, ref, batch), cfg, reference_point)
+    flat = _flatten(policy, ref, batch)
+    loss, block, _ = _loss_pass(policy, flat, cfg, reference_point)
+    grad = np.zeros(policy.logits.shape)
+    grad[flat.plan.rows] = block
     return loss, grad
 
 
@@ -287,7 +293,7 @@ def reward_accuracy(policy: ToyPolicy, ref: ToyPolicy,
     if not pairs:
         return 0.0
     flat = _flatten(policy, ref, pairs)
-    return _accuracy(_logprobs(policy.logits, flat.ctx, flat.tok, flat.starts), flat.ref_lp)
+    return _accuracy(_logprobs(policy.logits, flat.ctx, flat.plan), flat.ref_lp)
 
 
 def train(
@@ -299,25 +305,28 @@ def train(
     lr: float,
 ) -> tuple[ToyPolicy, list[tuple[int, float, float]]]:
     """Full-batch gradient descent; deterministic given identical inputs,
-    because it draws no randomness. The batch is flattened, and its
-    reference log-probs computed, once per call.
+    because it draws no randomness. The batch is flattened and planned, and
+    its reference log-probs computed, once per call; each epoch then checks
+    and updates only the table rows the batch reads, as the gradient is zero
+    in every other row.
 
     History rows are (epoch, loss, reward_accuracy), both measured before
     that epoch's update.
     """
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError("lr must be finite and >= 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     flat = _flatten(policy_init, ref, pairs)
+    rows = flat.plan.rows
     policy = policy_init.copy()
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, epochs + 1):
-        loss, grad, pol_lp = _loss_pass(policy, flat, cfg)
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+        loss, block, pol_lp = _loss_pass(policy, flat, cfg)
+        if not math.isfinite(loss) or not np.all(np.isfinite(block)):
             raise DivergenceError(f"non-finite loss or gradient at epoch {epoch}")
         history.append((epoch, loss, _accuracy(pol_lp, flat.ref_lp)))
-        policy.logits -= lr * grad
+        policy.logits[rows] -= lr * block
     return policy, history
 
 
@@ -337,7 +346,7 @@ def tokenize_text(text: str, alphabet_size: int) -> list[int]:
 def tokenize_pair_records(
     records: list[PairRecord], alphabet_size: int = 32
 ) -> tuple[list[TokenizedPair], dict[str, int]]:
-    """Hash whitespace tokens into a fixed alphabet.
+    """Hash whitespace tokens into a fixed alphabet, each distinct token once.
 
     The chosen sequence gets a terminal marker token; the rejected sequence
     does not (it never carries a conclusion/eos). The token->id mapping is
@@ -349,9 +358,11 @@ def tokenize_pair_records(
     vocab: dict[str, int] = {}
 
     def toks(text: str) -> list[int]:
-        ids = tokenize_text(text, alphabet_size)
-        vocab.update(zip(text.split(), ids))
-        return ids
+        words = text.split()
+        for word in words:
+            if word not in vocab:
+                vocab[word] = token_id(word, alphabet_size)
+        return [vocab[word] for word in words]
 
     pairs = []
     for rec in records:
@@ -381,7 +392,7 @@ def fit_mle(
 
 def greedy_decode(policy: ToyPolicy, x: tuple[int, ...], max_len: int) -> tuple[int, ...]:
     """Argmax rollout from context x (ties break toward the lowest id)."""
-    _validate_tokens(tuple(x), policy.alphabet_size)
+    _validate_tokens(np.array(x, dtype=np.int64), policy.alphabet_size)
     seq = list(x)
     out: list[int] = []
     for _ in range(max_len):

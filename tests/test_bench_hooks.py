@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from steppref import preflearn
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -40,3 +43,27 @@ def test_instrument_wraps_and_restore_undoes_every_hook(monkeypatch):
         tracer.restore()
     for owner, key, original in patched:
         assert current(owner, key) is original, key
+
+
+def test_traced_kernel_calls_count_the_batch_positions(monkeypatch):
+    # The tracer reads each kernel call's positions from its arguments
+    # (`_kernel_rows`): the logits table first and the position->row array
+    # second.
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        ref = preflearn.ToyPolicy.zeros(5, 2)
+        pairs = [preflearn.TokenizedPair((0, 1), (2, 3, 4), (1,)),
+                 preflearn.TokenizedPair((3,), (0,), (4, 4))]
+        cfg = preflearn.ObjectiveConfig("dpo", beta=0.5)
+        preflearn.train(ref.copy(), ref, pairs, cfg, epochs=2, lr=0.5)
+        preflearn.objective_loss(ref, ref, pairs, cfg)
+    finally:
+        tracer.restore()
+    spans = [s for s in tracer.spans
+             if s.name in ("kernels.seq_logprob", "kernels.add_seq_grad")]
+    # train: the reference pass, then two epochs; objective_loss: one of each
+    assert Counter(s.name for s in spans) == {"kernels.seq_logprob": 5,
+                                              "kernels.add_seq_grad": 3}
+    assert [s.attrs for s in spans] == [{"rows": 7, "bytes": 7 * 5 * 8}] * 8

@@ -367,12 +367,20 @@ def _run_stderr(args, capsys):
     (["sweep-k", "--ks", ","], None),
     (["train", "--pairs-file", HeaderOnly("dgpair.jsonl")], None),
     (["metrics", "--dgen", HeaderOnly("samples.jsonl")], None),
+    (["train", "--lr", -1], None),
+    (["train", "--lr", "nan"], None),
+    (["train", "--lr", "inf"], None),
+    (["train", "--epochs", 0], None),
+    (["train", "--alphabet", 2], None),
+    (["train", "--order", 0], None),
+    (["train", "--smoothing", 0], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
         "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
         "config-not-json", "config-array", "config-non-scalar", "ks-empty",
-        "train-no-records", "metrics-no-records"])
+        "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
+        "epochs-0", "alphabet-2", "order-0", "smoothing-0"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")

@@ -48,12 +48,17 @@ def test_levenshtein_matches_oracle_past_64_tokens(seed):
 
 
 def kernel_logprob(logits, ctx, tok, starts):
-    return kernels.seq_logprob(logits, ctx, tok, starts)[0]
+    plan = kernels.plan_batch(ctx, tok, starts, logits.shape)
+    return kernels.seq_logprob(logits, ctx, plan)[0]
 
 
 def kernel_grad(logits, ctx, tok, coef):
-    soft = kernels.seq_logprob(logits, ctx, tok, np.zeros(1, np.int64))[1]
-    return kernels.add_seq_grad(logits, ctx, tok, coef, soft)
+    """The dense gradient: add_seq_grad's block of rows written into zeros."""
+    plan = kernels.plan_batch(ctx, tok, np.zeros(1, np.int64), logits.shape)
+    probs = kernels.seq_logprob(logits, ctx, plan)[1]
+    grad = np.zeros(logits.shape)
+    grad[plan.rows] = kernels.add_seq_grad(logits, ctx, coef, plan, probs)
+    return grad
 
 
 def seq_logprob_oracle(logits, ctx, tok):

@@ -18,6 +18,7 @@ from steppref.preflearn import (
     reward_accuracy,
     seq_logprob,
     tokenize_pair_records,
+    tokenize_text,
     train,
 )
 
@@ -83,6 +84,38 @@ def row_oracle(x, y, j, order, alphabet):
     (pad,)*order + x + y, where the pad symbol is `alphabet`."""
     window = ((alphabet,) * order + tuple(x) + tuple(y))[len(x) + j: len(x) + j + order]
     return sum(tok * (alphabet + 1) ** (order - 1 - m) for m, tok in enumerate(window))
+
+
+class TestBadToken:
+    # The first token outside the alphabet, in x1, y1, x2, y2, ... order, is
+    # the one named, wherever it sits.
+    @pytest.mark.parametrize("second,named", [
+        (TokenizedPair((0, 9), (8,), (-1,)), 9),
+        (TokenizedPair((0, 1), (2, 8), (-1,)), 8),
+        (TokenizedPair((0, 1), (2,), (-3, 7)), -3),
+    ], ids=["x", "y-plus", "y-minus"])
+    def test_message_names_the_first_bad_token(self, second, named):
+        pol = ToyPolicy.zeros(5, 2)
+        batch = [TokenizedPair((0, 1), (2, 3), (4,)), second]
+        want = f"token {named} outside alphabet of size 5"
+        calls = [lambda: objective_loss(pol, pol, batch, ObjectiveConfig("dpo")),
+                 lambda: reward_accuracy(pol, pol, batch),
+                 lambda: train(pol, pol, batch, ObjectiveConfig("ipo", tau=0.5), 1, 0.1),
+                 lambda: fit_mle([(p.x, y) for p in batch for y in (p.y_plus, p.y_minus)],
+                                 5, 2)]
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == want
+
+    def test_seq_logprob_and_greedy_decode(self):
+        pol = ToyPolicy.zeros(5, 1)
+        for call, named in ((lambda: seq_logprob(pol, (0, 5), (7,)), 5),
+                            (lambda: seq_logprob(pol, (0, 1), (2, -2)), -2),
+                            (lambda: greedy_decode(pol, (1, 6, 7), 3), 6)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == f"token {named} outside alphabet of size 5"
 
 
 class TestRowIndex:
@@ -481,6 +514,30 @@ class TestTrain:
                            epochs=7, lr=0.1)
         assert [e for e, _, _ in history] == list(range(1, 8))
 
+    def test_unread_rows_keep_their_bits(self):
+        # The gradient is zero outside the rows the batch reads, and x - 0.0
+        # is x, -0.0 included, so those rows must come back byte for byte.
+        rng = np.random.default_rng(16)
+        ref = rand_policy(rng, alphabet=5, order=2)
+        batch = [rand_pair(rng, alphabet=5) for _ in range(3)]
+        unread = np.setdiff1d(np.arange(ref.logits.shape[0]), touched_cells(ref, batch))
+        start = ref.copy()
+        start.logits[unread[0], 0] = -0.0
+        start.logits[unread[1], 1] = 5e-324
+        start.logits[unread[2], 2] = -1e300
+        for cfg in LOOP_CASES["dpo"][0], LOOP_CASES["ipo"][0], LOOP_CASES["kto"][0]:
+            pol, _ = train(start, ref, batch, cfg, epochs=4, lr=0.5)
+            assert pol.logits[unread].tobytes() == start.logits[unread].tobytes()
+            assert np.signbit(pol.logits[unread[0], 0])
+            assert (pol.logits != start.logits).any()
+
+    @pytest.mark.parametrize("lr", [-1.0, math.nan, math.inf])
+    def test_lr_must_be_finite_and_nonnegative(self, lr):
+        ref = ToyPolicy.zeros(4, 1)
+        batch = [TokenizedPair((0,), (1,), (2,))]
+        with pytest.raises(ValueError, match="lr"):
+            train(ref.copy(), ref, batch, ObjectiveConfig("dpo", beta=1.0), epochs=2, lr=lr)
+
     def test_divergence_detected(self):
         # the squared ipo loss overflows once the step blows the logits up
         ref = ToyPolicy.zeros(4, 1)
@@ -526,6 +583,23 @@ class TestTokenization:
         assert 15 not in pair.y_minus
         assert all(0 <= t < 16 for t in pair.x + pair.y_plus + pair.y_minus)
         assert vocab  # mapping is recorded
+
+    def test_matches_hashing_every_token(self):
+        # Tokens repeat within and across texts; each is hashed once, and
+        # the pairs and the vocab's items and order are as if every
+        # occurrence were.
+        records = self._records() * 2
+        pairs, vocab = tokenize_pair_records(records, alphabet_size=16)
+        want_vocab = {}
+        for rec in records:
+            for text in (rec.input, rec.chosen.text(), "\n".join(rec.rejected.steps)):
+                want_vocab.update(zip(text.split(), tokenize_text(text, 16)))
+        assert list(vocab.items()) == list(want_vocab.items())
+        rec = records[0]
+        assert pairs == [TokenizedPair(tuple(tokenize_text(rec.input, 16)),
+                                       tuple(tokenize_text(rec.chosen.text(), 16)) + (15,),
+                                       tuple(tokenize_text("\n".join(rec.rejected.steps),
+                                                           16)))] * 2
 
     def test_deterministic(self):
         a, _ = tokenize_pair_records(self._records(), alphabet_size=16)
