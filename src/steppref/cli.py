@@ -455,7 +455,8 @@ def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
                      (math.isfinite(args.lr) and args.lr >= 0, "--lr must be finite and >= 0"),
                      (args.alphabet >= 3, "--alphabet must be >= 3"),
                      (args.order >= 1, "--order must be >= 1"),
-                     (args.smoothing > 0, "--smoothing must be > 0")):
+                     (math.isfinite(args.smoothing) and args.smoothing > 0,
+                      "--smoothing must be finite and > 0")):
         if not ok:
             raise ValueError(rule)
     return preflearn.ObjectiveConfig(objective=args.objective, beta=args.beta, tau=args.tau,
@@ -530,24 +531,52 @@ class _Parser(argparse.ArgumentParser):
                 if a.option_strings and a.dest != "help"}
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+_TOP_FLAGS = {  # flags ahead of the stage name; each takes one value
+    "--seed": dict(type=int, default=0),
+    "--config": dict(help="JSON file of flag defaults"),
+    "--out": dict(default=".", help="output directory"),
+}
+
+
+def build_parser(stage: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
+    """The command-line parser and its stage parsers: for every stage, or
+    for `stage` alone, which parses that stage's command lines the same."""
     parser = _Parser(prog="steppref", description="Step-level preference data pipeline")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", help="JSON file of flag defaults")
-    parser.add_argument("--out", default=".", help="output directory")
+    for flag, kwargs in _TOP_FLAGS.items():
+        parser.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="stage", required=True)
     stage_parsers: dict[str, _Parser] = {}
-    for stage in _STAGE_DECLS:
-        p = stage_parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
-        for inp in stage.inputs:
+    for decl in _STAGE_DECLS:
+        if stage not in (None, decl.name):
+            continue
+        p = stage_parsers[decl.name] = sub.add_parser(decl.name, help=decl.help)
+        for inp in decl.inputs:
             p.add_argument("--" + inp.dest.replace("_", "-"), required=inp.required)
-        for name, kwargs in stage.flags.items():
+        for name, kwargs in decl.flags.items():
             p.add_argument(name, **kwargs)
     return parser, stage_parsers
 
 
+def _stage_index(argv: list[str]) -> int | None:
+    """Index of the stage name in argv, when only top-level flags with their
+    values come before it: the token argparse hands the stage to. None when
+    something else comes first (a help flag, `--`, an unknown option) or no
+    token is left."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, _ = argv[i].partition("=")
+        # argparse takes any unique prefix of a flag
+        if len(flag) < 3 or not any(top.startswith(flag) for top in _TOP_FLAGS):
+            return None
+        i += 1 if eq else 2
+    return i if i < len(argv) else None
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    parser, stage_parsers = build_parser()
+    # a help flag or an unknown stage name sees every stage
+    i = _stage_index(argv)
+    parser, stage_parsers = build_parser(
+        argv[i] if i is not None and argv[i] in _STAGES else None)
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -557,8 +586,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         raise ValidationFailure(f"bad config file: {e}") from None
     if not isinstance(values, dict):
         raise ValidationFailure("config file must hold a JSON object")
-    unknown = sorted(set(values).difference(
-        *(p.flags() for p in (parser, *stage_parsers.values()))))
+    known = {_dest(flag) for flag in _TOP_FLAGS}.union(
+        *({inp.dest for inp in s.inputs} | set(map(_dest, s.flags)) for s in _STAGE_DECLS))
+    unknown = sorted(set(values) - known)
     if unknown:
         raise ValidationFailure(f"unknown config key(s): {', '.join(unknown)}")
 
@@ -573,11 +603,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         return out
 
     # Parse again with each config value as a flag ahead of the explicit
-    # flags, which win. The stage name is the first token that is neither a
-    # top-level option nor its value.
-    i = 0
-    while argv[i].startswith("-"):
-        i += 1 if "=" in argv[i] else 2
+    # flags, which win.
     return parser.parse_args(as_flags(parser) + argv[:i + 1]
                              + as_flags(stage_parsers[args.stage]) + argv[i + 1:])
 

@@ -13,6 +13,11 @@ following line is one body record. Record schemas by kind:
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
+
+Reading decodes the body in chunks of a few hundred lines, each as strict
+UTF-8 and one `json.loads` of a JSON array. A chunk that is not exactly one
+valid record per line (see `_decode_chunk`) is decoded again line by line,
+so every DatasetParseError names its line.
 """
 
 from __future__ import annotations
@@ -164,9 +169,13 @@ _RECORD_TYPES: dict[str, type] = {
 }
 
 
+# json.dumps with these arguments builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: dict[str, Any]) -> str:
     """One JSON line: the deterministic encoding every output line uses."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _rationale_to_dict(r: Rationale) -> dict[str, Any]:
@@ -245,7 +254,8 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
     # bytes.splitlines splits at "\n", "\r" and "\r\n" only; str.splitlines
     # would also split inside a JSON string at characters json.dumps leaves
     # raw, such as U+2028.
-    lines = Path(path).read_bytes().splitlines()
+    data = Path(path).read_bytes()
+    lines = data.splitlines()
     if not lines:
         raise DatasetParseError(1, "missing header record")
     try:
@@ -262,14 +272,54 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
             f"line 1: header declares kind {header.kind}, expected {' or '.join(kinds)}"
         )
     records: list[Record] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    # A line that spells the sentinel could fake one, so such a file is read
+    # line by line.
+    bulk = _SENTINEL not in data
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        decoded = _decode_chunk(chunk, header.kind) if bulk else None
+        records += _decode_lines(chunk, start + 1, header.kind) if decoded is None else decoded
+    return records, header
+
+
+# Parsing a whole file in one call would hold all of it as Python objects
+# at once; a few hundred lines keep the peak flat.
+_CHUNK_LINES = 256
+# "\u0000" is the only JSON spelling of a string holding just U+0000, so a
+# file without it cannot produce that value except through a separator.
+_SENTINEL = b"\\u0000"
+_SEPARATOR = b',"' + _SENTINEL + b'",'
+
+
+def _decode_chunk(chunk: list[bytes], kind: str) -> list[Record] | None:
+    """The records of `chunk` from one JSON parse, or None when the chunk is
+    not exactly one valid record per line.
+
+    The n-1 sentinels sit between the n lines. If they come back as every
+    second of 2n-1 elements, each is a top-level element, so the text
+    between two of them (one line) is exactly one top-level value: a line
+    left open, or holding two values, would shift them."""
+    try:
+        values = json.loads("[" + _SEPARATOR.join(chunk).decode("utf-8") + "]")
+        if len(values) != 2 * len(chunk) - 1 or values[1::2] != ["\x00"] * (len(chunk) - 1):
+            return None
+        return [record_from_dict(v, kind) for v in values[::2]]
+    except Exception:  # noqa: BLE001 - the per-line loop reports it by line
+        return None
+
+
+def _decode_lines(lines: list[bytes], first_line_no: int, kind: str) -> list[Record]:
+    """Decode `lines` (numbered from `first_line_no`) one at a time, skipping
+    blank ones; the first bad line raises DatasetParseError naming it."""
+    records = []
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line.decode("utf-8")), header.kind))
+            records.append(record_from_dict(json.loads(line.decode("utf-8")), kind))
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
-    return records, header
+    return records
 
 
 def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path) -> None:

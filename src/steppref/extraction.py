@@ -32,6 +32,7 @@ _ANSWER_LINE_RE = re.compile(r"the answer is\s*(.+)$", re.IGNORECASE)
 _FRAC_RE = re.compile(r"\\[tdc]?frac\{([^{}]*)\}\{([^{}]*)\}")
 _THOUSANDS_RE = re.compile(r"(?<=\d),(?=\d)")
 _SLASH_RE = re.compile(r"\s*/\s*")
+_INTEGER_RE = re.compile(r"(-?[0-9]+)\.?")
 _CURRENCY = "$€£¥₩"
 _TRAILING = ".,!?;: \t"
 
@@ -47,6 +48,13 @@ def canonicalize(ans: str) -> str:
     symbols and digit-grouping commas are dropped, whitespace is collapsed,
     trailing punctuation is stripped, and the result is lowercased.
     """
+    # A plain integer, or one ending a sentence ("The answer is 42."), is
+    # every synthetic answer; the rules would only strip that period.
+    m = _INTEGER_RE.fullmatch(ans)
+    return m.group(1) if m else _canonical_by_rules(ans)
+
+
+def _canonical_by_rules(ans: str) -> str:
     s = ans.strip()
     while True:
         t = _FRAC_RE.sub(lambda m: f"{m.group(1)}/{m.group(2)}", s)

@@ -21,6 +21,9 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
 
 ``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
 provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
+The HTTP client (``urllib.request``, ``http.client``) and the thread pool
+are imported by the first HTTP request and the first HTTP batch, so a
+synthetic run never loads them.
 First-pit exploration sends all unresolved prefixes of one depth as one
 batch, so its HTTP requests overlap. Each per-prompt failure is a
 ``GenClientError`` reported in place, so one bad prompt never aborts the
@@ -33,12 +36,9 @@ The result is always the per-prompt list, even when every prompt failed.
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import json
 import os
 import time
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import synthworld
@@ -137,6 +137,8 @@ def _auth_headers() -> dict[str, str]:
 
 def _post_once(provider: ProviderHandle, prompt: str, n: int,
                sampling: SamplingConfig) -> list[str]:
+    import urllib.request
+
     payload: dict = {
         "prompt": prompt,
         "n": n,
@@ -162,6 +164,8 @@ def _post_once(provider: ProviderHandle, prompt: str, n: int,
 
 def _post_with_retries(provider: ProviderHandle, prompt: str, n: int,
                        sampling: SamplingConfig) -> list[str]:
+    import http.client
+
     attempts: list[str] = []
     delay = BACKOFF_INITIAL_S
     for attempt in range(1, RETRY_ATTEMPTS + 1):
@@ -224,5 +228,7 @@ def sample_batch(
         # The toy solver is pure Python: threads would only take turns on the
         # interpreter lock, so its prompts run inline.
         return [sample_or_error(prompt) for prompt in prompts]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=provider.max_in_flight) as pool:
         return list(pool.map(sample_or_error, prompts))  # map yields in prompt order

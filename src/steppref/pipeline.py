@@ -21,8 +21,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from statistics import fmean
 
 from . import genclient, kernels
 from .corpus import (
@@ -406,9 +406,10 @@ def _granular_entry(
             out.records.append(_assemble_granular(problem, record, pit, variant))
         except ValueError as e:  # EmptyRationaleError is one
             out.failures.append(DropEntry(record.problem_id, idx, f"assembly: {e}"))
-    found_pits = [p for p in pits if p is not None]
-    return SweepEntry(k=k, build=out, pits=pits,
-                      mean_pit_index=fmean(found_pits) if found_pits else None)
+    depths = [p for p in pits if p is not None]
+    # statistics.fmean's computation, without importing statistics
+    mean = math.fsum(depths) / len(depths) if depths else None
+    return SweepEntry(k=k, build=out, pits=pits, mean_pit_index=mean)
 
 
 def build_granular_pairs(

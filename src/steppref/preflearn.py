@@ -117,6 +117,9 @@ class ObjectiveConfig:
             raise ValueError("ipo needs tau > 0")
         if len(self.kto_weights) != 2:
             raise ValueError("kto_weights must be two values (chosen, rejected)")
+        tau = () if self.tau is None else (self.tau,)
+        if not all(map(math.isfinite, (self.beta, *tau, *self.kto_weights))):
+            raise ValueError("beta, tau and kto_weights must be finite")
         if self.objective == "kto" and any(w <= 0 for w in self.kto_weights):
             raise ValueError("kto weights must be > 0")
 
@@ -380,8 +383,8 @@ def fit_mle(
     smoothing: float = 0.5,
 ) -> ToyPolicy:
     """Count-based next-token policy: logits = log(counts + smoothing)."""
-    if smoothing <= 0:
-        raise ValueError("smoothing must be > 0")
+    if not (math.isfinite(smoothing) and smoothing > 0):
+        raise ValueError("smoothing must be finite and > 0")
     policy = ToyPolicy.zeros(alphabet_size, order)
     ctx, tok, _ = _token_rows(examples, order, alphabet_size)
     counts = np.zeros_like(policy.logits)

@@ -374,13 +374,19 @@ def _run_stderr(args, capsys):
     (["train", "--alphabet", 2], None),
     (["train", "--order", 0], None),
     (["train", "--smoothing", 0], None),
+    (["train", "--smoothing", "inf"], None),
+    (["train", "--beta", "nan"], None),
+    (["train", "--beta", "inf"], None),
+    (["train", "--tau", "nan", "--objective", "ipo"], None),
+    (["train", "--kto-weights", "nan,1", "--objective", "kto"], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
         "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
         "config-not-json", "config-array", "config-non-scalar", "ks-empty",
         "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
-        "epochs-0", "alphabet-2", "order-0", "smoothing-0"])
+        "epochs-0", "alphabet-2", "order-0", "smoothing-0", "smoothing-inf", "beta-nan",
+        "beta-inf", "ipo-tau-nan", "kto-weight-nan"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
@@ -591,6 +597,14 @@ def test_cli_import_loads_no_third_party_http_client():
     assert _loaded_by_fresh_import("steppref.cli", {"requests", "urllib3"}) == []
 
 
+def test_cli_import_defers_http_stack_and_thread_pool():
+    """Only an HTTP provider needs them; every synthetic stage start-up pays
+    for what `import steppref.cli` loads."""
+    deferred = {"urllib.request", "http.client", "email.parser", "ssl",
+                "concurrent.futures", "statistics"}
+    assert _loaded_by_fresh_import("steppref.cli", deferred) == []
+
+
 def test_corpus_import_loads_no_numpy_or_trainer():
     assert _loaded_by_fresh_import("steppref.corpus", {"numpy", "steppref.preflearn"}) == []
 
@@ -658,3 +672,45 @@ def test_gpair_header_records_epsilon(tmp_path):
         assert header.created_with["epsilon"] == eps
         heads.append((out / "dgpair.jsonl").read_text().splitlines()[0])
     assert heads[0] != heads[1]
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGE_ARGS))
+def test_one_stage_parser_parses_like_the_full_one(monkeypatch, stage):
+    argv = ["--seed", "3", "--out", "o", stage, *map(str, _STAGE_ARGS[stage](Path("in")))]
+    full, _ = cli.build_parser()
+    one, stage_parsers = cli.build_parser(stage)
+    assert list(stage_parsers) == [stage]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert one.parse_args(argv[4:]) == full.parse_args(argv[4:])
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda only=None: built.append(only) or real(only))
+    assert cli._parse_args(argv) == full.parse_args(argv)
+    assert built == [stage]
+
+
+@pytest.mark.parametrize("argv,stage", [
+    (["--help"], None),
+    (["-h"], None),
+    (["--out", "o", "--he"], None),
+    (["-h", "1", "rft"], None),
+    (["rft", "--help"], "rft"),
+    (["--seed=2", "sweep-k", "-h"], "sweep-k"),
+])
+def test_help_is_the_full_parsers(capsys, argv, stage):
+    parser, stage_parsers = cli.build_parser()
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    want = parser if stage is None else stage_parsers[stage]
+    assert capsys.readouterr().out == want.format_help()
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], ["--out", "o", "nosuch", "--k", "2"], []])
+def test_bad_stage_name_error_is_the_full_parsers(capsys, argv):
+    with pytest.raises(cli.ValidationFailure) as want:
+        cli.build_parser()[0].parse_args(argv)
+    code, err = _run_stderr(argv, capsys)
+    assert (code, err) == (2, [f"error: validation: {want.value}"])
+    if argv:
+        assert all(s.name in err[0] for s in cli._STAGE_DECLS)

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,84 @@ def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(DatasetParseError) as err:
         read_dataset(path, KIND_RFT)
     assert err.value.line_no == 3
+
+
+def _write_gen_body(path, lines: list[bytes], eol: bytes = b"\n") -> None:
+    head = corpus.dumps({"kind": KIND_GEN, "created_with": {}, "source_hash": ""})
+    path.write_bytes(eol.join([head.encode(), *lines]) + eol)
+
+
+def _read_outcome(read):
+    try:
+        return read()
+    except DatasetParseError as e:
+        return e.line_no, str(e)
+
+
+def test_value_split_over_two_lines_fails_on_its_line(tmp_path):
+    """Two lines that are one value between them, beside a line holding two
+    values, give a chunk as many values as lines; the joined parse must still
+    not take them."""
+    good = corpus.dumps(record_to_dict(RationaleRecord("p1", Rationale(("a",))))).encode()
+    cut = good.index(b',"producer"')
+    path = tmp_path / "d.jsonl"
+    _write_gen_body(path, [good, good[:cut], good[cut + 1:], good + b"," + good])
+    with pytest.raises(DatasetParseError) as err:
+        read_dataset(path, KIND_GEN)
+    assert err.value.line_no == 3
+
+
+def test_clean_body_is_decoded_in_bulk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    records = [RationaleRecord(f"p{i}", make_rationale(rng)) for i in range(600)]
+    path = tmp_path / "d.jsonl"
+    write_dataset(records, DatasetHeader(KIND_GEN), path)
+    monkeypatch.setattr(corpus, "_decode_lines", None)  # any per-line decode fails
+    assert read_dataset(path, KIND_GEN)[0] == records
+
+
+_SHAPES = ["ok"] * 4 + ["two", "split", "blank", "space", "bad-utf8", "u2028", "nul",
+                        "bad-record"]
+
+
+@st.composite
+def _body_lines(draw):
+    """D_GEN body lines: valid records, and every line shape a joined parse
+    could misread."""
+    lines = []
+    for rec in draw(st.lists(_rationale_records, max_size=12)):
+        d = record_to_dict(rec)
+        line = corpus.dumps(d).encode()
+        shape = draw(st.sampled_from(_SHAPES))
+        if shape == "two":
+            lines.append(line + b"," + line)
+        elif shape == "split":
+            cut = draw(st.integers(1, len(line) - 1))
+            lines += [line[:cut], line[cut:]]
+        elif shape in ("blank", "space"):
+            lines += [b"" if shape == "blank" else b" \t ", line]
+        elif shape == "bad-utf8":
+            cut = draw(st.integers(0, len(line)))
+            lines.append(line[:cut] + b"\xff" + line[cut:])
+        elif shape in ("u2028", "nul"):
+            mark = "\u2028" if shape == "u2028" else "\x00"
+            lines.append(corpus.dumps({**d, "steps": [f"a{mark}b"]}).encode())
+        elif shape == "bad-record":
+            lines.append(corpus.dumps({**d, "id": ""}).encode())
+        else:
+            lines.append(line)
+    return lines
+
+
+@given(_body_lines(), st.sampled_from([b"\n", b"\r\n"]), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_chunked_read_matches_per_line_hypothesis(tmp_path_factory, lines, eol, chunk_lines):
+    path = tmp_path_factory.mktemp("chunks") / "d.jsonl"
+    _write_gen_body(path, lines, eol)
+    with mock.patch.object(corpus, "_CHUNK_LINES", chunk_lines):
+        got = _read_outcome(lambda: read_dataset(path, KIND_GEN)[0])
+    body = path.read_bytes().splitlines()[1:]
+    assert got == _read_outcome(lambda: corpus._decode_lines(body, 2, KIND_GEN))
 
 
 def test_missing_header(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steppref import extraction
 from steppref.corpus import Rationale
 from steppref.extraction import (
     EmptyRationaleError,
@@ -64,6 +65,13 @@ def test_canonicalize_idempotent_random():
         )
         once = canonicalize(s)
         assert canonicalize(once) == once
+
+
+@given(st.from_regex(r"-?[0-9]+\.?", fullmatch=True) | st.text(max_size=40)
+       | st.from_regex(r"\s?-?[0-9,]+[.!]?\s?", fullmatch=True))
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_fast_path_matches_full_rules_hypothesis(s):
+    assert canonicalize(s) == extraction._canonical_by_rules(s)
 
 
 @given(st.text(max_size=40))

@@ -555,6 +555,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             ObjectiveConfig("kto", kto_weights=(0.0, 1.0))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(objective="dpo", beta=math.nan), dict(objective="dpo", beta=math.inf),
+        dict(objective="ipo", tau=math.nan), dict(objective="ipo", tau=math.inf),
+        dict(objective="kto", kto_weights=(math.nan, 1.0)),
+        dict(objective="kto", kto_weights=(1.0, math.inf)),
+    ], ids=["beta-nan", "beta-inf", "tau-nan", "tau-inf", "kto-nan", "kto-inf"])
+    def test_objective_config_refuses_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveConfig(**kwargs)
+
+    @pytest.mark.parametrize("smoothing", [0.0, math.nan, math.inf])
+    def test_fit_mle_smoothing_must_be_finite_and_positive(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            fit_mle([((0,), (1,))], 3, 1, smoothing=smoothing)
+
     def test_objectives_share_batches(self):
         # The objective is a config switch over identical TokenizedPair data.
         rng = np.random.default_rng(14)
