@@ -22,7 +22,11 @@ Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs before the
 stage body runs: a dataset header's `source_hash` must be the sha256 of the
 given input it was built from (an empty hash means unknown and passes), and
-every record must name a problem in --problems-file.
+every record must name a problem in --problems-file. The body gets one
+`StageRun`, which owns the outputs: it writes each one atomically, builds each
+dataset header from the stage's `created_with` and a source hash, writes the
+manifest last, and removes every output it wrote if the body or the manifest
+raises.
 
 --config takes a JSON object whose keys are flag destinations (e.g.
 {"n": 8, "temperature": 0.7}); explicit flags override config values,
@@ -44,7 +48,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import BytesIO
 from pathlib import Path
 from typing import Any, Callable
@@ -78,58 +82,6 @@ class ValidationFailure(Exception):
     pass
 
 
-class _StageIO:
-    """Writes each output atomically and tracks it, so a failing stage can
-    remove the outputs it already wrote."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-
-    def register(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)  # a failed validation makes none
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
-
-    def write_bytes(self, name: str, data: bytes) -> None:
-        write_atomic(self.register(name), data)
-
-    def write_text(self, name: str, text: str) -> None:
-        self.write_bytes(name, text.encode("utf-8"))
-
-    def write_dataset(self, name: str, records: list, header: DatasetHeader) -> None:
-        write_dataset(records, header, self.register(name))
-
-    def write_jsonl(self, name: str, rows: list[dict]) -> None:
-        self.write_text(name, "".join(dumps(r) + "\n" for r in rows))
-
-    def cleanup(self) -> None:
-        for p in self.written:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-def _manifest(io: _StageIO, stage: str, seed: int, config: dict,
-              inputs: dict[str, str]) -> None:
-    manifest = {
-        "stage": stage,
-        "seed": seed,
-        "config": config,
-        "inputs": inputs,
-        "outputs": [p.name for p in io.written],
-        "versions": {
-            "steppref": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-    }
-    io.write_text(f"{stage}_manifest.json",
-                  json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-
-
 @dataclass(frozen=True)
 class Input:
     """One input file of a stage, named by the flag whose destination is `dest`."""
@@ -140,21 +92,68 @@ class Input:
     required: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass
 class StageRun:
-    """What a stage body gets: typed arguments, its config objects and, keyed
-    by input dest, the inputs' records and sha256."""
+    """One run of a stage. Its body gets typed arguments, its config objects
+    and, keyed by input dest, the inputs' records and sha256, and writes every
+    output through it: atomically, each one recorded, so that a failing run
+    removes what it wrote."""
 
     args: argparse.Namespace
     cfg: Any
-    io: _StageIO
     created_with: dict[str, Any]  # recorded in output headers and the manifest
     records: dict[str, list]
     sha256: dict[str, str]
+    written: list[Path] = field(default_factory=list)
 
-    def header(self, kind: str, source: str, **extra: Any) -> DatasetHeader:
-        """Header of an output built from input `source`."""
-        return DatasetHeader(kind, {**self.created_with, **extra}, self.sha256[source])
+    def _output(self, name: str) -> Path:
+        out_dir = Path(self.args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)  # a failed validation makes none
+        self.written.append(out_dir / name)
+        return out_dir / name
+
+    def write_bytes(self, name: str, data: bytes) -> None:
+        write_atomic(self._output(name), data)
+
+    def write_text(self, name: str, text: str) -> None:
+        self.write_bytes(name, text.encode("utf-8"))
+
+    def write_jsonl(self, name: str, rows: list[dict]) -> None:
+        self.write_text(name, "".join(dumps(r) + "\n" for r in rows))
+
+    def write_dataset(self, name: str, records: list, kind: str, source_hash: str,
+                      **extra: Any) -> None:
+        """A dataset whose header records `created_with` (plus `extra`) and
+        the sha256 of the file it was built from ("" when there is none)."""
+        header = DatasetHeader(kind, {**self.created_with, **extra}, source_hash)
+        write_dataset(records, header, self._output(name))
+
+    def _write_manifest(self) -> None:
+        manifest = {
+            "stage": self.created_with["stage"],
+            "seed": self.args.seed,
+            "config": self.created_with,
+            "inputs": {str(Path(getattr(self.args, d))): h for d, h in self.sha256.items()},
+            "outputs": [p.name for p in self.written],
+            "versions": {"steppref": __version__, "python": platform.python_version(),
+                         "numpy": np.__version__},
+        }
+        self.write_text(f"{manifest['stage']}_manifest.json", json.dumps(
+            manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+    def execute(self, body: Callable[[StageRun], None]) -> None:
+        """Run `body`, then write the manifest; if either raises, remove
+        every output written and re-raise."""
+        try:
+            body(self)
+            self._write_manifest()
+        except Exception:
+            for p in self.written:
+                try:
+                    p.unlink(missing_ok=True)
+                except OSError:
+                    pass
+            raise
 
 
 def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
@@ -200,7 +199,7 @@ class Stage:
     # builds the stage's config objects; a ValueError is a validation failure
     configure: Callable[[argparse.Namespace], Any] = lambda args: None
 
-    def run(self, args: argparse.Namespace, io: _StageIO) -> None:
+    def run(self, args: argparse.Namespace) -> None:
         try:
             cfg = self.configure(args)
         except ValueError as e:
@@ -208,10 +207,7 @@ class Stage:
         # read after configure, which may resolve flag values
         created_with = {"stage": self.name, "seed": args.seed,
                         **{dest: getattr(args, dest) for dest in map(_dest, self.flags)}}
-        run = StageRun(args, cfg, io, created_with, *_read_inputs(self.inputs, args))
-        self.body(run)
-        _manifest(io, self.name, args.seed, created_with,
-                  {str(Path(getattr(args, d))): h for d, h in run.sha256.items()})
+        StageRun(args, cfg, created_with, *_read_inputs(self.inputs, args)).execute(self.body)
 
 
 def _dest(flag: str) -> str:
@@ -244,38 +240,29 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
 
 
 def _run_synth(run: StageRun) -> None:
-    cfg, io = run.cfg, run.io
+    cfg, n = run.cfg, run.args.samples
     problems = [synthworld.gen_problem(cfg, i) for i in range(run.args.problems)]
-    io.write_dataset("problems.jsonl", problems, DatasetHeader(KIND_D, run.created_with))
-    if run.args.samples > 0:
-        records = [
-            RationaleRecord(p.id, trace.rationale)
-            for p in problems
-            for trace in synthworld.simulate_solution(p, cfg, 0, n=run.args.samples)
-        ]
-        io.write_dataset(
-            "samples.jsonl",
-            records,
-            DatasetHeader(KIND_GEN, run.created_with,
-                          source_hash=file_sha256(io.out_dir / "problems.jsonl")),
-        )
+    run.write_dataset("problems.jsonl", problems, KIND_D, "")
+    if n > 0:
+        records = [RationaleRecord(p.id, trace.rationale) for p in problems
+                   for trace in synthworld.simulate_solution(p, cfg, 0, n=n)]
+        run.write_dataset("samples.jsonl", records, KIND_GEN, file_sha256(run.written[0]))
 
 
 def _run_rft(run: StageRun) -> None:
     provider, sampling = run.cfg
     build = pipeline.build_rft(run.records["problems_file"], provider, sampling)
-    run.io.write_dataset("dgen.jsonl", build.gen, run.header(KIND_GEN, "problems_file"))
-    run.io.write_dataset("drft.jsonl", build.rft, run.header(KIND_RFT, "problems_file"))
-    run.io.write_jsonl(
-        "rft_skips.jsonl",
-        [{"id": s.problem_id, "reason": s.reason} for s in build.skipped],
-    )
+    source = run.sha256["problems_file"]
+    run.write_dataset("dgen.jsonl", build.gen, KIND_GEN, source)
+    run.write_dataset("drft.jsonl", build.rft, KIND_RFT, source)
+    run.write_jsonl("rft_skips.jsonl",
+                    [{"id": s.problem_id, "reason": s.reason} for s in build.skipped])
 
 
 def _run_pairs(run: StageRun) -> None:
     pairs = pipeline.build_pairs(run.records["problems_file"], run.records["drft"],
                                  run.records["dgen"], run.cfg)
-    run.io.write_dataset("dpair.jsonl", pairs, run.header(KIND_PAIR, "drft"))
+    run.write_dataset("dpair.jsonl", pairs, KIND_PAIR, run.sha256["drft"])
 
 
 def _run_explore(run: StageRun) -> None:
@@ -296,7 +283,7 @@ def _run_explore(run: StageRun) -> None:
                        per_step_success=[list(t) for t in pit.per_step_success],
                        rescue_present=pit.rescue is not None)
         rows.append(row)
-    run.io.write_jsonl("pits.jsonl", rows)
+    run.write_jsonl("pits.jsonl", rows)
 
 
 def _dropped_rows(build: pipeline.GranularBuild, **keys: Any) -> list[dict]:
@@ -310,8 +297,8 @@ def _run_gpair(run: StageRun) -> None:
     build = pipeline.build_granular_pairs(run.records["problems_file"],
                                           run.records["dpair"], provider, cfg,
                                           variant=run.args.variant)
-    run.io.write_dataset("dgpair.jsonl", build.records, run.header(KIND_GPAIR, "dpair"))
-    run.io.write_jsonl("gpair_dropped.jsonl", _dropped_rows(build))
+    run.write_dataset("dgpair.jsonl", build.records, KIND_GPAIR, run.sha256["dpair"])
+    run.write_jsonl("gpair_dropped.jsonl", _dropped_rows(build))
 
 
 def _run_sweep_k(run: StageRun) -> None:
@@ -321,13 +308,13 @@ def _run_sweep_k(run: StageRun) -> None:
                                               run.args.ks, cfg)
     summary = ["k\trecords\tmean_pit_index"]
     for entry in entries:
-        run.io.write_dataset(f"dgpair_k{entry.k}.jsonl", entry.build.records,
-                             run.header(KIND_GPAIR, "dpair", k=entry.k))
+        run.write_dataset(f"dgpair_k{entry.k}.jsonl", entry.build.records, KIND_GPAIR,
+                          run.sha256["dpair"], k=entry.k)
         mean = "" if entry.mean_pit_index is None else f"{entry.mean_pit_index:.12g}"
         summary.append(f"{entry.k}\t{len(entry.build.records)}\t{mean}")
-    run.io.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")
-    run.io.write_jsonl("sweep_dropped.jsonl",
-                       [row for e in entries for row in _dropped_rows(e.build, k=e.k)])
+    run.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")
+    run.write_jsonl("sweep_dropped.jsonl",
+                    [row for e in entries for row in _dropped_rows(e.build, k=e.k)])
 
 
 def _run_train(run: StageRun) -> None:
@@ -344,10 +331,10 @@ def _run_train(run: StageRun) -> None:
                                       epochs=args.epochs, lr=args.lr)
     lines = ["epoch\tloss\treward_accuracy"]
     lines += [f"{e}\t{l:.12g}\t{r:.12g}" for e, l, r in history]
-    run.io.write_text("train_history.tsv", "\n".join(lines) + "\n")
+    run.write_text("train_history.tsv", "\n".join(lines) + "\n")
     buf = BytesIO()
     np.save(buf, policy.logits)
-    run.io.write_bytes("policy.npy", buf.getvalue())
+    run.write_bytes("policy.npy", buf.getvalue())
 
 
 def _run_metrics(run: StageRun) -> None:
@@ -381,7 +368,7 @@ def _run_metrics(run: StageRun) -> None:
                   for d in _read_embeddings(run.args.embeddings, known)]
         if values:
             lines.append(f"diversity_mean\t-\t{sum(values) / len(values):.12g}")
-    run.io.write_text("metrics.tsv", "\n".join(lines) + "\n")
+    run.write_text("metrics.tsv", "\n".join(lines) + "\n")
 
 
 def _read_embeddings(path: str, known: set[str]) -> list[evalmetrics.DiversityInput]:
@@ -609,18 +596,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    io = None
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        io = _StageIO(Path(args.out))
-        _STAGES[args.stage](args, io)
+        _STAGES[args.stage](args)
         return 0
     except ValidationFailure as e:
         code, message = 2, f"validation: {e}"
     except Exception as e:  # noqa: BLE001 - stage failures map to exit 1
         code, message = 1, f"stage-failure: {type(e).__name__}: {e}"
-    if io is not None:
-        io.cleanup()
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -91,7 +91,7 @@ class Rationale:
             raise ValueError(f"unknown producer: {self.producer!r}")
         if self.label not in LABELS:
             raise ValueError(f"unknown label: {self.label!r}")
-        if any(not s for s in self.steps):
+        if not all(self.steps):
             raise ValueError("steps must be non-empty lines")
         if self.label != "ungraded" and not self.steps:
             raise ValueError("graded rationale must have at least one step")
@@ -190,7 +190,7 @@ def _rationale_to_dict(r: Rationale) -> dict[str, Any]:
 
 def _rationale_from_dict(d: dict[str, Any]) -> Rationale:
     return Rationale(
-        steps=tuple(d["steps"]),
+        steps=d["steps"],
         conclusion=d.get("conclusion"),
         producer=d["producer"],
         label=d["label"],

@@ -242,6 +242,20 @@ def test_metrics_embeddings(tmp_path):
     assert div and float(div[0].split("\t")[2]) == pytest.approx(5.0)
 
 
+def test_metrics_embeddings_skip_blank_lines(tmp_path):
+    base = chain(tmp_path / "run")
+    row = json.dumps({"id": "synth-00000", "embeddings": [[0.0, 0.0], [3.0, 4.0]]})
+    tables = []
+    for name, text in (("plain", row + "\n"), ("blank", "\n" + row + "\n  \n")):
+        emb = tmp_path / f"{name}.jsonl"
+        emb.write_text(text)
+        assert run(["--seed", 3, "--out", tmp_path / name, "metrics",
+                    "--problems-file", base / "problems.jsonl",
+                    "--dgen", base / "samples.jsonl", "--embeddings", emb]) == 0
+        tables.append((tmp_path / name / "metrics.tsv").read_bytes())
+    assert tables[0] == tables[1] and b"diversity_mean" in tables[0]
+
+
 def test_missing_input_validation_failure(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["--out", out, "rft", "--problems-file", tmp_path / "nope.jsonl"])
@@ -296,12 +310,32 @@ def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("forced failure after the first write")
 
-    monkeypatch.setattr(cli, "_manifest", explode)
+    monkeypatch.setattr(cli.StageRun, "_write_manifest", explode)
     code = run(["--seed", 3, "--out", out, "pairs",
                 "--problems-file", base / "problems.jsonl",
                 "--dgen", base / "dgen.jsonl", "--drft", base / "drft.jsonl"])
     assert code == 1
     assert not (out / "dpair.jsonl").exists()
+
+
+def test_failed_clean_up_still_reports_the_stage_failure(tmp_path, monkeypatch, capsys):
+    base = chain(tmp_path / "run")
+    out = tmp_path / "boom"
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("forced failure after the first write")
+
+    def refuse(self, missing_ok=False):
+        raise OSError("unlink refused")
+
+    monkeypatch.setattr(cli.StageRun, "_write_manifest", explode)
+    monkeypatch.setattr(cli.Path, "unlink", refuse)
+    code, err = _run_stderr(["--seed", 3, "--out", out, "pairs",
+                             "--problems-file", base / "problems.jsonl",
+                             "--dgen", base / "dgen.jsonl",
+                             "--drft", base / "drft.jsonl"], capsys)
+    assert code == 1
+    assert err == ["error: stage-failure: RuntimeError: forced failure after the first write"]
 
 
 def test_malformed_rejected_step_is_itemised(tmp_path):
@@ -379,6 +413,8 @@ def _run_stderr(args, capsys):
     (["train", "--beta", "inf"], None),
     (["train", "--tau", "nan", "--objective", "ipo"], None),
     (["train", "--kto-weights", "nan,1", "--objective", "kto"], None),
+    (["explore", "--k", 0], None),
+    (["gpair", "--k", 0], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
@@ -386,7 +422,7 @@ def _run_stderr(args, capsys):
         "config-not-json", "config-array", "config-non-scalar", "ks-empty",
         "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
         "epochs-0", "alphabet-2", "order-0", "smoothing-0", "smoothing-inf", "beta-nan",
-        "beta-inf", "ipo-tau-nan", "kto-weight-nan"])
+        "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
@@ -403,6 +439,10 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
               "train": ["--pairs-file", base / "dgpair.jsonl"],
               "sweep-k": ["--problems-file", base / "problems.jsonl",
                           "--dpair", base / "dpair.jsonl"],
+              "explore": ["--problems-file", base / "problems.jsonl",
+                          "--dpair", base / "dpair.jsonl"],
+              "gpair": ["--problems-file", base / "problems.jsonl",
+                        "--dpair", base / "dpair.jsonl"],
               # 4 predictions per problem
               "metrics": ["--problems-file", base / "problems.jsonl",
                           "--dgen", base / "samples.jsonl"]}[stage_args[0]]

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import json
 from unittest import mock
@@ -292,6 +293,37 @@ class TestInvariants:
     def test_header_kind_checked(self):
         with pytest.raises(ValueError):
             DatasetHeader("D_WEIRD")
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda rec: Problem(id="", question="q", gold_answer="1"), "id must be"),
+        (lambda rec: Problem(id="p", question="q", gold_answer="1", style="essay"),
+         "unknown style"),
+        (lambda rec: Rationale(steps=("a", "")), "non-empty lines"),
+        (lambda rec: RationaleRecord("", Rationale(steps=("a",))), "problem_id"),
+        (lambda rec: dataclasses.replace(rec, problem_id=""), "problem_id"),
+        (lambda rec: dataclasses.replace(rec, granularity="granular-some"),
+         "unknown granularity"),
+        (lambda rec: dataclasses.replace(rec, chosen=rec.rejected), "chosen must"),
+        (lambda rec: dataclasses.replace(
+            rec, rejected=dataclasses.replace(rec.chosen, conclusion=None)),
+         "rejected must"),
+    ], ids=["problem-empty-id", "unknown-style", "empty-step", "rationale-empty-id",
+            "pair-empty-id", "unknown-granularity", "outcome-chosen-incorrect",
+            "outcome-rejected-correct"])
+    def test_record_refused(self, change, message):
+        rec = make_pair_record(np.random.default_rng(9))
+        with pytest.raises(ValueError, match=message):
+            change(rec)
+
+    def test_unknown_record_and_kind(self, tmp_path):
+        with pytest.raises(TypeError):
+            record_to_dict(object())
+        with pytest.raises(ValueError, match="unknown dataset kind"):
+            record_from_dict({"id": "p"}, "X")
+        path = tmp_path / "d.jsonl"
+        write_dataset([], DatasetHeader(KIND_D), path)
+        with pytest.raises(ValueError, match="unknown dataset kinds"):
+            read_dataset(path)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,13 @@ class TestDiversity:
             DiversityInput("a", [[1.0, 2.0], [1.0]])  # ragged
         with pytest.raises(ValueError):
             DiversityInput("a", np.array([[1.0], [np.inf]]))
+        with pytest.raises(ValueError):
+            DiversityInput("a", [1.0, 2.0, 3.0])  # one vector, not a list of them
+
+
+@pytest.mark.parametrize("metric", [pass_at_k, maj_at_k])
+def test_no_sets_score_zero(metric):
+    assert metric([], 3) == 0.0
 
 
 def test_sampleset_requires_predictions():

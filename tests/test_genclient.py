@@ -55,6 +55,10 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ProviderHandle(endpoint_url="http://x", synth_config=SynthConfig())
 
+    def test_max_in_flight_at_least_one(self):
+        with pytest.raises(ValueError):
+            ProviderHandle.http("http://x", max_in_flight=0)
+
 
 class TestSyntheticProvider:
     def test_deterministic(self):

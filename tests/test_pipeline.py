@@ -32,6 +32,7 @@ from steppref.pipeline import (
     build_rft,
     explore_all,
     explore_first_pit,
+    read_pit,
     sweep_exploration_size,
 )
 from steppref.rng import rng_for
@@ -179,6 +180,13 @@ class TestBuildPairs:
             build_pairs([], _gen_records("ghost", [_correct(["a"])]), [], PairingConfig())
 
 
+@pytest.mark.parametrize("make", [lambda: PairingConfig(0), lambda: ExploreConfig(k=0)],
+                         ids=["max-pairs-0", "k-0"])
+def test_config_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestBuildRft:
     def test_eps0_dedups_to_single_correct(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=1)
@@ -189,6 +197,10 @@ class TestBuildRft:
         assert len(out.rft) == 1
         assert out.rft[0].rationale.extracted_answer == problems[0].gold_answer
         assert out.skipped == []
+
+    def test_no_problems_is_an_empty_build(self):
+        provider = ProviderHandle.synthetic(SynthConfig())
+        assert build_rft([], provider, SamplingConfig(n=5)) == RftBuild()
 
     def test_eps1_gives_empty_rft_and_skip_entry(self):
         cfg = SynthConfig(t=3, epsilon=1.0, seed=1)
@@ -522,6 +534,17 @@ class TestBuildGranularPairs:
             build_granular_pairs([p], [record], _explorer(0.0), ExploreConfig(),
                                  "bespoke")
 
+    def test_unknown_problem_refused_before_exploring(self):
+        cfg, p, record = self._setup(e=2)
+        ghost = dataclasses.replace(record, problem_id="ghost")
+        with pytest.raises(ValueError, match="ghost"):
+            explore_all([p], [record, ghost], _explorer(0.0), 2, 0.7, 0)
+
+    def test_read_pit_refuses_a_short_table(self):
+        cfg, p, record = self._setup(e=2)
+        with pytest.raises(RuntimeError, match="shorter"):
+            read_pit([[("x", True)]], 1, 2, p, 0)
+
 
 class TestSweep:
     def _records(self, n, cfg, seed_base=0):
@@ -540,6 +563,15 @@ class TestSweep:
                         "outcome", None))
                     break
         return problems, records
+
+    @pytest.mark.parametrize("ks,message", [([], "non-empty"), ([0, 2], "every k")],
+                             ids=["empty", "k-0"])
+    def test_refuses_bad_ks(self, ks, message):
+        cfg = SynthConfig(t=3, epsilon=0.3, seed=12)
+        problems, records = self._records(1, cfg)
+        with pytest.raises(ValueError, match=message):
+            sweep_exploration_size(problems, records, _explorer(0.3, t=3), ks,
+                                   ExploreConfig(nested_sampling=True))
 
     def test_requires_nested_flag(self):
         cfg = SynthConfig(t=3, epsilon=0.3, seed=12)

@@ -305,7 +305,22 @@ class TestKtoLoss:
             assert err < 1e-4
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ToyPolicy.zeros(1, 1),
+    lambda: ToyPolicy.zeros(4, 0),
+    lambda: ToyPolicy(4, 1, np.zeros((4, 4))),
+    lambda: TokenizedPair((0,), (), (1,)),
+], ids=["alphabet-1", "order-0", "table-shape", "empty-sequence"])
+def test_policy_and_pair_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestRewardAccuracy:
+    def test_no_pairs_is_zero(self):
+        pol = ToyPolicy.zeros(4, 1)
+        assert reward_accuracy(pol, pol, []) == 0.0
+
     def test_policy_equals_ref_all_ties(self):
         rng = np.random.default_rng(10)
         pol = rand_policy(rng)
@@ -530,6 +545,17 @@ class TestTrain:
             assert pol.logits[unread].tobytes() == start.logits[unread].tobytes()
             assert np.signbit(pol.logits[unread[0], 0])
             assert (pol.logits != start.logits).any()
+
+    @pytest.mark.parametrize("policy,batch,epochs,match", [
+        (ToyPolicy.zeros(5, 1), [TokenizedPair((0,), (1,), (2,))], 2, "share"),
+        (ToyPolicy.zeros(4, 1), [], 2, "batch"),
+        (ToyPolicy.zeros(4, 1), [TokenizedPair((0,), (1,), (2,))], 0, "epochs"),
+    ], ids=["policy-reference-mismatch", "empty-batch", "epochs-0"])
+    def test_train_refuses(self, policy, batch, epochs, match):
+        ref = ToyPolicy.zeros(4, 1)
+        with pytest.raises(ValueError, match=match):
+            train(policy, ref, batch, ObjectiveConfig("dpo", beta=1.0), epochs=epochs,
+                  lr=0.1)
 
     @pytest.mark.parametrize("lr", [-1.0, math.nan, math.inf])
     def test_lr_must_be_finite_and_nonnegative(self, lr):

@@ -42,6 +42,14 @@ def eval_question_oracle(question: str) -> int:
     return value
 
 
+@pytest.mark.parametrize("kwargs", [dict(t=0), dict(epsilon=1.5),
+                                    dict(value_range=(9, 2))],
+                         ids=["t-0", "epsilon-1.5", "lo-above-hi"])
+def test_synth_config_refused(kwargs):
+    with pytest.raises(ValueError):
+        SynthConfig(**kwargs)
+
+
 class TestGenProblem:
     def test_deterministic(self):
         cfg = SynthConfig(t=2, seed=0)
