@@ -402,11 +402,13 @@ def _value_range(text: str) -> tuple[int, int]:
 _value_range.__name__ = "LO:HI"  # argparse names a type in its errors
 
 
-def _list_of(convert: Callable[[str], Any]) -> Callable[[str], list]:
+def _list_of(convert: Callable[[str], Any], distinct: bool = False) -> Callable[[str], list]:
     def parse(text: str) -> list:
         values = [convert(x) for x in text.split(",") if x != ""]
         if not values:
             raise ValueError(f"no values in {text!r}")
+        if distinct and len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"{text!r} repeats a value")
         return values
     parse.__name__ = f"comma-separated {convert.__name__}"
     return parse
@@ -479,7 +481,8 @@ _STAGE_DECLS = (
           inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
     Stage("sweep-k", "exploration-size sweep (nested); sweep_dropped.jsonl lists "
           "each record left out at each k, and why", _run_sweep_k,
-          flags={"--ks": dict(type=_list_of(int), default="4,8,16,32"), **_PROVIDER_FLAGS},
+          flags={"--ks": dict(type=_list_of(int, distinct=True),
+                              default="4,8,16,32"), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
           flags={"--objective": dict(choices=["dpo", "ipo", "kto"], default="dpo"),
@@ -495,7 +498,7 @@ _STAGE_DECLS = (
           configure=_train_config),
     Stage("metrics", "score prediction sets; --embeddings is a JSONL of "
           "{id, embeddings} for the diversity metric", _run_metrics,
-          flags={"--k": dict(type=_list_of(int), default="1")},
+          flags={"--k": dict(type=_list_of(int, distinct=True), default="1")},
           inputs=(_PROBLEMS,
                   Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"),
                   Input("embeddings", required=False))),

@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import genclient, kernels
 from .corpus import (
@@ -334,17 +334,9 @@ def _assemble_granular(
 ) -> PairRecord:
     w = pit.pit_index
     steps = record.rejected.steps
-    if variant == "reject-all":
-        rejected_steps = steps[w - 1:]
-    else:
-        rejected_steps = steps[w - 1: w]
-    rejected = Rationale(
-        steps=rejected_steps,
-        conclusion=None,
-        producer=record.rejected.producer,
-        label="incorrect",
-        extracted_answer=None,
-    )
+    # an outcome pair's rejected side is labeled incorrect and has no conclusion
+    rejected = replace(record.rejected, extracted_answer=None,
+                       steps=steps[w - 1:] if variant == "reject-all" else steps[w - 1: w])
     if w == 1:
         input_text = problem.question
         chosen = record.chosen

@@ -76,13 +76,9 @@ class ToyPolicy:
         return ToyPolicy(self.alphabet_size, self.order, self.logits.copy())
 
     def context_index(self, window: tuple[int, ...]) -> int:
-        """Row index for the last `order` tokens (shorter windows are padded),
-        as _token_rows finds it; for one window, plain ints beat numpy's
-        per-call cost."""
-        row = 0
-        for tok in ((self.alphabet_size,) * self.order + tuple(window))[-self.order:]:
-            row = row * (self.alphabet_size + 1) + tok
-        return row
+        """Row index for the last `order` tokens (shorter windows are padded):
+        the row ahead of a token that follows `window`."""
+        return int(_token_rows([(tuple(window), (0,))], self.order, self.alphabet_size)[0][0])
 
     def next_probs(self, window: tuple[int, ...]) -> np.ndarray:
         row = self.logits[self.context_index(window)]
@@ -128,13 +124,6 @@ def _validate_tokens(toks: np.ndarray, alphabet_size: int) -> None:
     bad = np.flatnonzero((toks < 0) | (toks >= alphabet_size))
     if bad.shape[0]:
         raise DomainError(f"token {toks[bad[0]]} outside alphabet of size {alphabet_size}")
-
-
-def context_indices(
-    x: tuple[int, ...], y: tuple[int, ...], order: int, alphabet_size: int
-) -> np.ndarray:
-    """Row index of the rolling context ahead of each y position."""
-    return _token_rows([(x, y)], order, alphabet_size)[0]
 
 
 def _check_compat(policy: ToyPolicy, ref: ToyPolicy) -> None:

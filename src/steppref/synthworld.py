@@ -2,9 +2,10 @@
 
 Questions are rigid templated English ("Start with 7. Add 3. Multiply by 2.
 What is the final value?"), one operation per intended solution step.
-Solution steps are bare equation lines, one per operation, so an exact
-oracle can parse them back and so each step is a single whitespace token
-(which keeps low-order tabular policies able to model the chains):
+Solution steps are bare equation lines, one per operation, so that
+`check_prefix`, the one step parser, reads them back exactly, and so each
+step is a single whitespace token (which keeps low-order tabular policies
+able to model the chains):
 
     7+3=10.
     10*2=20.
@@ -52,14 +53,6 @@ _STEP_RE = re.compile(r"^(-?\d+)([+\-*])(\d+)=(-?\d+)\.$")
 
 class QuestionParseError(ValueError):
     """Question text does not follow the synthetic template."""
-
-
-class StepGrammarError(ValueError):
-    """A solution step does not follow the synthetic step grammar."""
-
-    def __init__(self, index: int, line: str):
-        super().__init__(f"step {index} violates the step grammar: {line!r}")
-        self.index = index
 
 
 class PrefixError(ValueError):
@@ -113,15 +106,6 @@ def parse_question(question: str) -> tuple[int, tuple[tuple[str, int], ...]]:
         for word, operand in _QUESTION_OP_RE.findall(m.group(2))
     )
     return start, ops
-
-
-def parse_step(line: str, index: int) -> tuple[str, int, int, int]:
-    """(op, operand, shown previous value, declared result) for a step line."""
-    m = _STEP_RE.match(line.strip())
-    if not m:
-        raise StepGrammarError(index, line)
-    op = _SYMBOL_OPS[m.group(2)]
-    return op, int(m.group(3)), int(m.group(1)), int(m.group(4))
 
 
 def gen_problem(cfg: SynthConfig, idx: int) -> Problem:
@@ -211,10 +195,10 @@ def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool, tuple]
     value = start
     wrong = False
     for i, line in enumerate(prefix_steps, start=1):
-        try:
-            op, operand, _, declared = parse_step(line, i)
-        except StepGrammarError as e:
-            raise PrefixError(str(e)) from e
+        m = _STEP_RE.match(line.strip())
+        if not m:
+            raise PrefixError(f"step {i} violates the step grammar: {line!r}")
+        op, operand, declared = _SYMBOL_OPS[m.group(2)], int(m.group(3)), int(m.group(4))
         expected_op, expected_operand = ops[i - 1]
         if (op, operand) != (expected_op, expected_operand):
             raise PrefixError(

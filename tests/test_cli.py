@@ -415,6 +415,8 @@ def _run_stderr(args, capsys):
     (["train", "--kto-weights", "nan,1", "--objective", "kto"], None),
     (["explore", "--k", 0], None),
     (["gpair", "--k", 0], None),
+    (["sweep-k", "--ks", "2,2,1"], None),
+    (["metrics", "--k", "1,1"], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
@@ -422,7 +424,8 @@ def _run_stderr(args, capsys):
         "config-not-json", "config-array", "config-non-scalar", "ks-empty",
         "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
         "epochs-0", "alphabet-2", "order-0", "smoothing-0", "smoothing-inf", "beta-nan",
-        "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0"])
+        "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0",
+        "ks-repeated", "metrics-k-repeated"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")

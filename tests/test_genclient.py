@@ -23,14 +23,12 @@ from steppref.pipeline import build_rft
 from steppref.rng import stable_seed
 from steppref.synthworld import (
     SynthConfig,
-    _apply,
     gen_problem,
-    parse_question,
-    problem_from_question,
     simulate_solution,
 )
 
 from conftest import correct_rationale, trace_with_error
+from oracles import evaluate, question_ops
 
 
 def synth_provider(eps=0.3, seed=0, **kw):
@@ -291,37 +289,38 @@ class TestSampleBatch:
 
 # ---------------------------------------------------------------------------
 # The synthetic provider against its documented draw protocol, written out
-# here without synthworld's walk. A prompt whose prefix is still right builds
-# one generator, default_rng(stable_seed(cfg.seed, "complete", problem id,
-# (seed, prompt))), and takes its completions from it in index order: while
-# the chain is still right, one random() per step, and on a hit (below
-# epsilon, which is 0 at temperature 0) one integers(0, 6) into the deltas.
+# here without synthworld: questions are read and steps evaluated by the
+# oracles module. A prompt whose prefix is still right builds one generator,
+# default_rng(stable_seed(cfg.seed, "complete", problem id, (seed, prompt))),
+# the problem id derived from the question text, and takes its completions
+# from it in index order: while the chain is still right, one random() per
+# step, and on a hit (below epsilon, which is 0 at temperature 0) one
+# integers(0, 6) into the deltas.
 # A prefix that already went wrong takes no draw: every completion propagates
 # it with exact arithmetic.
 
 _REF_DELTAS = (-3, -2, -1, 1, 2, 3)
-_REF_SYMBOLS = {"add": "+", "subtract": "-", "multiply": "*"}
 
 
 def _reference_sample(p, prefix, epsilon, synth_seed, seed, prompt, n):
-    value, ops = parse_question(p.question)
+    value, ops = question_ops(p.question)
     wrong = False
-    for (op, operand), line in zip(ops, prefix):
+    for (symbol, operand), line in zip(ops, prefix):
         declared = int(line.split("=")[1].rstrip("."))
-        wrong = wrong or declared != _apply(op, value, operand)
+        wrong = wrong or declared != evaluate(symbol, value, operand)
         value = declared
+    problem_id = f"q-{stable_seed(p.question) % 10**12:012d}"
     rng = None if wrong else np.random.default_rng(
-        stable_seed(synth_seed, "complete", problem_from_question(p.question).id,
-                    (seed, prompt)))
+        stable_seed(synth_seed, "complete", problem_id, (seed, prompt)))
     texts = []
     for _ in range(n):
         v, hit, lines = value, wrong, []
-        for op, operand in ops[len(prefix):]:
-            declared = _apply(op, v, operand)
+        for symbol, operand in ops[len(prefix):]:
+            declared = evaluate(symbol, v, operand)
             if not hit and rng.random() < epsilon:
                 declared += _REF_DELTAS[int(rng.integers(0, 6))]
                 hit = True
-            lines.append(f"{v}{_REF_SYMBOLS[op]}{operand}={declared}.")
+            lines.append(f"{v}{symbol}{operand}={declared}.")
             v = declared
         texts.append("\n".join([*lines, f"The answer is {v}."]))
     return texts

@@ -10,7 +10,7 @@ from steppref.preflearn import (
     ObjectiveConfig,
     TokenizedPair,
     ToyPolicy,
-    context_indices,
+    _token_rows,
     dpo_loss,
     fit_mle,
     greedy_decode,
@@ -79,6 +79,11 @@ class TestSeqLogprob:
             assert seq_logprob(pol, pair.x, pair.y_minus) <= 0.0
 
 
+def token_rows(x, y, order, alphabet):
+    """The table row ahead of each y position, as the trainer finds it."""
+    return _token_rows([(x, y)], order, alphabet)[0]
+
+
 def row_oracle(x, y, j, order, alphabet):
     """The base-(alphabet+1) value of the `order` tokens before y[j] in
     (pad,)*order + x + y, where the pad symbol is `alphabet`."""
@@ -112,7 +117,10 @@ class TestBadToken:
         pol = ToyPolicy.zeros(5, 1)
         for call, named in ((lambda: seq_logprob(pol, (0, 5), (7,)), 5),
                             (lambda: seq_logprob(pol, (0, 1), (2, -2)), -2),
-                            (lambda: greedy_decode(pol, (1, 6, 7), 3), 6)):
+                            (lambda: greedy_decode(pol, (1, 6, 7), 3), 6),
+                            # the pad symbol is no token: a window holding it has no row
+                            (lambda: pol.context_index((1, 5)), 5),
+                            (lambda: pol.next_probs((-1,)), -1)):
             with pytest.raises(DomainError) as err:
                 call()
             assert str(err.value) == f"token {named} outside alphabet of size 5"
@@ -129,7 +137,7 @@ class TestRowIndex:
             # order 4 would take about 900 MB
             pol = object.__new__(ToyPolicy)
             pol.alphabet_size, pol.order = alphabet, order
-            rows = context_indices(x, y, order, alphabet)
+            rows = token_rows(x, y, order, alphabet)
             assert rows.dtype == np.int64 and rows.shape == (len(y),)
             for j in range(len(y)):
                 want = row_oracle(x, y, j, order, alphabet)
@@ -159,10 +167,8 @@ def touched_cells(policy, batch):
     rows = set()
     for pair in batch:
         for y in (pair.y_plus, pair.y_minus):
-            rows.update(
-                int(c) for c in context_indices(pair.x, y, policy.order,
-                                                policy.alphabet_size)
-            )
+            rows.update(int(c) for c in token_rows(pair.x, y, policy.order,
+                                                   policy.alphabet_size))
     return sorted(rows)
 
 
@@ -391,7 +397,7 @@ def loop_sequences(policy, ref, batch):
     for pair in batch:
         sides = []
         for y in (pair.y_plus, pair.y_minus):
-            ctx = context_indices(pair.x, y, policy.order, policy.alphabet_size)
+            ctx = token_rows(pair.x, y, policy.order, policy.alphabet_size)
             tok = np.asarray(y, dtype=np.int64)
             sides.append((ctx, tok, loop_seq_logprob(policy.logits, ctx, tok),
                           loop_seq_logprob(ref.logits, ctx, tok)))

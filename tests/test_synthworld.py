@@ -10,7 +10,6 @@ from steppref.extraction import extract_answer
 from steppref.synthworld import (
     PrefixError,
     QuestionParseError,
-    StepGrammarError,
     SynthConfig,
     complete_from,
     gen_problem,
@@ -210,9 +209,9 @@ class TestOracle:
         gold = simulate_solution(p, cfg, 0).rationale
         broken = dataclasses.replace(gold, steps=(gold.steps[0], "then magic"),
                                      label="ungraded", extracted_answer=None)
-        with pytest.raises(StepGrammarError) as err:
-            oracle_first_error(p, broken)
-        assert err.value.index == 2
+        with pytest.raises(PrefixError, match="^step 2 violates the step grammar"):
+            complete_from(p, list(broken.steps), cfg, 0, 1)
+        assert oracle_first_error(p, broken) == 2
 
 
 def test_risk_law_grid_3sigma():
