@@ -427,6 +427,13 @@ _PROBLEMS = Input("problems_file", (KIND_D,))
 _DPAIR = Input("dpair", (KIND_PAIR,))
 
 
+def _synth_config(args: argparse.Namespace) -> SynthConfig:
+    if min(args.problems, args.samples) < 0:
+        raise ValueError("--problems and --samples must be >= 0")
+    return SynthConfig(t=args.t, epsilon=args.epsilon, value_range=args.value_range,
+                       seed=args.seed)
+
+
 def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
     return _provider(args), ExploreConfig(k=args.k, temperature=args.temperature,
                                           seed=args.seed)
@@ -460,8 +467,7 @@ _STAGE_DECLS = (
                  "--value-range": dict(type=_value_range, default="2:9"),
                  "--samples": dict(type=int, default=0, help="also emit this many "
                                    "sampled solutions per problem")},
-          configure=lambda a: SynthConfig(t=a.t, epsilon=a.epsilon,
-                                          value_range=a.value_range, seed=a.seed)),
+          configure=_synth_config),
     Stage("rft", "sample, grade and dedup rationales", _run_rft,
           flags={"--n": dict(type=int, default=100), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS,),

@@ -12,7 +12,6 @@ these rules (e.g. 0.5 vs 1/2) is deliberately out of scope.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import TYPE_CHECKING
 
@@ -147,9 +146,3 @@ def dedup(rationales: list[Rationale]) -> list[Rationale]:
         out.append(r)
     return out
 
-
-def strip_conclusion(r: Rationale) -> Rationale:
-    """Same rationale with the conclusion removed; all other fields kept."""
-    if r.conclusion is None:
-        return r
-    return dataclasses.replace(r, conclusion=None)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -87,6 +88,8 @@ class SamplingConfig:
             raise ValueError("n must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature):  # NaN passes the check above
+            raise ValueError("temperature must be finite")
 
 
 @dataclass(frozen=True)

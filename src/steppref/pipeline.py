@@ -38,7 +38,6 @@ from .extraction import (
     dedup,
     extract_answer,
     split_steps,
-    strip_conclusion,
 )
 from .genclient import GenClientError, ProviderHandle, SamplingConfig
 from .rng import rng_for
@@ -73,6 +72,8 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        # the sampling rules on temperature have one home
+        SamplingConfig(n=self.k, temperature=self.temperature, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def build_pairs(
                     problem_id=problem.id,
                     input=problem.question,
                     chosen=chosen,
-                    rejected=strip_conclusion(rejected),
+                    rejected=replace(rejected, conclusion=None),
                     granularity=GRAN_OUTCOME,
                     pit_index=None,
                 )

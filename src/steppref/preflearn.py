@@ -75,16 +75,6 @@ class ToyPolicy:
     def copy(self) -> "ToyPolicy":
         return ToyPolicy(self.alphabet_size, self.order, self.logits.copy())
 
-    def context_index(self, window: tuple[int, ...]) -> int:
-        """Row index for the last `order` tokens (shorter windows are padded):
-        the row ahead of a token that follows `window`."""
-        return int(_token_rows([(tuple(window), (0,))], self.order, self.alphabet_size)[0][0])
-
-    def next_probs(self, window: tuple[int, ...]) -> np.ndarray:
-        row = self.logits[self.context_index(window)]
-        e = np.exp(row - row.max())
-        return e / e.sum()
-
 
 @dataclass(frozen=True)
 class TokenizedPair:
@@ -200,8 +190,7 @@ def _accuracy(pol_lp: list[float], ref_lp: list[float]) -> float:
     return wins / (len(pol_lp) // 2)
 
 
-def _terms(cfg: ObjectiveConfig, ratios: list[float],
-           reference_point: float | None) -> tuple[float, list[float]]:
+def _terms(cfg: ObjectiveConfig, ratios: list[float]) -> tuple[float, list[float]]:
     """Batch-mean loss and d loss / d log pi(y) of each sequence, from the
     log-ratios log pi(y) - log pi_ref(y) in flattened order. This is the
     only part that differs between the objectives."""
@@ -212,10 +201,7 @@ def _terms(cfg: ObjectiveConfig, ratios: list[float],
         beta, (lam_c, lam_r) = cfg.beta, cfg.kto_weights
         rewards_p = [beta * r for r in chosen]
         rewards_m = [beta * r for r in rejected]
-        if reference_point is None:
-            z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
-        else:
-            z = reference_point
+        z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
         for r_p, r_m in zip(rewards_p, rewards_m):
             s_p = _sigmoid(beta * (r_p - z))
             s_m = _sigmoid(beta * (z - r_m))
@@ -238,34 +224,25 @@ def _terms(cfg: ObjectiveConfig, ratios: list[float],
     return total / m, coefs
 
 
-def _loss_pass(policy: ToyPolicy, flat: _Flat, cfg: ObjectiveConfig,
-               reference_point: float | None = None
-               ) -> tuple[float, np.ndarray, list[float]]:
+def _loss_pass(policy: ToyPolicy, flat: _Flat,
+               cfg: ObjectiveConfig) -> tuple[float, np.ndarray, list[float]]:
     """Loss, its gradient in logits[flat.plan.rows] (zero in every other
     row), and the policy log-prob of each sequence: one seq_logprob call,
     and one add_seq_grad call that reuses its softmax."""
     plan = flat.plan
     sums, probs = kernels.seq_logprob(policy.logits, flat.ctx, plan)
     pol_lp = sums.tolist()
-    loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)],
-                         reference_point)
+    loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)])
     block = kernels.add_seq_grad(policy.logits, flat.ctx, np.repeat(coefs, plan.lengths),
                                  plan, probs)
     return loss, block, pol_lp
 
 
 def objective_loss(policy: ToyPolicy, ref: ToyPolicy, batch: list[TokenizedPair],
-                   cfg: ObjectiveConfig, reference_point: float | None = None
-                   ) -> tuple[float, np.ndarray]:
-    """Batch-mean loss of `cfg.objective` and its gradient in the logits.
-
-    KTO's reference point z is the clamped batch mean of the implicit
-    rewards and carries no gradient. `reference_point`, if given, pins z
-    instead, because the finite-difference checks must probe at a fixed z.
-    DPO and IPO ignore it.
-    """
+                   cfg: ObjectiveConfig) -> tuple[float, np.ndarray]:
+    """Batch-mean loss of `cfg.objective` and its gradient in the logits."""
     flat = _flatten(policy, ref, batch)
-    loss, block, _ = _loss_pass(policy, flat, cfg, reference_point)
+    loss, block, _ = _loss_pass(policy, flat, cfg)
     grad = np.zeros(policy.logits.shape)
     grad[flat.plan.rows] = block
     return loss, grad
@@ -388,8 +365,8 @@ def greedy_decode(policy: ToyPolicy, x: tuple[int, ...], max_len: int) -> tuple[
     seq = list(x)
     out: list[int] = []
     for _ in range(max_len):
-        row = policy.logits[policy.context_index(tuple(seq))]
-        tok = int(np.argmax(row))
+        ctx, _, _ = _token_rows([(tuple(seq), (0,))], policy.order, policy.alphabet_size)
+        tok = int(np.argmax(policy.logits[ctx[0]]))
         out.append(tok)
         seq.append(tok)
     return tuple(out)

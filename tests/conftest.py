@@ -9,14 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from steppref.corpus import PairRecord, Problem, Rationale, RationaleRecord
-from steppref.synthworld import (
-    SynthConfig,
-    _apply,
-    _fmt_step,
-    parse_question,
-    simulate_solution,
-)
+from steppref.corpus import PairRecord, Problem, Rationale
+
+from oracles import evaluate, question_ops
 
 
 # CI selects this profile (--hypothesis-profile=ci): the same examples on
@@ -64,31 +59,30 @@ def make_pair_record(rng: np.random.Generator, granular: bool = False) -> PairRe
     )
 
 
-def trace_with_error(problem: Problem, cfg: SynthConfig, error_at: int,
-                     delta: int = 2) -> Rationale:
-    """Gold chain corrupted at `error_at` (1-based), propagated faithfully."""
-    start, ops = parse_question(problem.question)
+def _chain(problem: Problem, error_at: int, delta: int) -> tuple[tuple[str, ...], int]:
+    """The question's step lines, with `delta` added to the result of step
+    `error_at` (1-based) and carried on; and the final value."""
+    value, ops = question_ops(problem.question)
     steps = []
-    value = start
-    for i, (op, operand) in enumerate(ops, start=1):
-        declared = _apply(op, value, operand)
-        if i == error_at:
-            declared += delta
-        steps.append(_fmt_step(op, operand, value, declared))
+    for i, (symbol, operand) in enumerate(ops, start=1):
+        declared = evaluate(symbol, value, operand) + (delta if i == error_at else 0)
+        steps.append(f"{value}{symbol}{operand}={declared}.")
         value = declared
-    return Rationale(
-        steps=tuple(steps),
-        conclusion=None,
-        producer="SFT",
-        label="incorrect",
-        extracted_answer=str(value),
-    )
+    return tuple(steps), value
 
 
-def correct_rationale(problem: Problem, cfg: SynthConfig) -> Rationale:
-    zero = SynthConfig(t=cfg.t, epsilon=0.0, value_range=cfg.value_range,
-                       seed=cfg.seed)
-    return simulate_solution(problem, zero, draw_seed=0).rationale
+def trace_with_error(problem: Problem, error_at: int, delta: int = 2) -> Rationale:
+    """Gold chain corrupted at `error_at` (1-based), propagated faithfully."""
+    steps, value = _chain(problem, error_at, delta)
+    return Rationale(steps=steps, conclusion=None, producer="SFT", label="incorrect",
+                     extracted_answer=str(value))
+
+
+def correct_rationale(problem: Problem) -> Rationale:
+    """The gold chain, as the synthetic solver writes it at epsilon 0."""
+    steps, value = _chain(problem, 0, 0)
+    return Rationale(steps=steps, conclusion=f"The answer is {value}.", producer="SYNTH",
+                     label="correct", extracted_answer=str(value))
 
 
 class StubHandler(BaseHTTPRequestHandler):

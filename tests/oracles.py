@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 
-from steppref import kernels, pipeline
 from steppref.corpus import Problem, Rationale
 
 _START_RE = re.compile(r"^Start with (-?\d+)\.")
@@ -31,9 +30,22 @@ def question_ops(question: str) -> tuple[int, list[tuple[str, int]]]:
     return start, [(_SYMBOL[w], int(x)) for w, x in _OP_RE.findall(question)]
 
 
-def token_edit_distance(a: Rationale, b: Rationale) -> int:
-    """Levenshtein distance over whitespace tokens of the joined steps."""
-    return kernels.levenshtein(pipeline._tokens(a), pipeline._tokens(b))
+def lev_oracle(a, b) -> int:
+    """Textbook full-matrix Levenshtein."""
+    n, m = len(a), len(b)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dp[i][0] = i
+    for j in range(m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i][j] = min(
+                dp[i - 1][j] + 1,
+                dp[i][j - 1] + 1,
+                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return dp[n][m]
 
 
 def oracle_first_error(p: Problem, r: Rationale) -> int | None:

@@ -55,9 +55,8 @@ from steppref.preflearn import (
 )
 from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
-from oracles import oracle_first_error
-from test_kernels import lev_oracle
-from test_preflearn import fd_max_rel_err, kto_reference_point, rand_pair, rand_policy
+from oracles import lev_oracle, oracle_first_error
+from test_preflearn import fd_max_rel_err, kto_fixed_z_err, rand_pair, rand_policy
 
 
 def _passed(n, name, detail=""):
@@ -267,11 +266,7 @@ def test_acceptance_06_objective_math():
         err = fd_max_rel_err(policy, fd_batch,
                              lambda p: objective_loss(p, ref, fd_batch, ipo))
         assert err < 1e-4, ("ipo", trial, err)
-        z = kto_reference_point(policy, ref, fd_batch, kto.beta)
-        err = fd_max_rel_err(
-            policy, fd_batch,
-            lambda p: objective_loss(p, ref, fd_batch, kto, reference_point=z),
-        )
+        err = kto_fixed_z_err(policy, ref, fd_batch, kto)
         assert err < 1e-4, ("kto", trial, err)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -345,8 +345,7 @@ def test_malformed_rejected_step_is_itemised(tmp_path):
     bad_idx, bad = 1, pairs[1]
     # first wrong at step 3, so an exact explorer rescues step 1 and
     # exploration reaches the malformed step 2
-    rejected = trace_with_error(
-        next(p for p in problems if p.id == bad.problem_id), SynthConfig(), 3)
+    rejected = trace_with_error(next(p for p in problems if p.id == bad.problem_id), 3)
     steps = (rejected.steps[0], "two plus two is five.") + rejected.steps[2:]
     pairs[bad_idx] = dataclasses.replace(
         bad, rejected=dataclasses.replace(rejected, steps=steps))
@@ -417,6 +416,12 @@ def _run_stderr(args, capsys):
     (["gpair", "--k", 0], None),
     (["sweep-k", "--ks", "2,2,1"], None),
     (["metrics", "--k", "1,1"], None),
+    (["explore", "--temperature", -1], None),
+    (["gpair", "--temperature", "nan"], None),
+    (["sweep-k", "--temperature", "inf"], None),
+    (["rft", "--temperature", "nan"], None),
+    (["synth", "--problems", -3], None),
+    (["synth", "--samples", -1], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
@@ -425,7 +430,9 @@ def _run_stderr(args, capsys):
         "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
         "epochs-0", "alphabet-2", "order-0", "smoothing-0", "smoothing-inf", "beta-nan",
         "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0",
-        "ks-repeated", "metrics-k-repeated"])
+        "ks-repeated", "metrics-k-repeated", "explore-temperature-negative",
+        "gpair-temperature-nan", "sweep-k-temperature-inf", "rft-temperature-nan",
+        "synth-problems-negative", "synth-samples-negative"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
@@ -438,7 +445,8 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
         return path
 
     out = tmp_path / "out"
-    inputs = {"rft": ["--problems-file", base / "problems.jsonl"],
+    inputs = {"synth": [],
+              "rft": ["--problems-file", base / "problems.jsonl"],
               "train": ["--pairs-file", base / "dgpair.jsonl"],
               "sweep-k": ["--problems-file", base / "problems.jsonl",
                           "--dpair", base / "dpair.jsonl"],

@@ -13,7 +13,6 @@ from steppref.extraction import (
     dedup,
     extract_answer,
     split_steps,
-    strip_conclusion,
 )
 
 # Hand-built raw -> canonical table.
@@ -240,28 +239,6 @@ def _rationale_lists(draw):
 def test_dedup_matches_reference_hypothesis(rationales):
     got, want = dedup(rationales), _reference_dedup(rationales)
     assert [id(r) for r in got] == [id(r) for r in want]
-
-
-class TestStripConclusion:
-    def test_strip(self):
-        r = _r(["a"], "The answer is 3.")
-        out = strip_conclusion(r)
-        assert out.conclusion is None
-        assert out.steps == r.steps
-
-    def test_identity_when_absent(self):
-        r = _r(["a"])
-        assert strip_conclusion(r) is r
-
-    def test_idempotent(self):
-        r = _r(["a"], "The answer is 3.")
-        assert strip_conclusion(strip_conclusion(r)) == strip_conclusion(r)
-
-    def test_preserves_other_fields(self):
-        r = Rationale(steps=("a",), conclusion="The answer is 1.", producer="RFT",
-                      label="incorrect", extracted_answer="1")
-        out = strip_conclusion(r)
-        assert (out.producer, out.label, out.extracted_answer) == ("RFT", "incorrect", "1")
 
 
 # Step lines as split_steps returns them: stripped, non-blank, free of the

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -46,6 +47,9 @@ class TestConfigs:
             SamplingConfig(n=0)
         with pytest.raises(ValueError):
             SamplingConfig(temperature=-0.1)
+        for temperature in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SamplingConfig(temperature=temperature)
 
     def test_provider_needs_exactly_one_backend(self):
         with pytest.raises(ValueError):
@@ -93,7 +97,7 @@ class TestSyntheticProvider:
         provider = synth_provider(eps=0.0, seed=3)
         p = gen_problem(provider.synth_config, 0)
         gold = simulate_solution(p, provider.synth_config, 0).rationale
-        wrong = trace_with_error(p, provider.synth_config, 1).steps
+        wrong = trace_with_error(p, 1).steps
         bad_prompts = [
             "What is two plus two?",  # not a template question
             p.question + "\n" + gold.steps[0] + "\ntwo plus two is five.",  # step grammar
@@ -337,9 +341,9 @@ def _prompt(idx, t, epsilon, error_at, delta, cut):
     cfg = SynthConfig(t=t, epsilon=epsilon, seed=idx % 3)
     p = gen_problem(cfg, idx)
     if error_at is None or error_at > t:
-        steps = correct_rationale(p, cfg).steps
+        steps = correct_rationale(p).steps
     else:
-        steps = trace_with_error(p, cfg, error_at, delta).steps
+        steps = trace_with_error(p, error_at, delta).steps
     prefix = list(steps[:min(cut, t)])
     return cfg, p, prefix, "\n".join([p.question, *prefix])
 
@@ -370,7 +374,7 @@ def test_sample_draws_nest_hypothesis(idx, t, epsilon, error_at, delta, cut, tem
 def test_wrong_prefix_builds_no_generator(monkeypatch, tmp_path):
     provider = synth_provider(eps=0.5, seed=2)
     p = gen_problem(provider.synth_config, 1)
-    bad = trace_with_error(p, provider.synth_config, 2)
+    bad = trace_with_error(p, 2)
     seeded = []
 
     def counted(*parts):

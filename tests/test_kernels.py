@@ -3,23 +3,7 @@ import pytest
 
 from steppref import kernels
 
-
-def lev_oracle(a, b):
-    """Textbook full-matrix Levenshtein."""
-    n, m = len(a), len(b)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dp[i][0] = i
-    for j in range(m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i][j] = min(
-                dp[i - 1][j] + 1,
-                dp[i][j - 1] + 1,
-                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
-    return dp[n][m]
+from oracles import lev_oracle
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -33,6 +17,20 @@ def test_levenshtein_matches_oracle(seed):
         # the same sequences as string tokens, as build_pairs passes them
         words = [f"{v}+1={v + 1}." for v in range(5)]
         assert kernels.levenshtein([words[v] for v in a], [words[v] for v in b]) == want
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ("a b c d e", "a b c d e", 0),
+    ("a b", "a c", 1),
+    ("x y z", "x q", 2),
+], ids=["identical", "one-substitution", "unequal-lengths"])
+def test_levenshtein_hand_cases(a, b, want):
+    # whitespace tokens of the joined steps, as build_pairs passes them; the
+    # distance is symmetric
+    a, b = a.split(), b.split()
+    assert lev_oracle(a, b) == want
+    assert kernels.levenshtein(a, b) == want
+    assert kernels.levenshtein(b, a) == want
 
 
 @pytest.mark.parametrize("seed", range(3))

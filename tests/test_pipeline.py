@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,35 +40,7 @@ from steppref.rng import rng_for
 from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
 from conftest import correct_rationale, trace_with_error
-from oracles import oracle_first_error, token_edit_distance
-from test_kernels import lev_oracle
-
-
-def _r(steps):
-    return Rationale(steps=tuple(steps))
-
-
-class TestTokenEditDistance:
-    def test_identical_zero(self):
-        a = _r(["a b c", "d e"])
-        assert token_edit_distance(a, a) == 0
-
-    def test_single_substitution(self):
-        assert token_edit_distance(_r(["a b"]), _r(["a c"])) == 1
-
-    def test_symmetric(self):
-        a, b = _r(["x y z"]), _r(["x q"])
-        assert token_edit_distance(a, b) == token_edit_distance(b, a)
-
-    def test_matches_dp_oracle(self):
-        rng = np.random.default_rng(0)
-        words = [f"w{i}" for i in range(6)]
-        for _ in range(60):
-            ta = [words[int(i)] for i in rng.integers(0, 6, size=rng.integers(0, 21))]
-            tb = [words[int(i)] for i in rng.integers(0, 6, size=rng.integers(0, 21))]
-            a, b = _r([" ".join(ta) or "pad"]), _r([" ".join(tb) or "pad"])
-            want = lev_oracle(a.steps[0].split(), b.steps[0].split())
-            assert token_edit_distance(a, b) == want
+from oracles import lev_oracle
 
 
 def _fixture_problem(pid="p1"):
@@ -99,7 +72,8 @@ class TestBuildPairs:
                             _gen_records("p1", [chosen, inc1, inc2]),
                             PairingConfig())
         assert len(pairs) == 1
-        assert pairs[0].rejected.steps == inc2.steps
+        # the rejected side keeps every field but its conclusion
+        assert pairs[0].rejected == dataclasses.replace(inc2, conclusion=None)
         assert pairs[0].granularity == "outcome"
         assert pairs[0].pit_index is None
         assert pairs[0].input == problem.question
@@ -180,8 +154,9 @@ class TestBuildPairs:
             build_pairs([], _gen_records("ghost", [_correct(["a"])]), [], PairingConfig())
 
 
-@pytest.mark.parametrize("make", [lambda: PairingConfig(0), lambda: ExploreConfig(k=0)],
-                         ids=["max-pairs-0", "k-0"])
+@pytest.mark.parametrize("make", [lambda: PairingConfig(0), lambda: ExploreConfig(k=0),
+                                  lambda: ExploreConfig(temperature=math.nan)],
+                         ids=["max-pairs-0", "k-0", "temperature-nan"])
 def test_config_refused(make):
     with pytest.raises(ValueError):
         make()
@@ -352,7 +327,7 @@ class TestExploreFirstPit:
         cfg = SynthConfig(t=5, epsilon=0.3, seed=4)
         p = gen_problem(cfg, 0)
         for e in (1, 2, 3, 4, 5):
-            rejected = trace_with_error(p, cfg, e)
+            rejected = trace_with_error(p, e)
             pit = explore_first_pit(p, rejected, _explorer(0.0), ExploreConfig(k=3, seed=1))
             assert pit.pit_index == e
             tallies = pit.per_step_success
@@ -387,13 +362,13 @@ class TestExploreFirstPit:
         cfg = SynthConfig(t=3, epsilon=0.0, seed=6)
         p = gen_problem(cfg, 0)
         with pytest.raises(ValueError):
-            explore_first_pit(p, correct_rationale(p, cfg), _explorer(0.0),
+            explore_first_pit(p, correct_rationale(p), _explorer(0.0),
                               ExploreConfig())
 
     def test_provider_failure_carries_partial_tallies(self, stub_server):
         cfg = SynthConfig(t=4, epsilon=0.3, seed=7)
         p = gen_problem(cfg, 0)
-        rejected = trace_with_error(p, cfg, 3)
+        rejected = trace_with_error(p, 3)
 
         def respond(payload):
             depth = payload["prompt"].count("\n")
@@ -413,8 +388,8 @@ class TestBuildGranularPairs:
     def _setup(self, e, t=5, seed=8):
         cfg = SynthConfig(t=t, epsilon=0.3, seed=seed)
         p = gen_problem(cfg, 0)
-        chosen = correct_rationale(p, cfg)
-        rejected = trace_with_error(p, cfg, e)
+        chosen = correct_rationale(p)
+        rejected = trace_with_error(p, e)
         record = PairRecord(p.id, p.question, chosen, rejected, "outcome", None)
         return cfg, p, record
 
@@ -503,7 +478,7 @@ class TestBuildGranularPairs:
                 if tr.true_first_error is not None:
                     problems.append(p)
                     records.append(PairRecord(
-                        p.id, p.question, correct_rationale(p, cfg),
+                        p.id, p.question, correct_rationale(p),
                         dataclasses.replace(tr.rationale, conclusion=None),
                         "outcome", None))
                     break
@@ -558,7 +533,7 @@ class TestSweep:
                 if tr.true_first_error is not None:
                     problems.append(p)
                     records.append(PairRecord(
-                        p.id, p.question, correct_rationale(p, cfg),
+                        p.id, p.question, correct_rationale(p),
                         dataclasses.replace(tr.rationale, conclusion=None),
                         "outcome", None))
                     break
@@ -789,8 +764,8 @@ def _distinct_records(errors_at, t=5, seed=16):
     for i, e in enumerate(errors_at):
         p = gen_problem(cfg, i)
         problems.append(p)
-        records.append(PairRecord(p.id, p.question, correct_rationale(p, cfg),
-                                  trace_with_error(p, cfg, e), "outcome", None))
+        records.append(PairRecord(p.id, p.question, correct_rationale(p),
+                                  trace_with_error(p, e), "outcome", None))
     return problems, records
 
 

@@ -39,12 +39,10 @@ def rand_pair(rng, alphabet=6, max_len=6):
 def seq_logprob_oracle(policy, x, y):
     """Independent chain-rule evaluation, one softmax per position."""
     total = 0.0
-    seq = list(x)
-    for tok in y:
-        window = tuple(seq[-policy.order:])
-        probs = policy.next_probs(window)
-        total += math.log(probs[tok])
-        seq.append(tok)
+    for j, tok in enumerate(y):
+        row = policy.logits[row_oracle(x, y, j, policy.order, policy.alphabet_size)]
+        e = np.exp(row - row.max())
+        total += math.log(e[tok] / e.sum())
     return total
 
 
@@ -79,11 +77,6 @@ class TestSeqLogprob:
             assert seq_logprob(pol, pair.x, pair.y_minus) <= 0.0
 
 
-def token_rows(x, y, order, alphabet):
-    """The table row ahead of each y position, as the trainer finds it."""
-    return _token_rows([(x, y)], order, alphabet)[0]
-
-
 def row_oracle(x, y, j, order, alphabet):
     """The base-(alphabet+1) value of the `order` tokens before y[j] in
     (pad,)*order + x + y, where the pad symbol is `alphabet`."""
@@ -115,12 +108,10 @@ class TestBadToken:
 
     def test_seq_logprob_and_greedy_decode(self):
         pol = ToyPolicy.zeros(5, 1)
+        # 5 is the pad symbol, which is no token
         for call, named in ((lambda: seq_logprob(pol, (0, 5), (7,)), 5),
                             (lambda: seq_logprob(pol, (0, 1), (2, -2)), -2),
-                            (lambda: greedy_decode(pol, (1, 6, 7), 3), 6),
-                            # the pad symbol is no token: a window holding it has no row
-                            (lambda: pol.context_index((1, 5)), 5),
-                            (lambda: pol.next_probs((-1,)), -1)):
+                            (lambda: greedy_decode(pol, (1, 6, 7), 3), 6)):
             with pytest.raises(DomainError) as err:
                 call()
             assert str(err.value) == f"token {named} outside alphabet of size 5"
@@ -133,47 +124,23 @@ class TestRowIndex:
             alphabet, order = int(rng.integers(2, 41)), int(rng.integers(1, 5))
             x = tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 4))))
             y = tuple(int(v) for v in rng.integers(0, alphabet, size=int(rng.integers(0, 7))))
-            # the row index reads no logits; a full table at alphabet 40 and
-            # order 4 would take about 900 MB
-            pol = object.__new__(ToyPolicy)
-            pol.alphabet_size, pol.order = alphabet, order
-            rows = token_rows(x, y, order, alphabet)
+            rows = _token_rows([(x, y)], order, alphabet)[0]
             assert rows.dtype == np.int64 and rows.shape == (len(y),)
             for j in range(len(y)):
-                want = row_oracle(x, y, j, order, alphabet)
-                assert rows[j] == want
-                assert pol.context_index(x + y[:j]) == want
-
-
-class TestNormalization:
-    def test_next_probs_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        pol = rand_policy(rng, alphabet=8, order=2)
-        for _ in range(50):
-            window = tuple(int(v) for v in rng.integers(0, 8, size=int(rng.integers(0, 3))))
-            assert pol.next_probs(window).sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def kto_reference_point(policy, ref, batch, beta):
-    """KTO's z: the clamped mean implicit reward over the batch."""
-    rs = [beta * (seq_logprob(policy, p.x, p.y_plus) - seq_logprob(ref, p.x, p.y_plus))
-          for p in batch]
-    rs += [beta * (seq_logprob(policy, p.x, p.y_minus) - seq_logprob(ref, p.x, p.y_minus))
-           for p in batch]
-    return max(0.0, sum(rs) / len(rs))
+                assert rows[j] == row_oracle(x, y, j, order, alphabet)
 
 
 def touched_cells(policy, batch):
-    rows = set()
-    for pair in batch:
-        for y in (pair.y_plus, pair.y_minus):
-            rows.update(int(c) for c in token_rows(pair.x, y, policy.order,
-                                                   policy.alphabet_size))
-    return sorted(rows)
+    return sorted({row_oracle(pair.x, y, j, policy.order, policy.alphabet_size)
+                   for pair in batch for y in (pair.y_plus, pair.y_minus)
+                   for j in range(len(y))})
 
 
-def fd_max_rel_err(policy, batch, loss_fn, eps=1e-5):
-    _, grad = loss_fn(policy)
+def fd_max_rel_err(policy, batch, loss_fn, grad=None, eps=1e-5):
+    """Worst relative gap between `grad` and central differences of
+    loss_fn's loss; `grad` defaults to loss_fn's own at `policy`."""
+    if grad is None:
+        _, grad = loss_fn(policy)
     worst = 0.0
     for c in touched_cells(policy, batch):
         for v in range(policy.alphabet_size):
@@ -202,7 +169,7 @@ class TestDpoLoss:
         # order 1, alphabet 2: policy row [2, 0] vs uniform ref makes the
         # chosen/rejected log-ratio difference exactly 2.
         pol = ToyPolicy.zeros(2, 1)
-        pol.logits[pol.context_index((0,))] = np.array([2.0, 0.0])
+        pol.logits[0] = np.array([2.0, 0.0])  # at order 1, row v follows token v
         ref = ToyPolicy.zeros(2, 1)
         batch = [TokenizedPair((0,), (0,), (1,))]
         loss, _ = dpo_loss(pol, ref, batch, beta=1.0)
@@ -225,7 +192,7 @@ class TestDpoLoss:
         batch = [TokenizedPair((0,), (1, 1), (2, 2))]
         base, _ = dpo_loss(pol, ref, batch, beta=1.0)
         bumped = pol.copy()
-        bumped.logits[bumped.context_index((1,)), 1] += 0.25
+        bumped.logits[1, 1] += 0.25
         after, _ = dpo_loss(bumped, ref, batch, beta=1.0)
         assert after < base
 
@@ -248,7 +215,7 @@ class TestIpoLoss:
     def test_exact_root(self):
         # delta = 1/(2 tau) = 1 via the same construction as the DPO case.
         pol = ToyPolicy.zeros(2, 1)
-        pol.logits[pol.context_index((0,))] = np.array([1.0, 0.0])
+        pol.logits[0] = np.array([1.0, 0.0])
         ref = ToyPolicy.zeros(2, 1)
         batch = [TokenizedPair((0,), (0,), (1,))]
         loss, _ = objective_loss(pol, ref, batch, ObjectiveConfig("ipo", tau=0.5))
@@ -284,16 +251,15 @@ class TestKtoLoss:
         assert loss == pytest.approx(0.5 * (0.4 + 1.2), abs=1e-12)
 
     def test_saturation_drives_loss_to_zero(self):
-        # policy and reference disagree violently, so the chosen reward is
-        # hugely positive and the rejected hugely negative
+        # policy and reference disagree violently: the chosen reward is about
+        # +60 and the rejected about -60, so z, their clamped mean, is about 0
         pol = ToyPolicy.zeros(2, 1)
         ref = ToyPolicy.zeros(2, 1)
-        row = pol.context_index((0,))
-        pol.logits[row] = np.array([30.0, -30.0])
-        ref.logits[row] = np.array([-30.0, 30.0])
+        pol.logits[0] = np.array([30.0, -30.0])
+        ref.logits[0] = np.array([-30.0, 30.0])
         batch = [TokenizedPair((0,), (0,), (1,))]
         cfg = ObjectiveConfig("kto", beta=1.0, kto_weights=(1.0, 1.0))
-        loss, _ = objective_loss(pol, ref, batch, cfg, reference_point=0.0)
+        loss, _ = objective_loss(pol, ref, batch, cfg)
         assert loss < 1e-6
 
     def test_gradient_matches_finite_differences_fixed_z(self):
@@ -301,14 +267,8 @@ class TestKtoLoss:
         for _ in range(5):
             pol, ref = rand_policy(rng), rand_policy(rng)
             batch = [rand_pair(rng) for _ in range(4)]
-            # pin z at its unperturbed value: no gradient flows through it
             cfg = ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3))
-            z = kto_reference_point(pol, ref, batch, cfg.beta)
-            err = fd_max_rel_err(
-                pol, batch,
-                lambda p: objective_loss(p, ref, batch, cfg, reference_point=z),
-            )
-            assert err < 1e-4
+            assert kto_fixed_z_err(pol, ref, batch, cfg) < 1e-4
 
 
 @pytest.mark.parametrize("make", [
@@ -343,8 +303,8 @@ class TestRewardAccuracy:
         # order 1, alphabet 2; deltas by hand: +1, -1, -0.5, +0.5 -> 0.5.
         pol = ToyPolicy.zeros(2, 1)
         ref = ToyPolicy.zeros(2, 1)
-        pol.logits[pol.context_index((0,))] = np.array([1.0, 0.0])
-        ref.logits[ref.context_index((1,))] = np.array([0.5, 0.0])
+        pol.logits[0] = np.array([1.0, 0.0])
+        ref.logits[1] = np.array([0.5, 0.0])
         batch = [
             TokenizedPair((0,), (0,), (1,)),
             TokenizedPair((0,), (1,), (0,)),
@@ -397,7 +357,8 @@ def loop_sequences(policy, ref, batch):
     for pair in batch:
         sides = []
         for y in (pair.y_plus, pair.y_minus):
-            ctx = token_rows(pair.x, y, policy.order, policy.alphabet_size)
+            ctx = np.array([row_oracle(pair.x, y, j, policy.order, policy.alphabet_size)
+                            for j in range(len(y))], dtype=np.int64)
             tok = np.asarray(y, dtype=np.int64)
             sides.append((ctx, tok, loop_seq_logprob(policy.logits, ctx, tok),
                           loop_seq_logprob(ref.logits, ctx, tok)))
@@ -405,7 +366,28 @@ def loop_sequences(policy, ref, batch):
     return out
 
 
+def kto_reference_point(policy, ref, batch, beta):
+    """KTO's z: the clamped mean implicit reward over the batch, the chosen
+    sides summed first."""
+    seqs = loop_sequences(policy, ref, batch)
+    chosen = sum(beta * (p[2] - p[3]) for p, _ in seqs)
+    rejected = sum(beta * (n[2] - n[3]) for _, n in seqs)
+    return max(0.0, (chosen + rejected) / (2 * len(seqs)))
+
+
+def kto_fixed_z_err(policy, ref, batch, cfg):
+    """fd_max_rel_err for KTO with z held at its unperturbed value, as no
+    gradient flows through z: the trainer's gradient at `policy`, where its
+    batch-mean z is that value, against central differences of the loop
+    loss at that fixed z."""
+    z = kto_reference_point(policy, ref, batch, cfg.beta)
+    _, grad = objective_loss(policy, ref, batch, cfg)
+    return fd_max_rel_err(policy, batch, lambda p: loop_loss(p, ref, batch, cfg, z), grad)
+
+
 def loop_loss(policy, ref, batch, cfg, reference_point=None):
+    """The trainer's loss and gradient; `reference_point`, if given, pins
+    KTO's z in place of the batch mean."""
     seqs = loop_sequences(policy, ref, batch)
     m = len(seqs)
     grad = np.zeros_like(policy.logits)
@@ -415,10 +397,9 @@ def loop_loss(policy, ref, batch, cfg, reference_point=None):
         beta = cfg.beta
         rewards_p = [beta * (p[2] - p[3]) for p, _ in seqs]
         rewards_m = [beta * (n[2] - n[3]) for _, n in seqs]
-        if reference_point is None:
-            z = max(0.0, (sum(rewards_p) + sum(rewards_m)) / (2 * m))
-        else:
-            z = reference_point
+        z = reference_point
+        if z is None:
+            z = kto_reference_point(policy, ref, batch, beta)
         for (p, n), r_p, r_m in zip(seqs, rewards_p, rewards_m):
             s_p = loop_sigmoid(beta * (r_p - z))
             s_m = loop_sigmoid(beta * (z - r_m))
@@ -458,10 +439,9 @@ def loop_train(policy, ref, batch, cfg, epochs, lr):
 
 
 LOOP_CASES = {
-    "dpo": (ObjectiveConfig("dpo", beta=0.7), None),
-    "ipo": (ObjectiveConfig("ipo", tau=0.5), None),
-    "kto": (ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3)), None),
-    "kto-pinned-z": (ObjectiveConfig("kto", beta=0.6, kto_weights=(0.8, 1.2)), 0.05),
+    "dpo": ObjectiveConfig("dpo", beta=0.7),
+    "ipo": ObjectiveConfig("ipo", tau=0.5),
+    "kto": ObjectiveConfig("kto", beta=0.6, kto_weights=(1.0, 1.3)),
 }
 
 
@@ -487,10 +467,10 @@ def loop_batches(seed, trials=12):
 class TestOnePassMatchesLoop:
     @pytest.mark.parametrize("case", list(LOOP_CASES))
     def test_loss_gradient_and_accuracy(self, case):
-        cfg, z = LOOP_CASES[case]
+        cfg = LOOP_CASES[case]
         for pol, ref, batch in loop_batches(20):
-            want_loss, want_grad = loop_loss(pol, ref, batch, cfg, z)
-            runs = [objective_loss(pol, ref, batch, cfg, z)]
+            want_loss, want_grad = loop_loss(pol, ref, batch, cfg)
+            runs = [objective_loss(pol, ref, batch, cfg)]
             if cfg.objective == "dpo":
                 runs.append(dpo_loss(pol, ref, batch, cfg.beta))
             for loss, grad in runs:
@@ -498,9 +478,9 @@ class TestOnePassMatchesLoop:
                 assert grad.tobytes() == want_grad.tobytes()
             assert reward_accuracy(pol, ref, batch) == loop_accuracy(pol, ref, batch)
 
-    @pytest.mark.parametrize("case", ["dpo", "ipo", "kto"])  # train takes z from the batch
+    @pytest.mark.parametrize("case", list(LOOP_CASES))
     def test_train(self, case):
-        cfg, _ = LOOP_CASES[case]
+        cfg = LOOP_CASES[case]
         for pol, ref, batch in loop_batches(21, trials=5):
             for start in (ref.copy(), pol):
                 got_pol, got_hist = train(start, ref, batch, cfg, epochs=5, lr=0.5)
@@ -546,7 +526,7 @@ class TestTrain:
         start.logits[unread[0], 0] = -0.0
         start.logits[unread[1], 1] = 5e-324
         start.logits[unread[2], 2] = -1e300
-        for cfg in LOOP_CASES["dpo"][0], LOOP_CASES["ipo"][0], LOOP_CASES["kto"][0]:
+        for cfg in LOOP_CASES.values():
             pol, _ = train(start, ref, batch, cfg, epochs=4, lr=0.5)
             assert pol.logits[unread].tobytes() == start.logits[unread].tobytes()
             assert np.signbit(pol.logits[unread[0], 0])

@@ -148,7 +148,7 @@ class TestCompleteFrom:
         cfg = SynthConfig(t=5, epsilon=0.2, seed=6)
         p = gen_problem(cfg, 2)
         for error_at in (1, 3, 5):
-            bad = trace_with_error(p, cfg, error_at)
+            bad = trace_with_error(p, error_at)
             for prefix_len in range(error_at, 6):
                 for completion in complete_from(p, list(bad.steps[:prefix_len]), cfg, 0, 10):
                     got = extract_answer(completion, p.style)
@@ -193,7 +193,7 @@ class TestOracle:
         p = problem_from_question(
             "Start with 10. Add 5. Multiply by 2. What is the final value?"
         )
-        r = trace_with_error(p, SynthConfig(t=2, seed=0), error_at=2, delta=1)
+        r = trace_with_error(p, error_at=2, delta=1)
         assert r.steps == ("10+5=15.", "15*2=31.")
         assert oracle_first_error(p, r) == 2
 
