@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steppref import extraction
-from steppref.corpus import Rationale
+from steppref.corpus import Problem, Rationale, RationaleRecord
 from steppref.extraction import (
     EmptyRationaleError,
     canonicalize,
@@ -14,6 +14,7 @@ from steppref.extraction import (
     extract_answer,
     split_steps,
 )
+from steppref.pipeline import PairingConfig, build_pairs
 
 # Hand-built raw -> canonical table.
 CANON_CASES = [
@@ -239,6 +240,31 @@ def _rationale_lists(draw):
 def test_dedup_matches_reference_hypothesis(rationales):
     got, want = dedup(rationales), _reference_dedup(rationales)
     assert [id(r) for r in got] == [id(r) for r in want]
+
+
+def _rejected_side(r):
+    """The rejected side of the one outcome pair built with r as the incorrect
+    rationale."""
+    problem = Problem(id="p1", question="q", gold_answer="7")
+    chosen = Rationale(steps=("b",), conclusion="The answer is 7.", label="correct",
+                       extracted_answer="7")
+    (pair,) = build_pairs([problem], [RationaleRecord("p1", chosen)],
+                          [RationaleRecord("p1", r)], PairingConfig())
+    return pair.rejected
+
+
+class TestStripConclusion:
+    def test_strip(self):
+        r = Rationale(steps=("a",), conclusion="The answer is 3.", label="incorrect")
+        out = _rejected_side(r)
+        assert out.conclusion is None
+        assert out.steps == r.steps
+
+    def test_preserves_other_fields(self):
+        r = Rationale(steps=("a",), conclusion="The answer is 1.", producer="RFT",
+                      label="incorrect", extracted_answer="1")
+        out = _rejected_side(r)
+        assert (out.producer, out.label, out.extracted_answer) == ("RFT", "incorrect", "1")
 
 
 # Step lines as split_steps returns them: stripped, non-blank, free of the

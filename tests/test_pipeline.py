@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from steppref import cli, genclient, pipeline
+from steppref import cli, genclient, kernels, pipeline
 from steppref.corpus import (
     KIND_D,
     KIND_PAIR,
@@ -41,6 +41,21 @@ from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
 from conftest import correct_rationale, trace_with_error
 from oracles import lev_oracle
+
+
+class TestTokenEditDistance:
+    def test_matches_dp_oracle(self):
+        # build_pairs' distance: Levenshtein over the whitespace tokens of the
+        # rationales' steps
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(6)]
+        for _ in range(60):
+            ta = [words[int(i)] for i in rng.integers(0, 6, size=rng.integers(0, 21))]
+            tb = [words[int(i)] for i in rng.integers(0, 6, size=rng.integers(0, 21))]
+            a = Rationale(steps=(" ".join(ta) or "pad",))
+            b = Rationale(steps=(" ".join(tb) or "pad",))
+            want = lev_oracle(a.steps[0].split(), b.steps[0].split())
+            assert kernels.levenshtein(pipeline._tokens(a), pipeline._tokens(b)) == want
 
 
 def _fixture_problem(pid="p1"):
