@@ -36,9 +36,10 @@ flag's destination is a validation failure; other stages' keys are ignored.
 
 Exit codes: 0 ok; 2 validation failure (bad flag or config value, config
 object rejecting its values, missing, malformed or wrong-kind input,
-source_hash mismatch, unknown problem): a single machine-parseable stderr
-line, naming the file and line of a malformed input line, nothing
-written; 1 stage failure: partial outputs are removed.
+source_hash mismatch, unknown problem, an --out at or under a file): a
+single machine-parseable stderr line, naming the file and line of a
+malformed input line, nothing written; 1 stage failure: partial outputs
+are removed.
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ class Stage:
     configure: Callable[[argparse.Namespace], Any] = lambda args: None
 
     def run(self, args: argparse.Namespace) -> None:
+        out = Path(args.out)  # a file there would fail only at the first write
+        nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not nearest.is_dir():
+            raise ValidationFailure(f"--out {out}: {nearest} is not a directory")
         try:
             cfg = self.configure(args)
         except ValueError as e:

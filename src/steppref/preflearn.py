@@ -101,6 +101,8 @@ class ObjectiveConfig:
             raise ValueError("beta must be > 0")
         if self.objective == "ipo" and (self.tau is None or self.tau <= 0):
             raise ValueError("ipo needs tau > 0")
+        if self.objective != "ipo" and self.tau is not None:
+            raise ValueError(f"tau is ipo's; {self.objective} takes none")
         if len(self.kto_weights) != 2:
             raise ValueError("kto_weights must be two values (chosen, rejected)")
         tau = () if self.tau is None else (self.tau,)

@@ -1,7 +1,8 @@
 """Deterministic toy solver over multi-step integer chain problems.
 
 Questions are rigid templated English ("Start with 7. Add 3. Multiply by 2.
-What is the final value?"), one operation per intended solution step.
+What is the final value?"), one operation per intended solution step, with
+unsigned operands drawn from value_range.
 Solution steps are bare equation lines, one per operation, so that
 `check_prefix`, the one step parser, reads them back exactly, and so each
 step is a single whitespace token (which keeps low-order tabular policies
@@ -72,8 +73,8 @@ class SynthConfig:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         lo, hi = self.value_range
-        if lo > hi:
-            raise ValueError("value_range must be (lo, hi) with lo <= hi")
+        if not 0 <= lo <= hi:  # the question and step grammars read unsigned operands
+            raise ValueError("value_range must be (lo, hi) with 0 <= lo <= hi")
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,9 @@ class StubServer:
         self.httpd.peak = 0
         self.httpd.calls = []
         self.httpd.headers = []
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll interval lets close() return at once, not after up to 0.5 s
+        self.thread = threading.Thread(target=self.httpd.serve_forever, args=(0.01,),
+                                       daemon=True)
         self.thread.start()
 
     @property

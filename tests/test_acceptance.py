@@ -7,10 +7,10 @@ formulas, brute-force scans, finite differences), not from the code under test.
 """
 
 import dataclasses
+import json
 import math
 import os
 import statistics
-import subprocess
 import sys
 import time
 from collections import Counter
@@ -56,6 +56,7 @@ from steppref.preflearn import (
 from steppref.synthworld import SynthConfig, gen_problem, simulate_solution
 
 from oracles import lev_oracle, oracle_first_error
+from test_golden import GOLDEN, chain_digests, processes
 from test_preflearn import fd_max_rel_err, kto_fixed_z_err, rand_pair, rand_policy
 
 
@@ -408,49 +409,10 @@ def _cli_env():
     return env
 
 
-def _run_cli(cwd, args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "steppref", *args],
-        cwd=cwd, env=_cli_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, (
-        f"steppref {' '.join(args)} exited {proc.returncode}\n"
-        f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-    )
-    return proc
-
-
-def _full_chain(base):
-    base.mkdir(parents=True, exist_ok=True)
-    seed = ["--seed", "5", "--out", "."]
-    _run_cli(base, [*seed, "synth", "--problems", "5", "--t", "3",
-                    "--epsilon", "0.3", "--samples", "4"])
-    _run_cli(base, [*seed, "rft", "--problems-file", "problems.jsonl",
-                    "--n", "6", "--epsilon", "0.3"])
-    _run_cli(base, [*seed, "pairs", "--problems-file", "problems.jsonl",
-                    "--dgen", "dgen.jsonl", "--drft", "drft.jsonl"])
-    _run_cli(base, [*seed, "explore", "--problems-file", "problems.jsonl",
-                    "--dpair", "dpair.jsonl", "--k", "3", "--epsilon", "0.1"])
-    _run_cli(base, [*seed, "gpair", "--problems-file", "problems.jsonl",
-                    "--dpair", "dpair.jsonl", "--k", "3", "--epsilon", "0.1"])
-    _run_cli(base, [*seed, "train", "--pairs-file", "dgpair.jsonl",
-                    "--epochs", "4", "--alphabet", "64", "--order", "1"])
-    _run_cli(base, [*seed, "metrics", "--problems-file", "problems.jsonl",
-                    "--dgen", "samples.jsonl", "--k", "1,4"])
-
-
 def test_acceptance_10_end_to_end_reproducibility(tmp_path):
-    run_a = tmp_path / "a"
-    run_b = tmp_path / "b"
-    _full_chain(run_a)
-    _full_chain(run_b)
-    names_a = sorted(p.name for p in run_a.iterdir())
-    names_b = sorted(p.name for p in run_b.iterdir())
-    assert names_a == names_b
-    expected = {"problems.jsonl", "samples.jsonl", "dgen.jsonl", "drft.jsonl",
-                "dpair.jsonl", "pits.jsonl", "dgpair.jsonl", "train_history.tsv",
-                "policy.npy", "metrics.tsv"}
-    assert expected.issubset(set(names_a))
-    for name in names_a:
-        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
-    _passed(10, "end-to-end reproducibility", f"{len(names_a)} files byte-identical")
+    """The golden chain, one `python -m steppref` process per stage, writes
+    the golden bytes, as the in-process run of test_golden must too."""
+    launch = processes([sys.executable, "-m", "steppref"], env=_cli_env(), timeout=300)
+    digests = chain_digests(tmp_path / "run", launch)
+    assert digests == json.loads(GOLDEN.read_text())
+    _passed(10, "end-to-end reproducibility", f"{len(digests)} files match the golden table")

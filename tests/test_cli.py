@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -422,6 +423,9 @@ def _run_stderr(args, capsys):
     (["rft", "--temperature", "nan"], None),
     (["synth", "--problems", -3], None),
     (["synth", "--samples", -1], None),
+    (["synth", "--value-range=-3:1"], None),
+    (["train", "--tau", 0.5], None),
+    (["train", "--objective", "kto", "--tau", 0.5], None),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
@@ -432,7 +436,8 @@ def _run_stderr(args, capsys):
         "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0",
         "ks-repeated", "metrics-k-repeated", "explore-temperature-negative",
         "gpair-temperature-nan", "sweep-k-temperature-inf", "rft-temperature-nan",
-        "synth-problems-negative", "synth-samples-negative"])
+        "synth-problems-negative", "synth-samples-negative", "synth-value-range-negative",
+        "dpo-tau", "kto-tau"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
@@ -468,6 +473,16 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: validation:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_at_or_under_a_file_is_exit_2(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept\n")
+    code, err = _run_stderr(["--out", afile / sub, "synth", "--problems", 2], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: validation:")
+    assert afile.read_bytes() == b"kept\n"
 
 
 def test_config_values_are_typed_like_flags(tmp_path):
@@ -658,6 +673,24 @@ def test_cli_import_defers_http_stack_and_thread_pool():
 
 def test_corpus_import_loads_no_numpy_or_trainer():
     assert _loaded_by_fresh_import("steppref.corpus", {"numpy", "steppref.preflearn"}) == []
+
+
+def test_test_references_import_only_corpus():
+    """The test oracles and fixtures import nothing from the package but its
+    record types, so a package change cannot move the references that check it."""
+    bad = []
+    for path in (Path(__file__).with_name(n) for n in ("oracles.py", "conftest.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [f"steppref.{a.name}" if node.module == "steppref" else node.module
+                        for a in node.names]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno}: {m}" for m in mods
+                    if m.split(".")[0] == "steppref" and m != "steppref.corpus"]
+    assert bad == []
 
 
 def test_provider_failure_names_last_cause(tmp_path, stub_server):

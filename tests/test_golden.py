@@ -1,11 +1,18 @@
 """Golden digests of a tiny synthetic CLI chain.
 
-Runs every stage once at seed 0 and compares the sha256 of each file it
-wrote, dataset headers and manifests included, with a checked-in table, so a
-change that claims byte-identical output proves it. The run directory is
-hashed as `<run>`, and each manifest's `versions` key, its last, is left out:
-Python and numpy versions differ between machines. A change that moves
-output bytes on purpose regenerates the table and says so:
+STAGES is the one chain, and golden_chain.json the one table, behind every
+byte-identity check. Each stage runs once at seed 0, and the sha256 of each
+file the chain wrote, dataset headers and manifests included, must equal the
+table, so a change that claims byte-identical output proves it. The run
+directory is hashed as `<run>`, and each manifest's `versions` key, its last,
+is left out: Python and numpy versions differ between machines. The chain
+runs in-process here, as one `python -m steppref` process per stage in
+acceptance 10, and as one process per stage of any command with --check,
+which names each file that is missing or differs:
+
+    PYTHONPATH=src python tests/test_golden.py --check "$(mktemp -d)/chain" python -m steppref
+
+A change that moves output bytes on purpose regenerates the table and says so:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,12 +47,13 @@ STAGES = [
 ]
 
 
-def chain_digests(base: Path) -> dict[str, str]:
-    """Run STAGES in `base` and return {file name: sha256} of what they wrote."""
+def chain_digests(base: Path, launch=main) -> dict[str, str]:
+    """Run STAGES in `base` through `launch`, which runs one command line and
+    returns its exit code, and return {file name: sha256} of what they wrote."""
     base.mkdir(parents=True, exist_ok=True)
     for stage in STAGES:
         args = [str(base / a) if a.endswith(".jsonl") else a for a in stage]
-        assert main(["--seed", "0", "--out", str(base), *args]) == 0, stage
+        assert launch(["--seed", "0", "--out", str(base), *args]) == 0, stage
     digests = {}
     for path in sorted(base.iterdir()):
         data = path.read_bytes().replace(str(base).encode(), b"<run>")
@@ -58,10 +67,25 @@ def test_chain_bytes_match_golden(tmp_path):
     assert chain_digests(tmp_path / "run") == json.loads(GOLDEN.read_text())
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    import tempfile
+def processes(command: list[str], **kwargs):
+    """A launcher that runs each command line as one `command ... argv` process."""
+    return lambda argv: subprocess.run([*command, *argv], **kwargs).returncode
 
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(chain_digests(Path(tmp) / "run"), indent=2,
-                                     sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            GOLDEN.write_text(json.dumps(chain_digests(Path(tmp) / "run"), indent=2,
+                                         sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN}")
+    elif sys.argv[1:2] == ["--check"] and len(sys.argv) > 3:
+        want = json.loads(GOLDEN.read_text())
+        got = chain_digests(Path(sys.argv[2]), processes(sys.argv[3:]))
+        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        for name in bad:
+            print(name, "missing" if name not in got else "differs from the table")
+        sys.exit(1 if bad else 0)
+    else:
+        sys.exit("usage: test_golden.py --write | --check DIR COMMAND...")

@@ -566,6 +566,9 @@ class TestTrain:
             ObjectiveConfig("ppo")
         with pytest.raises(ValueError):
             ObjectiveConfig("kto", kto_weights=(0.0, 1.0))
+        for objective in ("dpo", "kto"):
+            with pytest.raises(ValueError, match="tau"):
+                ObjectiveConfig(objective, tau=0.5)
 
     @pytest.mark.parametrize("kwargs", [
         dict(objective="dpo", beta=math.nan), dict(objective="dpo", beta=math.inf),

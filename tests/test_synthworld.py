@@ -42,8 +42,8 @@ def eval_question_oracle(question: str) -> int:
 
 
 @pytest.mark.parametrize("kwargs", [dict(t=0), dict(epsilon=1.5),
-                                    dict(value_range=(9, 2))],
-                         ids=["t-0", "epsilon-1.5", "lo-above-hi"])
+                                    dict(value_range=(9, 2)), dict(value_range=(-3, 1))],
+                         ids=["t-0", "epsilon-1.5", "lo-above-hi", "lo-negative"])
 def test_synth_config_refused(kwargs):
     with pytest.raises(ValueError):
         SynthConfig(**kwargs)
