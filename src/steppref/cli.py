@@ -14,9 +14,13 @@ else from the synthetic solver, with which every stage is a pure function
 of (config, seed): rerunning a stage with identical inputs produces
 byte-identical files. Each other provider flag belongs to one provider:
 --model and --max-in-flight need --endpoint, and --epsilon (the synthetic
-solver's error rate, 0.2 when not given) is refused beside it. An endpoint
-must be an http(s) URL. An HTTP run records `epsilon: null` and its
-effective --max-in-flight.
+solver's error rate) is refused beside it. An endpoint must be an http(s)
+URL. An HTTP run records `epsilon: null` and its effective --max-in-flight.
+Likewise each objective flag of `train` belongs to the objectives that read
+it: --beta to dpo and kto, --tau to ipo, which needs it, and --kto-weights
+to kto. One given to another objective is refused, and a run records
+`null` for each flag its objective does not read. A flag that fills a
+config field takes its default from that field.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs before the
@@ -226,7 +230,7 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
         if args.model is not None or args.max_in_flight is not None:
             raise ValueError("--model and --max-in-flight need --endpoint")
         if args.epsilon is None:
-            args.epsilon = 0.2
+            args.epsilon = SynthConfig.epsilon
         return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon,
                                                     seed=args.seed))
     if args.epsilon is not None:
@@ -236,7 +240,7 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
     if url.scheme not in ("http", "https") or not url.netloc:
         raise ValueError(f"--endpoint {args.endpoint!r} is not an http(s) URL")
     if args.max_in_flight is None:
-        args.max_in_flight = 4
+        args.max_in_flight = ProviderHandle.max_in_flight
     return ProviderHandle.http(args.endpoint, args.model, max_in_flight=args.max_in_flight)
 
 
@@ -423,10 +427,10 @@ _PROVIDER_FLAGS = {
     "--endpoint": dict(help="completions URL, sampled instead of the synthetic solver"),
     "--model": dict(help="model name sent to the endpoint"),
     "--max-in-flight": dict(type=int, help="concurrent requests to the endpoint "
-                            "(default 4)"),
+                            f"(default {ProviderHandle.max_in_flight})"),
     "--epsilon": dict(type=float, help="per-step error rate of the synthetic "
-                      "provider (default 0.2)"),
-    "--temperature": dict(type=float, default=0.7),
+                      f"provider (default {SynthConfig.epsilon})"),
+    "--temperature": dict(type=float, default=SamplingConfig.temperature),
 }
 _PROBLEMS = Input("problems_file", (KIND_D,))
 _DPAIR = Input("dpair", (KIND_PAIR,))
@@ -452,6 +456,7 @@ def _sweep_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConf
 
 
 def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
+    """Also resolves --beta and --kto-weights in place: None where unread."""
     for ok, rule in ((args.epochs >= 1, "--epochs must be >= 1"),
                      (math.isfinite(args.lr) and args.lr >= 0, "--lr must be finite and >= 0"),
                      (args.alphabet >= 3, "--alphabet must be >= 3"),
@@ -460,34 +465,37 @@ def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
                       "--smoothing must be finite and > 0")):
         if not ok:
             raise ValueError(rule)
-    return preflearn.ObjectiveConfig(objective=args.objective, beta=args.beta, tau=args.tau,
-                                     kto_weights=tuple(args.kto_weights))
+    cfg = preflearn.ObjectiveConfig(
+        objective=args.objective, beta=args.beta, tau=args.tau,
+        kto_weights=None if args.kto_weights is None else tuple(args.kto_weights))
+    args.beta, args.kto_weights = cfg.beta, cfg.kto_weights
+    return cfg
 
 
 _STAGE_DECLS = (
     Stage("synth", "generate synthetic problems", _run_synth,
           flags={"--problems": dict(type=int, default=20),
-                 "--t": dict(type=int, default=5),
-                 "--epsilon": dict(type=float, default=0.2),
-                 "--value-range": dict(type=_value_range, default="2:9"),
+                 "--t": dict(type=int, default=SynthConfig.t),
+                 "--epsilon": dict(type=float, default=SynthConfig.epsilon),
+                 "--value-range": dict(type=_value_range, default=SynthConfig.value_range),
                  "--samples": dict(type=int, default=0, help="also emit this many "
                                    "sampled solutions per problem")},
           configure=_synth_config),
     Stage("rft", "sample, grade and dedup rationales", _run_rft,
-          flags={"--n": dict(type=int, default=100), **_PROVIDER_FLAGS},
+          flags={"--n": dict(type=int, default=SamplingConfig.n), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS,),
           configure=lambda a: (_provider(a), SamplingConfig(
               n=a.n, temperature=a.temperature, seed=a.seed))),
     Stage("pairs", "build outcome preference pairs", _run_pairs,
-          flags={"--max-pairs": dict(type=int, default=8)},
+          flags={"--max-pairs": dict(type=int, default=PairingConfig.max_pairs_per_problem)},
           inputs=(_PROBLEMS, Input("dgen", (KIND_GEN,), source="problems_file"),
                   Input("drft", (KIND_RFT,), source="problems_file")),
           configure=lambda a: PairingConfig(max_pairs_per_problem=a.max_pairs)),
     Stage("explore", "locate first pits (report only)", _run_explore,
-          flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS},
+          flags={"--k": dict(type=int, default=ExploreConfig.k), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
     Stage("gpair", "build granular preference pairs", _run_gpair,
-          flags={"--k": dict(type=int, default=4), **_PROVIDER_FLAGS,
+          flags={"--k": dict(type=int, default=ExploreConfig.k), **_PROVIDER_FLAGS,
                  "--variant": dict(choices=list(VARIANTS), default="full")},
           inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
     Stage("sweep-k", "exploration-size sweep (nested); sweep_dropped.jsonl lists "
@@ -496,10 +504,14 @@ _STAGE_DECLS = (
                               default="4,8,16,32"), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
-          flags={"--objective": dict(choices=["dpo", "ipo", "kto"], default="dpo"),
-                 "--beta": dict(type=float, default=0.1),
-                 "--tau": dict(type=float),
-                 "--kto-weights": dict(type=_list_of(float), default="1.0,1.0"),
+          flags={"--objective": dict(choices=preflearn.OBJECTIVES,
+                                     default=preflearn.ObjectiveConfig.objective),
+                 "--beta": dict(type=float, help="read by dpo and kto (default "
+                                f"{preflearn.ObjectiveConfig('dpo').beta})"),
+                 "--tau": dict(type=float, help="read by ipo, which needs it"),
+                 "--kto-weights": dict(type=_list_of(float), help="chosen,rejected; read "
+                                       "by kto (default %s,%s)"
+                                       % preflearn.ObjectiveConfig("kto").kto_weights),
                  "--epochs": dict(type=int, default=100),
                  "--lr": dict(type=float, default=0.5),
                  "--alphabet": dict(type=int, default=32),

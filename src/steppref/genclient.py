@@ -108,9 +108,10 @@ class ProviderHandle:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
+    # max_in_flight's default is the field's: the class body still binds that name
     @classmethod
     def http(cls, endpoint_url: str, model_name: str | None = None,
-             max_in_flight: int = 4) -> "ProviderHandle":
+             max_in_flight: int = max_in_flight) -> "ProviderHandle":
         return cls(endpoint_url=endpoint_url, model_name=model_name,
                    max_in_flight=max_in_flight)
 

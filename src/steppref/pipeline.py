@@ -65,7 +65,7 @@ class PairingConfig:
 @dataclass(frozen=True)
 class ExploreConfig:
     k: int = 4
-    temperature: float = 0.7
+    temperature: float = SamplingConfig.temperature
     nested_sampling: bool = False
     seed: int = 0
 
@@ -238,6 +238,12 @@ def explore_all(
     return _explore_frontier(jobs, explorer, k, temperature, seed)
 
 
+def _prefix_prompt(problem: Problem, steps: tuple[str, ...]) -> str:
+    """The prompt that continues a rationale after `steps`: the question,
+    then one step a line."""
+    return "\n".join((problem.question, *steps))
+
+
 def _explore_frontier(
     jobs: list[tuple[Problem, Rationale]],
     explorer: ProviderHandle,
@@ -256,10 +262,7 @@ def _explore_frontier(
     frontier = list(range(len(jobs)))
     step = 1
     while frontier:
-        prompts = [
-            jobs[j][0].question + "\n" + "\n".join(jobs[j][1].steps[:step])
-            for j in frontier
-        ]
+        prompts = [_prefix_prompt(jobs[j][0], jobs[j][1].steps[:step]) for j in frontier]
         results = genclient.sample_batch(explorer, prompts, sampling)
         unresolved = []
         for j, result in zip(frontier, results):
@@ -339,10 +342,8 @@ def _assemble_granular(
     rejected = replace(record.rejected, extracted_answer=None,
                        steps=steps[w - 1:] if variant == "reject-all" else steps[w - 1: w])
     if w == 1:
-        input_text = problem.question
         chosen = record.chosen
     else:
-        input_text = problem.question + "\n" + "\n".join(steps[: w - 1])
         rescue_steps, rescue_conclusion = split_steps(pit.rescue, problem.style)
         if variant == "first-step":
             if not rescue_steps:
@@ -364,7 +365,7 @@ def _assemble_granular(
             )
     return PairRecord(
         problem_id=problem.id,
-        input=input_text,
+        input=_prefix_prompt(problem, steps[:w - 1]),
         chosen=chosen,
         rejected=rejected,
         granularity="granular-" + variant,

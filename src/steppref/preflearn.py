@@ -87,29 +87,40 @@ class TokenizedPair:
             raise ValueError("tokenized sequences must be non-empty")
 
 
+# setting -> (the objectives that read it, its value when one of them is given none)
+_SETTINGS = {"beta": (("dpo", "kto"), 0.1), "tau": (("ipo",), None),
+             "kto_weights": (("kto",), (1.0, 1.0))}
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
+    """A setting given to an objective that does not read it is refused; one
+    the objective reads but is not given takes its default from `_SETTINGS`."""
+
     objective: str = "dpo"
-    beta: float = 0.1
+    beta: float | None = None
     tau: float | None = None
-    kto_weights: tuple[float, float] = (1.0, 1.0)
+    kto_weights: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective: {self.objective!r}")
-        if self.objective in ("dpo", "kto") and self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.objective == "ipo" and (self.tau is None or self.tau <= 0):
-            raise ValueError("ipo needs tau > 0")
-        if self.objective != "ipo" and self.tau is not None:
-            raise ValueError(f"tau is ipo's; {self.objective} takes none")
-        if len(self.kto_weights) != 2:
+        for name, (owners, default) in _SETTINGS.items():
+            if self.objective in owners:
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+            elif getattr(self, name) is not None:
+                raise ValueError(f"{name} is read by {' and '.join(owners)}, "
+                                 f"not {self.objective}")
+        if self.objective == "ipo" and self.tau is None:
+            raise ValueError("ipo needs tau")
+        if self.kto_weights is not None and len(self.kto_weights) != 2:
             raise ValueError("kto_weights must be two values (chosen, rejected)")
-        tau = () if self.tau is None else (self.tau,)
-        if not all(map(math.isfinite, (self.beta, *tau, *self.kto_weights))):
+        given = [v for v in (self.beta, self.tau, *(self.kto_weights or ())) if v is not None]
+        if not all(map(math.isfinite, given)):
             raise ValueError("beta, tau and kto_weights must be finite")
-        if self.objective == "kto" and any(w <= 0 for w in self.kto_weights):
-            raise ValueError("kto weights must be > 0")
+        if min(given) <= 0:
+            raise ValueError("beta, tau and kto_weights must be > 0")
 
 
 def _validate_tokens(toks: np.ndarray, alphabet_size: int) -> None:
@@ -315,7 +326,7 @@ def tokenize_text(text: str, alphabet_size: int) -> list[int]:
 
 
 def tokenize_pair_records(
-    records: list[PairRecord], alphabet_size: int = 32
+    records: list[PairRecord], alphabet_size: int
 ) -> tuple[list[TokenizedPair], dict[str, int]]:
     """Hash whitespace tokens into a fixed alphabet, each distinct token once.
 

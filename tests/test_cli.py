@@ -21,6 +21,8 @@ from steppref.corpus import (
     write_dataset,
 )
 from steppref.genclient import ProviderHandle, SamplingConfig, sample
+from steppref.pipeline import ExploreConfig, PairingConfig
+from steppref.preflearn import ObjectiveConfig
 from steppref.synthworld import SynthConfig
 
 from conftest import trace_with_error
@@ -226,7 +228,16 @@ def test_train_manifest_records_settings(tmp_path):
     assert {k: v for k, v in configs[0].items() if k != "smoothing"} == \
         {k: v for k, v in configs[1].items() if k != "smoothing"}
     assert configs[0]["beta"] == 0.1 and configs[0]["tau"] is None
-    assert configs[0]["kto_weights"] == [1.0, 1.0]
+    assert configs[0]["kto_weights"] is None  # dpo reads no kto weights
+    # each objective records what it read, and null for what it did not
+    for objective, extra, recorded in (
+            ("ipo", ["--tau", 0.5], {"beta": None, "tau": 0.5, "kto_weights": None}),
+            ("kto", [], {"beta": 0.1, "tau": None, "kto_weights": [1.0, 1.0]})):
+        out = tmp_path / objective
+        assert run(["--seed", 3, "--out", out, "train", "--pairs-file", base / "dgpair.jsonl",
+                    "--epochs", 2, "--objective", objective, *extra]) == 0
+        config = json.loads((out / "train_manifest.json").read_text())["config"]
+        assert {k: config[k] for k in recorded} == recorded, objective
 
 
 def test_metrics_embeddings(tmp_path):
@@ -426,6 +437,10 @@ def _run_stderr(args, capsys):
     (["synth", "--value-range=-3:1"], None),
     (["train", "--tau", 0.5], None),
     (["train", "--objective", "kto", "--tau", 0.5], None),
+    (["train", "--objective", "ipo", "--tau", 0.5, "--beta", 5], None),
+    (["train", "--kto-weights", "1,1"], None),
+    (["train", "--objective", "ipo", "--tau", 0.5, "--kto-weights", "1,1"], None),
+    (["train", "--objective", "ipo", "--tau", 0.5], {"beta": 0.2}),
 ], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
         "one-kto-weight", "ks-0", "model-without-endpoint",
         "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
@@ -437,7 +452,8 @@ def _run_stderr(args, capsys):
         "ks-repeated", "metrics-k-repeated", "explore-temperature-negative",
         "gpair-temperature-nan", "sweep-k-temperature-inf", "rft-temperature-nan",
         "synth-problems-negative", "synth-samples-negative", "synth-value-range-negative",
-        "dpo-tau", "kto-tau"])
+        "dpo-tau", "kto-tau", "ipo-beta", "dpo-kto-weights", "ipo-kto-weights",
+        "ipo-config-beta"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
     """`config` is written as JSON, or as it is when a str."""
     base = chain(tmp_path / "run")
@@ -638,7 +654,7 @@ def test_endpoint_selects_http(tmp_path, stub_server, capsys):
     assert gen
     assert header.created_with["endpoint"] == server.url
     assert header.created_with["model"] == "m"
-    assert header.created_with["max_in_flight"] == 4
+    assert header.created_with["max_in_flight"] == ProviderHandle.max_in_flight  # the default
     assert header.created_with["epsilon"] is None
     _, header = read_dataset(by_synth / "dgen.jsonl", KIND_GEN)
     assert header.created_with["endpoint"] is None
@@ -731,17 +747,40 @@ _STAGE_ARGS = {
 }
 
 
+def _config_defaults(stage: str) -> dict:
+    """Each config-backed flag of `stage` and the default its config class holds."""
+    synth, sampling, explore = SynthConfig(), SamplingConfig(), ExploreConfig()
+    provider = {"epsilon": synth.epsilon, "max_in_flight": None}  # synthetic runs
+    return {
+        "synth": {"t": synth.t, "epsilon": synth.epsilon, "value_range": synth.value_range},
+        "rft": {"n": sampling.n, "temperature": sampling.temperature, **provider},
+        "pairs": {"max_pairs": PairingConfig().max_pairs_per_problem},
+        "explore": {"k": explore.k, "temperature": explore.temperature, **provider},
+        "gpair": {"k": explore.k, "temperature": explore.temperature, **provider},
+        "sweep-k": {"temperature": explore.temperature, **provider},
+        "train": dataclasses.asdict(ObjectiveConfig()),
+        "metrics": {},
+    }[stage]
+
+
 @pytest.mark.parametrize("stage", [s.name for s in cli._STAGE_DECLS])
 def test_manifest_config_is_every_flag(tmp_path, stage):
+    """A run given only its inputs records every flag, and each config-backed
+    flag at its config class's default, so a default cannot drift from it."""
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
-    assert run(["--seed", 3, "--out", out, stage, *_STAGE_ARGS[stage](base)]) == 0
     _, stage_parsers = cli.build_parser()
     inputs = {i.dest for s in cli._STAGE_DECLS if s.name == stage for i in s.inputs}
+    args = _STAGE_ARGS[stage](base)
+    given = [a for flag, value in zip(args[::2], args[1::2]) if cli._dest(flag) in inputs
+             for a in (flag, value)]
+    assert run(["--seed", 3, "--out", out, stage, *given]) == 0
     flags = set(stage_parsers[stage].flags()) - inputs
     config = json.loads((out / f"{stage}_manifest.json").read_text())["config"]
     assert set(config) == {"stage", "seed"} | flags
     assert (config["stage"], config["seed"]) == (stage, 3)
+    defaults = json.loads(json.dumps(_config_defaults(stage)))  # tuples as lists
+    assert {dest: config[dest] for dest in defaults} == defaults
 
 
 def test_gpair_header_records_epsilon(tmp_path):

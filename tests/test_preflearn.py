@@ -569,6 +569,17 @@ class TestTrain:
         for objective in ("dpo", "kto"):
             with pytest.raises(ValueError, match="tau"):
                 ObjectiveConfig(objective, tau=0.5)
+        # each setting belongs to the objectives that read it
+        with pytest.raises(ValueError, match="beta"):
+            ObjectiveConfig("ipo", tau=0.5, beta=5.0)
+        for objective, tau in (("dpo", None), ("ipo", 0.5)):
+            with pytest.raises(ValueError, match="kto_weights"):
+                ObjectiveConfig(objective, tau=tau, kto_weights=(1.0, 1.0))
+        # an owner given no value takes its default; the others stay None
+        assert ObjectiveConfig("dpo").beta == 0.1
+        assert ObjectiveConfig("dpo").kto_weights is None
+        assert ObjectiveConfig("kto").kto_weights == (1.0, 1.0)
+        assert ObjectiveConfig("ipo", tau=0.5).beta is None
 
     @pytest.mark.parametrize("kwargs", [
         dict(objective="dpo", beta=math.nan), dict(objective="dpo", beta=math.inf),
