@@ -1,13 +1,14 @@
 """Stage-per-subcommand command line.
 
 Each subcommand realizes one pipeline stage and writes exactly its declared
-artifacts plus a `<stage>_manifest.json` (config, input hashes, seed,
+artifacts plus a `<stage>_manifest.json` (config, input hashes, outputs,
 versions) into --out. The manifest's `config`, like the `created_with` of
-each output header, is the stage name, --seed and every flag of the stage
-as resolved: nothing else, and no flag left out. A stage that re-pairs at
-step granularity lists every outcome pair it leaves out, with the reason
-(no pit, provider failure or assembly failure): `gpair` in
-`gpair_dropped.jsonl`, `sweep-k` in `sweep_dropped.jsonl` once per k.
+each output header, is the stage name, --seed where the stage draws
+randomness, null elsewhere, and every flag of the stage as resolved: nothing
+else, and no flag left out. A stage that re-pairs at step granularity lists
+every outcome pair it leaves out, with the reason (no pit, provider failure
+or assembly failure): `gpair` in `gpair_dropped.jsonl`, `sweep-k` in
+`sweep_dropped.jsonl` once per k.
 
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
@@ -15,7 +16,8 @@ of (config, seed): rerunning a stage with identical inputs produces
 byte-identical files. Each other provider flag belongs to one provider:
 --model and --max-in-flight need --endpoint, and --epsilon (the synthetic
 solver's error rate) is refused beside it. An endpoint must be an http(s)
-URL. An HTTP run records `epsilon: null` and its effective --max-in-flight.
+URL. An HTTP run records `epsilon: null` and its effective --max-in-flight,
+and so does a `synth` run that samples nothing.
 Likewise each objective flag of `train` belongs to the objectives that read
 it: --beta to dpo and kto, --tau to ipo, which needs it, and --kto-weights
 to kto. One given to another objective is refused, and a run records
@@ -135,15 +137,13 @@ class StageRun:
 
     def _write_manifest(self) -> None:
         manifest = {
-            "stage": self.created_with["stage"],
-            "seed": self.args.seed,
             "config": self.created_with,
             "inputs": {str(Path(getattr(self.args, d))): h for d, h in self.sha256.items()},
             "outputs": [p.name for p in self.written],
             "versions": {"steppref": __version__, "python": platform.python_version(),
                          "numpy": np.__version__},
         }
-        self.write_text(f"{manifest['stage']}_manifest.json", json.dumps(
+        self.write_text(f"{self.created_with['stage']}_manifest.json", json.dumps(
             manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
     def execute(self, body: Callable[[StageRun], None]) -> None:
@@ -203,6 +203,7 @@ class Stage:
     inputs: tuple[Input, ...] = ()
     # builds the stage's config objects; a ValueError is a validation failure
     configure: Callable[[argparse.Namespace], Any] = lambda args: None
+    seeded: bool = False  # the body draws randomness from --seed
 
     def run(self, args: argparse.Namespace) -> None:
         out = Path(args.out)  # a file there would fail only at the first write
@@ -214,7 +215,7 @@ class Stage:
         except ValueError as e:
             raise ValidationFailure(str(e)) from None
         # read after configure, which may resolve flag values
-        created_with = {"stage": self.name, "seed": args.seed,
+        created_with = {"stage": self.name, "seed": args.seed if self.seeded else None,
                         **{dest: getattr(args, dest) for dest in map(_dest, self.flags)}}
         StageRun(args, cfg, created_with, *_read_inputs(self.inputs, args)).execute(self.body)
 
@@ -437,10 +438,13 @@ _DPAIR = Input("dpair", (KIND_PAIR,))
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
+    """Also resolves --epsilon in place: None when no sample reads it."""
     if min(args.problems, args.samples) < 0:
         raise ValueError("--problems and --samples must be >= 0")
-    return SynthConfig(t=args.t, epsilon=args.epsilon, value_range=args.value_range,
-                       seed=args.seed)
+    cfg = SynthConfig(t=args.t, epsilon=args.epsilon, value_range=args.value_range,
+                      seed=args.seed)
+    args.epsilon = args.epsilon if args.samples else None
+    return cfg
 
 
 def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
@@ -480,12 +484,12 @@ _STAGE_DECLS = (
                  "--value-range": dict(type=_value_range, default=SynthConfig.value_range),
                  "--samples": dict(type=int, default=0, help="also emit this many "
                                    "sampled solutions per problem")},
-          configure=_synth_config),
+          configure=_synth_config, seeded=True),
     Stage("rft", "sample, grade and dedup rationales", _run_rft,
           flags={"--n": dict(type=int, default=SamplingConfig.n), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS,),
           configure=lambda a: (_provider(a), SamplingConfig(
-              n=a.n, temperature=a.temperature, seed=a.seed))),
+              n=a.n, temperature=a.temperature, seed=a.seed)), seeded=True),
     Stage("pairs", "build outcome preference pairs", _run_pairs,
           flags={"--max-pairs": dict(type=int, default=PairingConfig.max_pairs_per_problem)},
           inputs=(_PROBLEMS, Input("dgen", (KIND_GEN,), source="problems_file"),
@@ -493,16 +497,16 @@ _STAGE_DECLS = (
           configure=lambda a: PairingConfig(max_pairs_per_problem=a.max_pairs)),
     Stage("explore", "locate first pits (report only)", _run_explore,
           flags={"--k": dict(type=int, default=ExploreConfig.k), **_PROVIDER_FLAGS},
-          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config, seeded=True),
     Stage("gpair", "build granular preference pairs", _run_gpair,
           flags={"--k": dict(type=int, default=ExploreConfig.k), **_PROVIDER_FLAGS,
                  "--variant": dict(choices=list(VARIANTS), default="full")},
-          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_explore_config, seeded=True),
     Stage("sweep-k", "exploration-size sweep (nested); sweep_dropped.jsonl lists "
           "each record left out at each k, and why", _run_sweep_k,
           flags={"--ks": dict(type=_list_of(int, distinct=True),
                               default="4,8,16,32"), **_PROVIDER_FLAGS},
-          inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config),
+          inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config, seeded=True),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
           flags={"--objective": dict(choices=preflearn.OBJECTIVES,
                                      default=preflearn.ObjectiveConfig.objective),
@@ -545,7 +549,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _TOP_FLAGS = {  # flags ahead of the stage name; each takes one value
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=0, help="random seed, read by " + ", ".join(
+        s.name for s in _STAGE_DECLS if s.seeded)),
     "--config": dict(help="JSON file of flag defaults"),
     "--out": dict(default=".", help="output directory"),
 }

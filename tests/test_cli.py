@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -68,8 +69,8 @@ def test_full_chain_artifacts(tmp_path):
     assert all(g.pit_index >= 1 for g in gpairs)
     for stage in ("synth", "rft", "pairs", "gpair"):
         manifest = json.loads((base / f"{stage}_manifest.json").read_text())
-        assert manifest["stage"] == stage
-        assert manifest["seed"] == 3
+        assert manifest["config"]["stage"] == stage
+        assert manifest["config"]["seed"] == (None if stage == "pairs" else 3)
         assert "versions" in manifest
 
 
@@ -766,7 +767,8 @@ def _config_defaults(stage: str) -> dict:
 @pytest.mark.parametrize("stage", [s.name for s in cli._STAGE_DECLS])
 def test_manifest_config_is_every_flag(tmp_path, stage):
     """A run given only its inputs records every flag, and each config-backed
-    flag at its config class's default, so a default cannot drift from it."""
+    flag at its config class's default, so a default cannot drift from it.
+    Only a stage that draws randomness records --seed."""
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
     _, stage_parsers = cli.build_parser()
@@ -774,13 +776,50 @@ def test_manifest_config_is_every_flag(tmp_path, stage):
     args = _STAGE_ARGS[stage](base)
     given = [a for flag, value in zip(args[::2], args[1::2]) if cli._dest(flag) in inputs
              for a in (flag, value)]
+    if stage == "synth":
+        given += ["--samples", 1]  # without samples, synth reads no --epsilon
     assert run(["--seed", 3, "--out", out, stage, *given]) == 0
     flags = set(stage_parsers[stage].flags()) - inputs
     config = json.loads((out / f"{stage}_manifest.json").read_text())["config"]
     assert set(config) == {"stage", "seed"} | flags
-    assert (config["stage"], config["seed"]) == (stage, 3)
+    seed = None if stage in ("pairs", "train", "metrics") else 3
+    assert (config["stage"], config["seed"]) == (stage, seed)
     defaults = json.loads(json.dumps(_config_defaults(stage)))  # tuples as lists
     assert {dest: config[dest] for dest in defaults} == defaults
+
+
+def _files(out: Path) -> dict[str, Any]:
+    """Each file in `out`: its bytes, or a manifest's JSON without `versions`."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        files[path.name] = path.read_bytes()
+        if path.name.endswith("_manifest.json"):
+            files[path.name] = json.loads(files[path.name])
+            del files[path.name]["versions"]
+    return files
+
+
+@pytest.mark.parametrize("stage,flag,values,changed", [
+    ("pairs", "--seed", (1, 2), set()),
+    ("train", "--seed", (1, 2), set()),
+    ("metrics", "--seed", (1, 2), set()),
+    ("synth", "--epsilon", (0.1, 0.5), set()),  # --samples 0: nothing is sampled
+    ("rft", "--seed", (1, 2), {"dgen.jsonl", "drft.jsonl", "rft_skips.jsonl",
+                               "rft_manifest.json"}),
+], ids=["pairs", "train", "metrics", "synth-no-samples", "rft"])
+def test_a_setting_is_recorded_only_where_read(tmp_path, stage, flag, values, changed):
+    """Two runs that differ only in a setting the stage does not read write
+    the same bytes; a stage that reads it records it."""
+    base = chain(tmp_path / "run")
+    runs = []
+    for value in values:
+        out = tmp_path / f"{flag}{value}"
+        top, rest = (["--seed", value], []) if flag == "--seed" else ([], [flag, value])
+        assert run([*top, "--out", out, stage, *_STAGE_ARGS[stage](base), *rest]) == 0
+        runs.append(_files(out))
+    a, b = runs
+    assert a.keys() == b.keys()
+    assert {name for name in a if a[name] != b[name]} == changed
 
 
 def test_gpair_header_records_epsilon(tmp_path):
