@@ -2,13 +2,13 @@
 
 Each subcommand realizes one pipeline stage and writes exactly its declared
 artifacts plus a `<stage>_manifest.json` (config, input hashes, outputs,
-versions) into --out. The manifest's `config`, like the `created_with` of
-each output header, is the stage name, --seed where the stage draws
-randomness, null elsewhere, and every flag of the stage as resolved: nothing
-else, and no flag left out. A stage that re-pairs at step granularity lists
-every outcome pair it leaves out, with the reason (no pit, provider failure
-or assembly failure): `gpair` in `gpair_dropped.jsonl`, `sweep-k` in
-`sweep_dropped.jsonl` once per k.
+versions) into --out. The manifest's `config`, the one record of the run's
+settings, is the stage name, --seed where the stage draws randomness, null
+elsewhere, and every flag of the stage as resolved: nothing else, and no
+flag left out. A dataset header holds only its kind and source hash. A
+stage that re-pairs at step granularity lists every outcome pair it leaves
+out, with the reason (no pit, provider failure or assembly failure): `gpair`
+in `gpair_dropped.jsonl`, `sweep-k` in `sweep_dropped.jsonl` once per k.
 
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
@@ -29,8 +29,7 @@ stage's config objects, then checks, hashes and reads its inputs before the
 stage body runs: a dataset header's `source_hash` must be the sha256 of the
 given input it was built from (an empty hash means unknown and passes), and
 every record must name a problem in --problems-file. The body gets one
-`StageRun`, which owns the outputs: it writes each one atomically, builds each
-dataset header from the stage's `created_with` and a source hash, writes the
+`StageRun`, which owns the outputs: it writes each one atomically, writes the
 manifest last, and removes every output it wrote if the body or the manifest
 raises.
 
@@ -108,7 +107,7 @@ class StageRun:
 
     args: argparse.Namespace
     cfg: Any
-    created_with: dict[str, Any]  # recorded in output headers and the manifest
+    created_with: dict[str, Any]  # the manifest's `config`
     records: dict[str, list]
     sha256: dict[str, str]
     written: list[Path] = field(default_factory=list)
@@ -128,12 +127,10 @@ class StageRun:
     def write_jsonl(self, name: str, rows: list[dict]) -> None:
         self.write_text(name, "".join(dumps(r) + "\n" for r in rows))
 
-    def write_dataset(self, name: str, records: list, kind: str, source_hash: str,
-                      **extra: Any) -> None:
-        """A dataset whose header records `created_with` (plus `extra`) and
-        the sha256 of the file it was built from ("" when there is none)."""
-        header = DatasetHeader(kind, {**self.created_with, **extra}, source_hash)
-        write_dataset(records, header, self._output(name))
+    def write_dataset(self, name: str, records: list, kind: str, source_hash: str) -> None:
+        """A dataset whose header records the sha256 of the file it was built
+        from ("" when there is none)."""
+        write_dataset(records, DatasetHeader(kind, source_hash), self._output(name))
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -319,7 +316,7 @@ def _run_sweep_k(run: StageRun) -> None:
     summary = ["k\trecords\tmean_pit_index"]
     for entry in entries:
         run.write_dataset(f"dgpair_k{entry.k}.jsonl", entry.build.records, KIND_GPAIR,
-                          run.sha256["dpair"], k=entry.k)
+                          run.sha256["dpair"])
         mean = "" if entry.mean_pit_index is None else f"{entry.mean_pit_index:.12g}"
         summary.append(f"{entry.k}\t{len(entry.build.records)}\t{mean}")
     run.write_text("sweep_summary.tsv", "\n".join(summary) + "\n")

@@ -1,8 +1,10 @@
 """Domain types and line-delimited dataset I/O.
 
 A dataset file is UTF-8 JSON lines: the first line is a header record
-(kind, the config it was created with, upstream content hash), every
-following line is one body record. Record schemas by kind:
+(kind, upstream content hash), every following line is one body record. So
+a file's bytes depend on its kind, source hash and records alone; the
+settings it was made with are in the manifest of the stage that wrote it.
+Record schemas by kind:
 
   D                problems: id, question, gold_answer, style
   D_GEN / D_RFT    rationales: id (problem id) + steps, conclusion,
@@ -25,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -150,7 +152,6 @@ class PairRecord:
 @dataclass(frozen=True)
 class DatasetHeader:
     kind: str
-    created_with: dict[str, Any] = field(default_factory=dict)
     source_hash: str = ""
 
     def __post_init__(self) -> None:
@@ -247,7 +248,8 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
 
     A malformed line, or one that is not UTF-8, raises DatasetParseError,
     which names the line; a header of another kind raises DatasetSchemaError,
-    which names line 1.
+    which names line 1. Other header keys, such as the `created_with` that
+    earlier versions wrote, are ignored.
     """
     if not kinds or any(kind not in KINDS for kind in kinds):
         raise ValueError(f"unknown dataset kinds: {kinds!r}")
@@ -260,11 +262,7 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
         raise DatasetParseError(1, "missing header record")
     try:
         head = json.loads(lines[0].decode("utf-8"))
-        header = DatasetHeader(
-            kind=head["kind"],
-            created_with=head.get("created_with", {}),
-            source_hash=head.get("source_hash", ""),
-        )
+        header = DatasetHeader(kind=head["kind"], source_hash=head.get("source_hash", ""))
     except Exception as e:
         raise DatasetParseError(1, f"bad header: {e}") from e
     if header.kind not in kinds:
@@ -334,8 +332,7 @@ def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path
                 f"record of type {type(rec).__name__} does not belong in a "
                 f"{header.kind} dataset"
             )
-    out = [dumps({"kind": header.kind, "created_with": header.created_with,
-                  "source_hash": header.source_hash})]
+    out = [dumps({"kind": header.kind, "source_hash": header.source_hash})]
     out.extend(dumps(record_to_dict(r)) for r in records)
     write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
 

@@ -53,9 +53,10 @@ def chain(base, seed=3, n=6, problems=5, t=3):
 
 def test_full_chain_artifacts(tmp_path):
     base = chain(tmp_path / "run")
-    problems, header = read_dataset(base / "problems.jsonl", KIND_D)
+    problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
     assert len(problems) == 5
-    assert header.created_with["stage"] == "synth"
+    synth = json.loads((base / "synth_manifest.json").read_text())
+    assert "problems.jsonl" in synth["outputs"]
     samples, _ = read_dataset(base / "samples.jsonl", KIND_GEN)
     assert len(samples) == 20
     gen, gen_header = read_dataset(base / "dgen.jsonl", KIND_GEN)
@@ -107,9 +108,12 @@ def test_sweep_k_outputs(tmp_path):
                 "--problems-file", base / "problems.jsonl",
                 "--dpair", base / "dpair.jsonl", "--ks", "2,4",
                 "--epsilon", 0.2]) == 0
+    manifest = json.loads((base / "sweep-k_manifest.json").read_text())
+    assert manifest["config"]["ks"] == [2, 4]
+    assert [name for name in manifest["outputs"] if name.startswith("dgpair_k")] == [
+        "dgpair_k2.jsonl", "dgpair_k4.jsonl"]
     for k in (2, 4):
-        records, header = read_dataset(base / f"dgpair_k{k}.jsonl", KIND_GPAIR)
-        assert header.created_with["k"] == k
+        read_dataset(base / f"dgpair_k{k}.jsonl", KIND_GPAIR)
     lines = (base / "sweep_summary.tsv").read_text().splitlines()
     assert lines[0] == "k\trecords\tmean_pit_index"
     assert len(lines) == 3
@@ -304,8 +308,8 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert len(problems) == 4  # config default applied
     assert run(["--out", base, "--config", cfg, "rft",
                 "--problems-file", base / "problems.jsonl"]) == 0
-    _, gen_header = read_dataset(base / "dgen.jsonl", KIND_GEN)
-    assert gen_header.created_with["n"] == 3  # config default applied
+    config = json.loads((base / "rft_manifest.json").read_text())["config"]
+    assert config["n"] == 3  # config default applied
     out2 = tmp_path / "override"
     out2.mkdir()
     assert run(["--out", out2, "--config", cfg, "synth", "--t", 2,
@@ -648,17 +652,16 @@ def test_endpoint_selects_http(tmp_path, stub_server, capsys):
                 "--epsilon", eps]) == 0
     for name in ("dgen.jsonl", "drft.jsonl", "rft_skips.jsonl", "dgpair.jsonl",
                  "gpair_dropped.jsonl"):
-        lines = (by_http / name).read_text().splitlines()
-        assert lines[1:] == (by_synth / name).read_text().splitlines()[1:], name
+        assert (by_http / name).read_bytes() == (by_synth / name).read_bytes(), name
     assert read_dataset(by_http / "dgpair.jsonl", KIND_GPAIR)[0]
-    gen, header = read_dataset(by_http / "dgen.jsonl", KIND_GEN)
-    assert gen
-    assert header.created_with["endpoint"] == server.url
-    assert header.created_with["model"] == "m"
-    assert header.created_with["max_in_flight"] == ProviderHandle.max_in_flight  # the default
-    assert header.created_with["epsilon"] is None
-    _, header = read_dataset(by_synth / "dgen.jsonl", KIND_GEN)
-    assert header.created_with["endpoint"] is None
+    assert read_dataset(by_http / "dgen.jsonl", KIND_GEN)[0]
+    config = json.loads((by_http / "rft_manifest.json").read_text())["config"]
+    assert config["endpoint"] == server.url
+    assert config["model"] == "m"
+    assert config["max_in_flight"] == ProviderHandle.max_in_flight  # the default
+    assert config["epsilon"] is None
+    config = json.loads((by_synth / "rft_manifest.json").read_text())["config"]
+    assert config["endpoint"] is None
     code, err = _run_stderr(["--out", tmp_path / "out", "rft", *problems,
                              "--provider", "http", "--endpoint", server.url], capsys)
     assert code == 2
@@ -806,7 +809,8 @@ def _files(out: Path) -> dict[str, Any]:
     ("synth", "--epsilon", (0.1, 0.5), set()),  # --samples 0: nothing is sampled
     ("rft", "--seed", (1, 2), {"dgen.jsonl", "drft.jsonl", "rft_skips.jsonl",
                                "rft_manifest.json"}),
-], ids=["pairs", "train", "metrics", "synth-no-samples", "rft"])
+    ("synth", "--samples", (1, 2), {"samples.jsonl", "synth_manifest.json"}),
+], ids=["pairs", "train", "metrics", "synth-no-samples", "rft", "synth-samples"])
 def test_a_setting_is_recorded_only_where_read(tmp_path, stage, flag, values, changed):
     """Two runs that differ only in a setting the stage does not read write
     the same bytes; a stage that reads it records it."""
@@ -822,7 +826,7 @@ def test_a_setting_is_recorded_only_where_read(tmp_path, stage, flag, values, ch
     assert {name for name in a if a[name] != b[name]} == changed
 
 
-def test_gpair_header_records_epsilon(tmp_path):
+def test_gpair_manifest_records_epsilon(tmp_path):
     base = chain(tmp_path / "run")
     heads = []
     for eps in (0.05, 0.6):
@@ -830,10 +834,24 @@ def test_gpair_header_records_epsilon(tmp_path):
         assert run(["--seed", 3, "--out", out, "gpair", "--problems-file",
                     base / "problems.jsonl", "--dpair", base / "dpair.jsonl",
                     "--k", 2, "--epsilon", eps]) == 0
-        _, header = read_dataset(out / "dgpair.jsonl", KIND_GPAIR)
-        assert header.created_with["epsilon"] == eps
+        config = json.loads((out / "gpair_manifest.json").read_text())["config"]
+        assert config["epsilon"] == eps
         heads.append((out / "dgpair.jsonl").read_text().splitlines()[0])
-    assert heads[0] != heads[1]
+    assert heads[0] == heads[1]  # a header holds no settings
+
+
+def test_gpair_and_sweep_k_write_the_same_dataset(tmp_path):
+    """A granular dataset at k is the same file whichever stage explored it."""
+    base = chain(tmp_path / "run", seed=0, problems=8, t=4)
+    inputs = ["--problems-file", base / "problems.jsonl", "--dpair", base / "dpair.jsonl",
+              "--epsilon", 0.2]
+    assert run(["--seed", 0, "--out", tmp_path / "g", "gpair", *inputs, "--k", 4]) == 0
+    assert run(["--seed", 0, "--out", tmp_path / "s", "sweep-k", *inputs,
+                "--ks", "2,4"]) == 0
+    data = (tmp_path / "g" / "dgpair.jsonl").read_bytes()
+    assert data == (tmp_path / "s" / "dgpair_k4.jsonl").read_bytes()
+    records, _ = read_dataset(tmp_path / "g" / "dgpair.jsonl", KIND_GPAIR)
+    assert any(r.pit_index > 1 for r in records)  # a rescued prefix, not only step 1
 
 
 @pytest.mark.parametrize("stage", sorted(_STAGE_ARGS))

@@ -40,7 +40,7 @@ from conftest import make_pair_record, make_rationale
 def test_pair_roundtrip_100_random(tmp_path):
     rng = np.random.default_rng(0)
     records = [make_pair_record(rng, granular=bool(rng.integers(0, 2))) for _ in range(100)]
-    header = DatasetHeader(KIND_PAIR, {"n": 100, "seed": 0}, source_hash="abc")
+    header = DatasetHeader(KIND_PAIR, source_hash="abc")
     path = tmp_path / "pairs.jsonl"
     write_dataset(records, header, path)
     back, back_header = read_dataset(path, KIND_PAIR)
@@ -51,7 +51,7 @@ def test_pair_roundtrip_100_random(tmp_path):
 def test_roundtrip_byte_stable(tmp_path):
     rng = np.random.default_rng(1)
     records = [make_pair_record(rng) for _ in range(20)]
-    header = DatasetHeader(KIND_PAIR, {"seed": 1})
+    header = DatasetHeader(KIND_PAIR, "abc")
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_dataset(records, header, p1)
     back, back_header = read_dataset(p1, KIND_PAIR)
@@ -232,7 +232,7 @@ def _fail_replace(src, dst):
 @pytest.mark.parametrize("failure", ["part-way-write", "replace"])
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch, failure):
     rng = np.random.default_rng(3)
-    header = DatasetHeader(KIND_PAIR, {"seed": 3})
+    header = DatasetHeader(KIND_PAIR)
     path = tmp_path / "pairs.jsonl"
     write_dataset([make_pair_record(rng) for _ in range(5)], header, path)
     old = path.read_bytes()
@@ -387,7 +387,7 @@ def test_record_dict_roundtrip_hypothesis(dataset):
 def test_dataset_file_roundtrip_byte_stable_hypothesis(tmp_path_factory, dataset, source):
     kind, records = dataset
     first, second = (tmp_path_factory.mktemp("rt") / name for name in ("a", "b"))
-    header = DatasetHeader(kind, {"seed": 0, "note": source}, source_hash=source)
+    header = DatasetHeader(kind, source_hash=source)
     write_dataset(records, header, first)
     back, back_header = read_dataset(first, kind)
     assert back == records
