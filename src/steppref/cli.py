@@ -25,13 +25,13 @@ to kto. One given to another objective is refused, and a run records
 config field takes its default from that field.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
-stage's config objects, then checks, hashes and reads its inputs before the
-stage body runs: a dataset header's `source_hash` must be the sha256 of the
-given input it was built from (an empty hash means unknown and passes), and
-every record must name a problem in --problems-file. The body gets one
-`StageRun`, which owns the outputs: it writes each one atomically, writes the
-manifest last, and removes every output it wrote if the body or the manifest
-raises.
+stage's config objects, then checks, hashes and reads its inputs, every one
+a dataset, before the stage body runs: a dataset header's `source_hash` must
+be the sha256 of the given input it was built from (an empty hash means
+unknown and passes), and every record must name a problem in
+--problems-file. The body gets one `StageRun`, which owns the outputs: it
+writes each one atomically, writes the manifest last, and removes every
+output it wrote if the body or the manifest raises.
 
 --config takes a JSON object whose keys are flag destinations (e.g.
 {"n": 8, "temperature": 0.7}); explicit flags override config values,
@@ -40,10 +40,11 @@ checked exactly like the same value given as a flag. A key that is no
 flag's destination is a validation failure; other stages' keys are ignored.
 
 Exit codes: 0 ok; 2 validation failure (bad flag or config value, config
-object rejecting its values, missing, malformed or wrong-kind input,
-source_hash mismatch, unknown problem, an --out at or under a file): a
-single machine-parseable stderr line, naming the file and line of a
-malformed input line, nothing written; 1 stage failure: partial outputs
+object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
+missing, malformed or wrong-kind input, source_hash mismatch, unknown
+problem, a D_PAIR input holding a non-outcome pair, an --out at or under a
+file): a single machine-parseable stderr line, naming the file and line of
+a malformed input line, nothing written; 1 stage failure: partial outputs
 are removed.
 """
 
@@ -64,6 +65,7 @@ import numpy as np
 
 from . import __version__, evalmetrics, pipeline, preflearn, synthworld
 from .corpus import (
+    GRAN_OUTCOME,
     KIND_D,
     KIND_GEN,
     KIND_GPAIR,
@@ -93,9 +95,8 @@ class Input:
     """One input file of a stage, named by the flag whose destination is `dest`."""
 
     dest: str
-    kinds: tuple[str, ...] = ()  # accepted dataset kinds; () = a plain file, only hashed
+    kinds: tuple[str, ...]  # accepted dataset kinds
     source: str | None = None  # input whose sha256 this dataset's header must carry
-    required: bool = True
 
 
 @dataclass
@@ -161,16 +162,13 @@ class StageRun:
 def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
                  ) -> tuple[dict[str, list], dict[str, str]]:
     """Check, hash and read a stage's inputs; returns (records, sha256)."""
-    given = {i: Path(getattr(args, i.dest)) for i in inputs
-             if getattr(args, i.dest) is not None}
+    given = {i: Path(getattr(args, i.dest)) for i in inputs}
     for path in given.values():
         if not path.is_file():
             raise ValidationFailure(f"input file not found: {path}")
     sha256 = {i.dest: file_sha256(path) for i, path in given.items()}
     records = {}
     for inp, path in given.items():
-        if not inp.kinds:
-            continue
         try:
             records[inp.dest], header = read_dataset(path, *inp.kinds)
         except (DatasetParseError, DatasetSchemaError) as e:
@@ -180,6 +178,11 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
                 f"{path} has source_hash {header.source_hash}, but "
                 f"{getattr(args, inp.source)} has sha256 {sha256[inp.source]}"
             )
+        if header.kind == KIND_PAIR:
+            for i, r in enumerate(records[inp.dest]):
+                if r.granularity != GRAN_OUTCOME:
+                    raise ValidationFailure(f"{path} record {i} has granularity {r.granularity}, "
+                                            f"but a {KIND_PAIR} dataset holds {GRAN_OUTCOME} pairs")
     if "problems_file" in records:
         known = {p.id for p in records["problems_file"]}
         for dest, recs in records.items():
@@ -369,36 +372,7 @@ def _run_metrics(run: StageRun) -> None:
             lines.append(f"mean_dominant_share\t{k}\t{dom:.12g}")
     except evalmetrics.MetricsBoundsError as e:
         raise ValidationFailure(str(e)) from None
-    if run.args.embeddings:
-        known = {p.id for p in run.records["problems_file"]}
-        values = [evalmetrics.diversity(d)
-                  for d in _read_embeddings(run.args.embeddings, known)]
-        if values:
-            lines.append(f"diversity_mean\t-\t{sum(values) / len(values):.12g}")
     run.write_text("metrics.tsv", "\n".join(lines) + "\n")
-
-
-def _read_embeddings(path: str, known: set[str]) -> list[evalmetrics.DiversityInput]:
-    """The {id, embeddings} rows of an --embeddings file. A malformed row is a
-    validation failure naming its line."""
-    rows = []
-    with open(path, "rb") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line.decode("utf-8"))
-                if not (isinstance(row, dict) and isinstance(row.get("id"), str)
-                        and "embeddings" in row):
-                    raise ValueError("a row must be an object with a string id "
-                                     "and embeddings")
-                if row["id"] not in known:
-                    raise ValidationFailure(f"{path} references unknown problem "
-                                            f"{row['id']}")
-                rows.append(evalmetrics.DiversityInput(row["id"], row["embeddings"]))
-            except ValueError as e:
-                raise ValidationFailure(f"{path}: line {line_no}: {e}") from None
-    return rows
 
 
 def _value_range(text: str) -> tuple[int, int]:
@@ -456,6 +430,11 @@ def _sweep_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConf
                                           nested_sampling=True, seed=args.seed)
 
 
+# The most float64 entries a policy table, (alphabet+1)**order x alphabet,
+# may have: 128 MiB. `train` holds several such tables at once.
+MAX_TABLE_ENTRIES = 2**24
+
+
 def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
     """Also resolves --beta and --kto-weights in place: None where unread."""
     for ok, rule in ((args.epochs >= 1, "--epochs must be >= 1"),
@@ -466,6 +445,10 @@ def _train_config(args: argparse.Namespace) -> preflearn.ObjectiveConfig:
                       "--smoothing must be finite and > 0")):
         if not ok:
             raise ValueError(rule)
+    # past order 24 every alphabet of 3 or more is over the cap: no huge integer
+    if (args.alphabet + 1) ** min(args.order, 24) * args.alphabet > MAX_TABLE_ENTRIES:
+        raise ValueError(f"--alphabet {args.alphabet} --order {args.order} needs a policy "
+                         f"table of more than {MAX_TABLE_ENTRIES} entries")
     cfg = preflearn.ObjectiveConfig(
         objective=args.objective, beta=args.beta, tau=args.tau,
         kto_weights=None if args.kto_weights is None else tuple(args.kto_weights))
@@ -520,12 +503,10 @@ _STAGE_DECLS = (
                  "--smoothing": dict(type=float, default=0.5)},
           inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
           configure=_train_config),
-    Stage("metrics", "score prediction sets; --embeddings is a JSONL of "
-          "{id, embeddings} for the diversity metric", _run_metrics,
+    Stage("metrics", "score prediction sets", _run_metrics,
           flags={"--k": dict(type=_list_of(int, distinct=True), default="1")},
           inputs=(_PROBLEMS,
-                  Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"),
-                  Input("embeddings", required=False))),
+                  Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"))),
 )
 
 # Looked up by name when a stage is dispatched, so a wrapper installed here
@@ -566,7 +547,7 @@ def build_parser(stage: str | None = None) -> tuple[_Parser, dict[str, _Parser]]
             continue
         p = stage_parsers[decl.name] = sub.add_parser(decl.name, help=decl.help)
         for inp in decl.inputs:
-            p.add_argument("--" + inp.dest.replace("_", "-"), required=inp.required)
+            p.add_argument("--" + inp.dest.replace("_", "-"), required=True)
         for name, kwargs in decl.flags.items():
             p.add_argument(name, **kwargs)
     return parser, stage_parsers

@@ -245,34 +245,6 @@ def test_train_manifest_records_settings(tmp_path):
         assert {k: config[k] for k in recorded} == recorded, objective
 
 
-def test_metrics_embeddings(tmp_path):
-    base = chain(tmp_path / "run")
-    emb = tmp_path / "emb.jsonl"
-    emb.write_text(json.dumps({"id": "synth-00000",
-                               "embeddings": [[0.0, 0.0], [3.0, 4.0]]}) + "\n")
-    assert run(["--seed", 3, "--out", base, "metrics",
-                "--problems-file", base / "problems.jsonl",
-                "--dgen", base / "samples.jsonl", "--k", "1",
-                "--embeddings", emb]) == 0
-    rows = (base / "metrics.tsv").read_text().splitlines()
-    div = [r for r in rows if r.startswith("diversity_mean")]
-    assert div and float(div[0].split("\t")[2]) == pytest.approx(5.0)
-
-
-def test_metrics_embeddings_skip_blank_lines(tmp_path):
-    base = chain(tmp_path / "run")
-    row = json.dumps({"id": "synth-00000", "embeddings": [[0.0, 0.0], [3.0, 4.0]]})
-    tables = []
-    for name, text in (("plain", row + "\n"), ("blank", "\n" + row + "\n  \n")):
-        emb = tmp_path / f"{name}.jsonl"
-        emb.write_text(text)
-        assert run(["--seed", 3, "--out", tmp_path / name, "metrics",
-                    "--problems-file", base / "problems.jsonl",
-                    "--dgen", base / "samples.jsonl", "--embeddings", emb]) == 0
-        tables.append((tmp_path / name / "metrics.tsv").read_bytes())
-    assert tables[0] == tables[1] and b"diversity_mean" in tables[0]
-
-
 def test_missing_input_validation_failure(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["--out", out, "rft", "--problems-file", tmp_path / "nope.jsonl"])
@@ -423,6 +395,8 @@ def _run_stderr(args, capsys):
     (["train", "--epochs", 0], None),
     (["train", "--alphabet", 2], None),
     (["train", "--order", 0], None),
+    (["train", "--alphabet", 40, "--order", 13], None),
+    (["train", "--alphabet", 1024, "--order", 2], None),  # 8208 MiB a table
     (["train", "--smoothing", 0], None),
     (["train", "--smoothing", "inf"], None),
     (["train", "--beta", "nan"], None),
@@ -452,7 +426,8 @@ def _run_stderr(args, capsys):
         "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
         "config-not-json", "config-array", "config-non-scalar", "ks-empty",
         "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
-        "epochs-0", "alphabet-2", "order-0", "smoothing-0", "smoothing-inf", "beta-nan",
+        "epochs-0", "alphabet-2", "order-0", "table-40-13", "table-1024-2",
+        "smoothing-0", "smoothing-inf", "beta-nan",
         "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0",
         "ks-repeated", "metrics-k-repeated", "explore-temperature-negative",
         "gpair-temperature-nan", "sweep-k-temperature-inf", "rft-temperature-nan",
@@ -524,27 +499,20 @@ def test_config_values_are_typed_like_flags(tmp_path):
         assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics",
-                                   "metrics-embeddings"])
+@pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics"])
 def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
     base = chain(tmp_path / "run")
-    if stage == "metrics-embeddings":
-        stage, bad = "metrics", tmp_path / "emb.jsonl"
-        bad.write_text("".join(json.dumps({"id": pid, "embeddings": [[0.0], [1.0]]}) + "\n"
-                               for pid in ("synth-00000", "synth-99999")))
-        flag, extra = "--embeddings", ["--dgen", base / "samples.jsonl"]
-    else:
-        flag, name, kind, extra = {
-            "pairs": ("--dgen", "dgen.jsonl", KIND_GEN, ["--drft", base / "drft.jsonl"]),
-            "explore": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
-            "gpair": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
-            "sweep-k": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--ks", "1,2"]),
-            "metrics": ("--dgen", "samples.jsonl", KIND_GEN, []),
-        }[stage]
-        bad = base / name
-        records, header = read_dataset(bad, kind)
-        records[0] = dataclasses.replace(records[0], problem_id="synth-99999")
-        write_dataset(records, header, bad)
+    flag, name, kind, extra = {
+        "pairs": ("--dgen", "dgen.jsonl", KIND_GEN, ["--drft", base / "drft.jsonl"]),
+        "explore": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+        "gpair": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--k", 2]),
+        "sweep-k": ("--dpair", "dpair.jsonl", KIND_PAIR, ["--ks", "1,2"]),
+        "metrics": ("--dgen", "samples.jsonl", KIND_GEN, []),
+    }[stage]
+    bad = base / name
+    records, header = read_dataset(bad, kind)
+    records[0] = dataclasses.replace(records[0], problem_id="synth-99999")
+    write_dataset(records, header, bad)
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, stage, "--problems-file",
                              base / "problems.jsonl", flag, bad, *extra], capsys)
@@ -553,20 +521,29 @@ def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
     assert not out.exists()
 
 
-_GOOD_ROW = json.dumps({"id": "synth-00000", "embeddings": [[0.0], [1.0]]})
+@pytest.mark.parametrize("stage", ["explore", "gpair", "sweep-k", "train"])
+def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
+    """A D_PAIR dataset holds outcome pairs; the first other pair is named by
+    its record index."""
+    base = chain(tmp_path / "run")
+    outcome, header = read_dataset(base / "dpair.jsonl", KIND_PAIR)
+    granular, _ = read_dataset(base / "dgpair.jsonl", KIND_GPAIR)
+    bad = tmp_path / "bad.jsonl"
+    write_dataset(outcome + granular, header, bad)
+    flag = "--pairs-file" if stage == "train" else "--dpair"
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, stage, *_STAGE_ARGS[stage](base), flag, bad],
+                            capsys)
+    assert code == 2
+    assert err == [f"error: validation: {bad} record {len(outcome)} has granularity "
+                   f"{granular[0].granularity}, but a D_PAIR dataset holds outcome pairs"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case,line", [
     ("body-not-json", 3),
     ("bad-header", 1),
     ("body-not-utf8", 22),
-    ("rows-not-json", 2),
-    ("rows-not-utf8", 2),
-    ("row-not-object", 2),
-    ("row-without-id", 2),
-    ("ragged-embeddings", 2),
-    ("one-embedding", 2),
-    ("non-finite-embedding", 2),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     base = chain(tmp_path / "run")
@@ -577,23 +554,10 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
         lines[line - 1] = "{not json"
         bad.write_text("\n".join(lines) + "\n")
         args = ["pairs", *problems, "--dgen", bad, "--drft", base / "drft.jsonl"]
-    elif case == "body-not-utf8":
+    else:
         # two bytes that are not UTF-8 after the header and 20 sample lines
         bad.write_bytes((base / "samples.jsonl").read_bytes() + b"\xff\xfe")
         args = ["metrics", *problems, "--dgen", bad]
-    else:
-        row = {"rows-not-json": "{not json",
-               "rows-not-utf8": "\xff",
-               "row-not-object": "[1, 2]",
-               "row-without-id": json.dumps({"embeddings": [[0.0], [1.0]]}),
-               "ragged-embeddings": json.dumps({"id": "synth-00000",
-                                                "embeddings": [[0.0], [1.0, 2.0]]}),
-               "one-embedding": json.dumps({"id": "synth-00000", "embeddings": [[0.0]]}),
-               "non-finite-embedding": '{"id": "synth-00000", "embeddings": [[0.0], [NaN]]}',
-               }[case]
-        # latin-1 writes "\xff" as the lone byte 0xff, which is not UTF-8
-        bad.write_bytes((_GOOD_ROW + "\n" + row + "\n").encode("latin-1"))
-        args = ["metrics", *problems, "--dgen", base / "samples.jsonl", "--embeddings", bad]
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, *args], capsys)
     assert code == 2
