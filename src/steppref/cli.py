@@ -10,19 +10,20 @@ stage that re-pairs at step granularity lists every outcome pair it leaves
 out, with the reason (no pit, provider failure or assembly failure): `gpair`
 in `gpair_dropped.jsonl`, `sweep-k` in `sweep_dropped.jsonl` once per k.
 
+Settings come from flags alone, and a flag that a run does not read is
+refused. The one exception is --seed, which every stage accepts and which
+a stage that draws no randomness records as null. A run records `null` for
+each other flag it does not read.
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
-of (config, seed): rerunning a stage with identical inputs produces
-byte-identical files. Each other provider flag belongs to one provider:
---model and --max-in-flight need --endpoint, and --epsilon (the synthetic
-solver's error rate) is refused beside it. An endpoint must be an http(s)
-URL. An HTTP run records `epsilon: null` and its effective --max-in-flight,
-and so does a `synth` run that samples nothing.
-Likewise each objective flag of `train` belongs to the objectives that read
-it: --beta to dpo and kto, --tau to ipo, which needs it, and --kto-weights
-to kto. One given to another objective is refused, and a run records
-`null` for each flag its objective does not read. A flag that fills a
-config field takes its default from that field.
+of (flags, seed): rerunning a stage with identical inputs produces
+byte-identical files. So --model and --max-in-flight need --endpoint, and
+--epsilon (the synthetic solver's error rate) is refused beside it, and in
+`synth` without --samples. An endpoint must be an http(s) URL; an HTTP run
+records its effective --max-in-flight. Of `train`'s objective flags,
+--beta is read by dpo and kto, --tau by ipo, which needs it, and
+--kto-weights by kto. A flag that fills a config field takes its default
+from that field.
 
 Each stage is a `Stage` declaration run by `Stage.run`, which builds the
 stage's config objects, then checks, hashes and reads its inputs, every one
@@ -33,13 +34,7 @@ unknown and passes), and every record must name a problem in
 writes each one atomically, writes the manifest last, and removes every
 output it wrote if the body or the manifest raises.
 
---config takes a JSON object whose keys are flag destinations (e.g.
-{"n": 8, "temperature": 0.7}); explicit flags override config values,
-config values override built-in defaults. A config value is converted and
-checked exactly like the same value given as a flag. A key that is no
-flag's destination is a validation failure; other stages' keys are ignored.
-
-Exit codes: 0 ok; 2 validation failure (bad flag or config value, config
+Exit codes: 0 ok; 2 validation failure (bad or unread flag value, config
 object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
 missing, malformed or wrong-kind input, source_hash mismatch, unknown
 problem, a D_PAIR input holding a non-outcome pair, an --out at or under a
@@ -383,12 +378,15 @@ def _value_range(text: str) -> tuple[int, int]:
 _value_range.__name__ = "LO:HI"  # argparse names a type in its errors
 
 
-def _list_of(convert: Callable[[str], Any], distinct: bool = False) -> Callable[[str], list]:
+def _list_of(convert: Callable[[str], Any], counts: bool = False) -> Callable[[str], list]:
+    """A comma-separated list; `counts` lists hold distinct values >= 1."""
     def parse(text: str) -> list:
         values = [convert(x) for x in text.split(",") if x != ""]
         if not values:
             raise ValueError(f"no values in {text!r}")
-        if distinct and len(set(values)) < len(values):
+        if counts and min(values) < 1:
+            raise argparse.ArgumentTypeError(f"{text!r} holds a value below 1")
+        if counts and len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"{text!r} repeats a value")
         return values
     parse.__name__ = f"comma-separated {convert.__name__}"
@@ -409,13 +407,16 @@ _DPAIR = Input("dpair", (KIND_PAIR,))
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
-    """Also resolves --epsilon in place: None when no sample reads it."""
+    """Also resolves --epsilon in place, where --samples reads it."""
     if min(args.problems, args.samples) < 0:
         raise ValueError("--problems and --samples must be >= 0")
-    cfg = SynthConfig(t=args.t, epsilon=args.epsilon, value_range=args.value_range,
-                      seed=args.seed)
-    args.epsilon = args.epsilon if args.samples else None
-    return cfg
+    if args.epsilon is not None and not args.samples:
+        raise ValueError("--epsilon is the error rate of sampled solutions; "
+                         "it needs --samples")
+    if args.samples and args.epsilon is None:
+        args.epsilon = SynthConfig.epsilon
+    return SynthConfig(t=args.t, value_range=args.value_range, seed=args.seed,
+                       epsilon=SynthConfig.epsilon if args.epsilon is None else args.epsilon)
 
 
 def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
@@ -424,8 +425,6 @@ def _explore_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreCo
 
 
 def _sweep_config(args: argparse.Namespace) -> tuple[ProviderHandle, ExploreConfig]:
-    if min(args.ks) < 1:
-        raise ValueError("every k must be >= 1")
     return _provider(args), ExploreConfig(k=max(args.ks), temperature=args.temperature,
                                           nested_sampling=True, seed=args.seed)
 
@@ -460,7 +459,8 @@ _STAGE_DECLS = (
     Stage("synth", "generate synthetic problems", _run_synth,
           flags={"--problems": dict(type=int, default=20),
                  "--t": dict(type=int, default=SynthConfig.t),
-                 "--epsilon": dict(type=float, default=SynthConfig.epsilon),
+                 "--epsilon": dict(type=float, help="per-step error rate of the "
+                                   f"samples (default {SynthConfig.epsilon})"),
                  "--value-range": dict(type=_value_range, default=SynthConfig.value_range),
                  "--samples": dict(type=int, default=0, help="also emit this many "
                                    "sampled solutions per problem")},
@@ -484,7 +484,7 @@ _STAGE_DECLS = (
           inputs=(_PROBLEMS, _DPAIR), configure=_explore_config, seeded=True),
     Stage("sweep-k", "exploration-size sweep (nested); sweep_dropped.jsonl lists "
           "each record left out at each k, and why", _run_sweep_k,
-          flags={"--ks": dict(type=_list_of(int, distinct=True),
+          flags={"--ks": dict(type=_list_of(int, counts=True),
                               default="4,8,16,32"), **_PROVIDER_FLAGS},
           inputs=(_PROBLEMS, _DPAIR), configure=_sweep_config, seeded=True),
     Stage("train", "train the toy policy on a pair dataset", _run_train,
@@ -504,7 +504,7 @@ _STAGE_DECLS = (
           inputs=(Input("pairs_file", (KIND_PAIR, KIND_GPAIR)),),
           configure=_train_config),
     Stage("metrics", "score prediction sets", _run_metrics,
-          flags={"--k": dict(type=_list_of(int, distinct=True), default="1")},
+          flags={"--k": dict(type=_list_of(int, counts=True), default="1")},
           inputs=(_PROBLEMS,
                   Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"))),
 )
@@ -521,15 +521,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ValidationFailure(message)
 
-    def flags(self) -> dict[str, argparse.Action]:
-        return {a.dest: a for a in self._actions
-                if a.option_strings and a.dest != "help"}
-
 
 _TOP_FLAGS = {  # flags ahead of the stage name; each takes one value
     "--seed": dict(type=int, default=0, help="random seed, read by " + ", ".join(
         s.name for s in _STAGE_DECLS if s.seeded)),
-    "--config": dict(help="JSON file of flag defaults"),
     "--out": dict(default=".", help="output directory"),
 }
 
@@ -571,37 +566,8 @@ def _stage_index(argv: list[str]) -> int | None:
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # a help flag or an unknown stage name sees every stage
     i = _stage_index(argv)
-    parser, stage_parsers = build_parser(
-        argv[i] if i is not None and argv[i] in _STAGES else None)
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    try:
-        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
-        raise ValidationFailure(f"bad config file: {e}") from None
-    if not isinstance(values, dict):
-        raise ValidationFailure("config file must hold a JSON object")
-    known = {_dest(flag) for flag in _TOP_FLAGS}.union(
-        *({inp.dest for inp in s.inputs} | set(map(_dest, s.flags)) for s in _STAGE_DECLS))
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ValidationFailure(f"unknown config key(s): {', '.join(unknown)}")
-
-    def as_flags(p: _Parser) -> list[str]:
-        out = []
-        for dest, action in p.flags().items():
-            if dest in values:
-                if not isinstance(values[dest], (str, int, float)):
-                    raise ValidationFailure(f"config key {dest}: {json.dumps(values[dest])} "
-                                            "is not a flag value")
-                out.append(f"{action.option_strings[0]}={values[dest]}")
-        return out
-
-    # Parse again with each config value as a flag ahead of the explicit
-    # flags, which win.
-    return parser.parse_args(as_flags(parser) + argv[:i + 1]
-                             + as_flags(stage_parsers[args.stage]) + argv[i + 1:])
+    parser, _ = build_parser(argv[i] if i is not None and argv[i] in _STAGES else None)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,8 +7,10 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     back ``choices[].text``. If the server caps ``n`` the client loops until
     it has collected n choices. Each follow-up request carries seed
     ``seed + len(collected)`` (and no seed when the caller gave none), so a
-    seeded server does not send its first choices again. Exponential backoff
-    retries a transport error, any status >= 400 and a body other than
+    seeded server does not send its first choices again. No redirect is
+    followed, so a request and its API key never reach a second URL: a 3xx
+    status fails the attempt like any status >= 400. Exponential backoff
+    retries a transport error, such a status and a body other than
     ``{"choices": [{"text": str}]}``.
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
@@ -39,6 +41,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -139,6 +142,27 @@ def _auth_headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {key}"} if key else {}
 
 
+_opener_lock = threading.Lock()
+_opener = None
+
+
+def _get_opener():
+    """The one urllib opener of the process, built by the first HTTP request:
+    the default handlers, proxies from the environment included, but with a
+    redirect handler that follows nothing, so a 3xx status raises HTTPError."""
+    global _opener
+    with _opener_lock:
+        if _opener is None:
+            import urllib.request
+
+            class NoRedirect(urllib.request.HTTPRedirectHandler):
+                def redirect_request(self, *args, **kwargs):
+                    return None
+
+            _opener = urllib.request.build_opener(NoRedirect)
+    return _opener
+
+
 def _post_once(provider: ProviderHandle, prompt: str, n: int,
                sampling: SamplingConfig) -> list[str]:
     import urllib.request
@@ -157,7 +181,7 @@ def _post_once(provider: ProviderHandle, prompt: str, n: int,
     request = urllib.request.Request(
         provider.endpoint_url, data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json", **_auth_headers()})
-    with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
+    with _get_opener().open(request, timeout=REQUEST_TIMEOUT_S) as resp:
         body = json.load(resp)
     choices = body.get("choices") if isinstance(body, dict) else None
     if not (isinstance(choices, list) and all(

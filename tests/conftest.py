@@ -99,9 +99,11 @@ class StubHandler(BaseHTTPRequestHandler):
                 server.headers.append(self.headers)
             if server.delay_s:
                 time.sleep(server.delay_s)
-            status, body = server.respond(payload)
+            status, body, *headers = server.respond(payload)
             data = json.dumps(body).encode()
             self.send_response(status)
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
@@ -110,12 +112,15 @@ class StubHandler(BaseHTTPRequestHandler):
             with server.lock:
                 server.active -= 1
 
+    do_GET = do_POST  # a GET is recorded too, with an empty payload
+
     def log_message(self, *args):  # silence request logging
         pass
 
 
 class StubServer:
-    """Scriptable completions endpoint for client tests."""
+    """Scriptable completions endpoint for client tests. `respond(payload)`
+    returns (status, body), or (status, body, extra headers)."""
 
     def __init__(self, respond, delay_s: float = 0.0):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)

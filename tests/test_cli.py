@@ -270,26 +270,6 @@ def test_wrong_kind_validation(tmp_path):
     assert code == 2
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
-    base = tmp_path / "run"
-    base.mkdir()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "problems": 4}))
-    assert run(["--out", base, "--config", cfg, "synth", "--t", 2]) == 0
-    problems, header = read_dataset(base / "problems.jsonl", KIND_D)
-    assert len(problems) == 4  # config default applied
-    assert run(["--out", base, "--config", cfg, "rft",
-                "--problems-file", base / "problems.jsonl"]) == 0
-    config = json.loads((base / "rft_manifest.json").read_text())["config"]
-    assert config["n"] == 3  # config default applied
-    out2 = tmp_path / "override"
-    out2.mkdir()
-    assert run(["--out", out2, "--config", cfg, "synth", "--t", 2,
-                "--problems", 6]) == 0
-    problems2, _ = read_dataset(out2 / "problems.jsonl", KIND_D)
-    assert len(problems2) == 6  # explicit flag wins over config
-
-
 def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
     base = chain(tmp_path / "run")
     out = tmp_path / "boom"
@@ -368,74 +348,65 @@ def _run_stderr(args, capsys):
     return code, capsys.readouterr().err.strip().splitlines()
 
 
-@pytest.mark.parametrize("stage_args,config", [
-    (["rft", "--n", "abc"], None),
-    (["rft"], {"n": "abc"}),
-    (["rft"], {"nn": 3}),
-    (["rft", "--n", 0], None),
-    (["train", "--objective", "ipo"], None),
-    (["train", "--objective", "kto", "--kto-weights", 1], None),
-    (["sweep-k", "--ks", "0,2"], None),
-    (["rft", "--model", "m"], None),
-    (["rft", "--max-in-flight", 9], None),
-    (["metrics", "--k", 0], None),
-    (["metrics", "--k", 9], None),
-    (["rft", "--endpoint", "http://127.0.0.1:9/v1", "--epsilon", 0.5], None),
-    (["rft", "--endpoint", ""], None),
-    (["rft", "--endpoint", "localhost:8000/v1"], None),
-    (["rft"], "{not json"),
-    (["rft"], [3]),
-    (["rft"], {"n": [3]}),
-    (["sweep-k", "--ks", ","], None),
-    (["train", "--pairs-file", HeaderOnly("dgpair.jsonl")], None),
-    (["metrics", "--dgen", HeaderOnly("samples.jsonl")], None),
-    (["train", "--lr", -1], None),
-    (["train", "--lr", "nan"], None),
-    (["train", "--lr", "inf"], None),
-    (["train", "--epochs", 0], None),
-    (["train", "--alphabet", 2], None),
-    (["train", "--order", 0], None),
-    (["train", "--alphabet", 40, "--order", 13], None),
-    (["train", "--alphabet", 1024, "--order", 2], None),  # 8208 MiB a table
-    (["train", "--smoothing", 0], None),
-    (["train", "--smoothing", "inf"], None),
-    (["train", "--beta", "nan"], None),
-    (["train", "--beta", "inf"], None),
-    (["train", "--tau", "nan", "--objective", "ipo"], None),
-    (["train", "--kto-weights", "nan,1", "--objective", "kto"], None),
-    (["explore", "--k", 0], None),
-    (["gpair", "--k", 0], None),
-    (["sweep-k", "--ks", "2,2,1"], None),
-    (["metrics", "--k", "1,1"], None),
-    (["explore", "--temperature", -1], None),
-    (["gpair", "--temperature", "nan"], None),
-    (["sweep-k", "--temperature", "inf"], None),
-    (["rft", "--temperature", "nan"], None),
-    (["synth", "--problems", -3], None),
-    (["synth", "--samples", -1], None),
-    (["synth", "--value-range=-3:1"], None),
-    (["train", "--tau", 0.5], None),
-    (["train", "--objective", "kto", "--tau", 0.5], None),
-    (["train", "--objective", "ipo", "--tau", 0.5, "--beta", 5], None),
-    (["train", "--kto-weights", "1,1"], None),
-    (["train", "--objective", "ipo", "--tau", 0.5, "--kto-weights", "1,1"], None),
-    (["train", "--objective", "ipo", "--tau", 0.5], {"beta": 0.2}),
-], ids=["flag-type", "config-type", "config-unknown-key", "n-0", "ipo-no-tau",
-        "one-kto-weight", "ks-0", "model-without-endpoint",
-        "max-in-flight-without-endpoint", "metrics-k-0", "metrics-k-9",
-        "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
-        "config-not-json", "config-array", "config-non-scalar", "ks-empty",
-        "train-no-records", "metrics-no-records", "lr-negative", "lr-nan", "lr-inf",
-        "epochs-0", "alphabet-2", "order-0", "table-40-13", "table-1024-2",
-        "smoothing-0", "smoothing-inf", "beta-nan",
-        "beta-inf", "ipo-tau-nan", "kto-weight-nan", "explore-k-0", "gpair-k-0",
-        "ks-repeated", "metrics-k-repeated", "explore-temperature-negative",
-        "gpair-temperature-nan", "sweep-k-temperature-inf", "rft-temperature-nan",
-        "synth-problems-negative", "synth-samples-negative", "synth-value-range-negative",
-        "dpo-tau", "kto-tau", "ipo-beta", "dpo-kto-weights", "ipo-kto-weights",
-        "ipo-config-beta"])
-def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
-    """`config` is written as JSON, or as it is when a str."""
+@pytest.mark.parametrize("stage_args", [
+    ["rft", "--n", "abc"],
+    ["rft", "--n", 0],
+    ["train", "--objective", "ipo"],
+    ["train", "--objective", "kto", "--kto-weights", 1],
+    ["sweep-k", "--ks", "0,2"],
+    ["rft", "--model", "m"],
+    ["rft", "--max-in-flight", 9],
+    ["metrics", "--k", 0],
+    ["metrics", "--k", 9],
+    ["rft", "--endpoint", "http://127.0.0.1:9/v1", "--epsilon", 0.5],
+    ["rft", "--endpoint", ""],
+    ["rft", "--endpoint", "localhost:8000/v1"],
+    ["sweep-k", "--ks", ","],
+    ["train", "--pairs-file", HeaderOnly("dgpair.jsonl")],
+    ["metrics", "--dgen", HeaderOnly("samples.jsonl")],
+    ["train", "--lr", -1],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--epochs", 0],
+    ["train", "--alphabet", 2],
+    ["train", "--order", 0],
+    ["train", "--alphabet", 40, "--order", 13],
+    ["train", "--alphabet", 1024, "--order", 2],  # 8208 MiB a table
+    ["train", "--smoothing", 0],
+    ["train", "--smoothing", "inf"],
+    ["train", "--beta", "nan"],
+    ["train", "--beta", "inf"],
+    ["train", "--tau", "nan", "--objective", "ipo"],
+    ["train", "--kto-weights", "nan,1", "--objective", "kto"],
+    ["explore", "--k", 0],
+    ["gpair", "--k", 0],
+    ["sweep-k", "--ks", "2,2,1"],
+    ["metrics", "--k", "1,1"],
+    ["explore", "--temperature", -1],
+    ["gpair", "--temperature", "nan"],
+    ["sweep-k", "--temperature", "inf"],
+    ["rft", "--temperature", "nan"],
+    ["synth", "--problems", -3],
+    ["synth", "--samples", -1],
+    ["synth", "--value-range=-3:1"],
+    ["train", "--tau", 0.5],
+    ["train", "--objective", "kto", "--tau", 0.5],
+    ["train", "--objective", "ipo", "--tau", 0.5, "--beta", 5],
+    ["train", "--kto-weights", "1,1"],
+    ["train", "--objective", "ipo", "--tau", 0.5, "--kto-weights", "1,1"],
+    ["synth", "--epsilon", 0.3],
+], ids=["flag-type", "n-0", "ipo-no-tau", "one-kto-weight", "ks-0",
+        "model-without-endpoint", "max-in-flight-without-endpoint", "metrics-k-0",
+        "metrics-k-9", "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
+        "ks-empty", "train-no-records", "metrics-no-records", "lr-negative", "lr-nan",
+        "lr-inf", "epochs-0", "alphabet-2", "order-0", "table-40-13", "table-1024-2",
+        "smoothing-0", "smoothing-inf", "beta-nan", "beta-inf", "ipo-tau-nan",
+        "kto-weight-nan", "explore-k-0", "gpair-k-0", "ks-repeated",
+        "metrics-k-repeated", "explore-temperature-negative", "gpair-temperature-nan",
+        "sweep-k-temperature-inf", "rft-temperature-nan", "synth-problems-negative",
+        "synth-samples-negative", "synth-value-range-negative", "dpo-tau", "kto-tau",
+        "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples"])
+def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     base = chain(tmp_path / "run")
 
     def resolve(arg):
@@ -458,13 +429,8 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args, config):
               # 4 predictions per problem
               "metrics": ["--problems-file", base / "problems.jsonl",
                           "--dgen", base / "samples.jsonl"]}[stage_args[0]]
-    top = ["--out", out]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-        top += ["--config", cfg]
     # the stage's own flags come last, so an input they name wins
-    code, err = _run_stderr([*top, stage_args[0], *inputs,
+    code, err = _run_stderr(["--out", out, stage_args[0], *inputs,
                              *map(resolve, stage_args[1:])], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: validation:")
@@ -481,22 +447,28 @@ def test_out_at_or_under_a_file_is_exit_2(tmp_path, capsys, sub):
     assert afile.read_bytes() == b"kept\n"
 
 
-def test_config_values_are_typed_like_flags(tmp_path):
-    base = chain(tmp_path / "run")
-    problems = ["--problems-file", base / "problems.jsonl"]
-    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
-    assert run(["--seed", 3, "--out", by_flags, "rft", *problems, "--n", 4,
-                "--temperature", 1, "--epsilon", 0.25]) == 0
+def test_config_file_is_an_unknown_option(tmp_path, capsys):
+    """Settings come from flags alone."""
     cfg = tmp_path / "cfg.json"
-    # JSON ints for float flags, a key of another stage, and a seed that the
-    # explicit --seed overrides
-    cfg.write_text(json.dumps({"n": 4, "temperature": 1, "epsilon": 0.25,
-                               "problems": 7, "seed": 9}))
-    assert run(["--seed", 3, "--out", by_config, "--config", cfg, "rft", *problems]) == 0
-    names = sorted(p.name for p in by_flags.iterdir())
-    assert names == sorted(p.name for p in by_config.iterdir())
-    for name in names:
-        assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+    cfg.write_text(json.dumps({"problems": 4}))
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "--config", cfg, "synth"], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: validation:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage,flag,value", [("metrics", "--k", "0"),
+                                              ("sweep-k", "--ks", "0,2")])
+def test_k_below_1_is_refused_before_inputs_are_read(tmp_path, capsys, stage, flag, value):
+    missing = tmp_path / "missing.jsonl"
+    inputs = {"metrics": ["--dgen", missing], "sweep-k": ["--dpair", missing]}[stage]
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, stage, "--problems-file", missing, *inputs,
+                             flag, value], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: validation: argument {flag}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["pairs", "explore", "gpair", "sweep-k", "metrics"])
@@ -738,15 +710,15 @@ def test_manifest_config_is_every_flag(tmp_path, stage):
     Only a stage that draws randomness records --seed."""
     base = chain(tmp_path / "run")
     out = tmp_path / "out"
-    _, stage_parsers = cli.build_parser()
-    inputs = {i.dest for s in cli._STAGE_DECLS if s.name == stage for i in s.inputs}
+    (decl,) = [s for s in cli._STAGE_DECLS if s.name == stage]
+    inputs = {i.dest for i in decl.inputs}
     args = _STAGE_ARGS[stage](base)
     given = [a for flag, value in zip(args[::2], args[1::2]) if cli._dest(flag) in inputs
              for a in (flag, value)]
     if stage == "synth":
         given += ["--samples", 1]  # without samples, synth reads no --epsilon
     assert run(["--seed", 3, "--out", out, stage, *given]) == 0
-    flags = set(stage_parsers[stage].flags()) - inputs
+    flags = set(map(cli._dest, decl.flags))
     config = json.loads((out / f"{stage}_manifest.json").read_text())["config"]
     assert set(config) == {"stage", "seed"} | flags
     seed = None if stage in ("pairs", "train", "metrics") else 3
@@ -770,11 +742,10 @@ def _files(out: Path) -> dict[str, Any]:
     ("pairs", "--seed", (1, 2), set()),
     ("train", "--seed", (1, 2), set()),
     ("metrics", "--seed", (1, 2), set()),
-    ("synth", "--epsilon", (0.1, 0.5), set()),  # --samples 0: nothing is sampled
     ("rft", "--seed", (1, 2), {"dgen.jsonl", "drft.jsonl", "rft_skips.jsonl",
                                "rft_manifest.json"}),
     ("synth", "--samples", (1, 2), {"samples.jsonl", "synth_manifest.json"}),
-], ids=["pairs", "train", "metrics", "synth-no-samples", "rft", "synth-samples"])
+], ids=["pairs", "train", "metrics", "rft", "synth-samples"])
 def test_a_setting_is_recorded_only_where_read(tmp_path, stage, flag, values, changed):
     """Two runs that differ only in a setting the stage does not read write
     the same bytes; a stage that reads it records it."""

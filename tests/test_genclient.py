@@ -205,6 +205,38 @@ class TestHttpProvider:
         assert headers["Authorization"] == "Bearer sekret"
         assert headers["Content-Type"] == "application/json"
 
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_redirect_is_not_followed(self, stub_server, monkeypatch, status):
+        """A redirect fails the attempt: neither the prompt nor the API key
+        reaches its target, and no choices come back from there."""
+        target = stub_server(lambda payload: (200, {"choices": [{"text": "elsewhere"}]}))
+        server = stub_server(lambda payload: (status, {}, {"Location": target.url}))
+        monkeypatch.setenv(genclient.API_KEY_ENV, "secret-token")
+        provider = ProviderHandle.http(server.url)
+        with pytest.raises(ProviderError) as err:
+            sample(provider, "prompt", SamplingConfig(n=1))
+        assert len(err.value.attempts) == genclient.RETRY_ATTEMPTS
+        assert all(f"HTTP Error {status}" in a for a in err.value.attempts)
+        assert len(server.calls) == genclient.RETRY_ATTEMPTS
+        assert target.calls == []
+
+    def test_one_opener_per_process(self, stub_server, monkeypatch):
+        import urllib.request
+
+        real, built = urllib.request.build_opener, []
+        monkeypatch.setattr(genclient, "_opener", None)
+        monkeypatch.setattr(urllib.request, "build_opener",
+                            lambda *handlers: built.append(handlers) or real(*handlers))
+        server = stub_server(lambda payload: (200, {"choices": [{"text": "x"}]}))
+        provider = ProviderHandle.http(server.url, max_in_flight=4)
+        assert sample_batch(provider, list("abcdefgh"), SamplingConfig(n=1)) == [["x"]] * 8
+        assert len(built) == 1
+        # proxy environment variables still apply; built here, no request is sent
+        monkeypatch.setattr(genclient, "_opener", None)
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        assert [h.proxies["http"] for h in genclient._get_opener().handlers
+                if isinstance(h, urllib.request.ProxyHandler)] == ["http://127.0.0.1:9"]
+
 
 # Bodies of a 200 response that are JSON but not {"choices": [{"text": str}, ...]}
 MALFORMED_BODIES = [["x"], {"choices": None}, {"choices": ["x"]},
