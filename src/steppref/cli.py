@@ -36,16 +36,19 @@ output it wrote if the body or the manifest raises.
 
 Exit codes: 0 ok; 2 validation failure (bad or unread flag value, config
 object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
-missing, malformed or wrong-kind input, source_hash mismatch, unknown
-problem, a D_PAIR input holding a non-outcome pair, an --out at or under a
-file): a single machine-parseable stderr line, naming the file and line of
-a malformed input line, nothing written; 1 stage failure: partial outputs
-are removed.
+missing, malformed or wrong-kind input, a record field of the wrong JSON
+type, source_hash mismatch, unknown problem, a problems file repeating a
+problem id, a D_PAIR input holding a non-outcome pair, a `train` pair whose
+input or rejected steps hold no words, an --out at or under a file): a
+single machine-parseable stderr line, naming the file and line of a
+malformed input line, nothing written; 1 stage failure: partial outputs are
+removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -179,7 +182,11 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
                     raise ValidationFailure(f"{path} record {i} has granularity {r.granularity}, "
                                             f"but a {KIND_PAIR} dataset holds {GRAN_OUTCOME} pairs")
     if "problems_file" in records:
-        known = {p.id for p in records["problems_file"]}
+        known: set[str] = set()
+        for p in records["problems_file"]:
+            if p.id in known:
+                raise ValidationFailure(f"{args.problems_file} repeats problem id {p.id}")
+            known.add(p.id)
         for dest, recs in records.items():
             missing = [r.problem_id for r in recs
                        if dest != "problems_file" and r.problem_id not in known]
@@ -327,6 +334,10 @@ def _run_train(run: StageRun) -> None:
     records = run.records["pairs_file"]
     if not records:
         raise ValidationFailure(f"{args.pairs_file} holds no pair records")
+    for i, r in enumerate(records):  # the policy scores words, so each side needs one
+        if not r.input.split() or not any(step.split() for step in r.rejected.steps):
+            raise ValidationFailure(f"{args.pairs_file} record {i} has no words in its "
+                                    "input or in its rejected steps")
     pairs, _vocab = preflearn.tokenize_pair_records(records, args.alphabet)
     # Reference = count-based fit to the chosen sequences, standing in for a
     # one-epoch SFT warm start.
@@ -522,57 +533,27 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
-_TOP_FLAGS = {  # flags ahead of the stage name; each takes one value
-    "--seed": dict(type=int, default=0, help="random seed, read by " + ", ".join(
-        s.name for s in _STAGE_DECLS if s.seeded)),
-    "--out": dict(default=".", help="output directory"),
-}
-
-
-def build_parser(stage: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
-    """The command-line parser and its stage parsers: for every stage, or
-    for `stage` alone, which parses that stage's command lines the same."""
+@functools.cache
+def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and then reused: a
+    parse returns a fresh Namespace and changes nothing in the parser."""
     parser = _Parser(prog="steppref", description="Step-level preference data pipeline")
-    for flag, kwargs in _TOP_FLAGS.items():
-        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--seed", type=int, default=0, help="random seed, read by "
+                        + ", ".join(s.name for s in _STAGE_DECLS if s.seeded))
+    parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="stage", required=True)
-    stage_parsers: dict[str, _Parser] = {}
     for decl in _STAGE_DECLS:
-        if stage not in (None, decl.name):
-            continue
-        p = stage_parsers[decl.name] = sub.add_parser(decl.name, help=decl.help)
+        p = sub.add_parser(decl.name, help=decl.help)
         for inp in decl.inputs:
             p.add_argument("--" + inp.dest.replace("_", "-"), required=True)
         for name, kwargs in decl.flags.items():
             p.add_argument(name, **kwargs)
-    return parser, stage_parsers
-
-
-def _stage_index(argv: list[str]) -> int | None:
-    """Index of the stage name in argv, when only top-level flags with their
-    values come before it: the token argparse hands the stage to. None when
-    something else comes first (a help flag, `--`, an unknown option) or no
-    token is left."""
-    i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        flag, eq, _ = argv[i].partition("=")
-        # argparse takes any unique prefix of a flag
-        if len(flag) < 3 or not any(top.startswith(flag) for top in _TOP_FLAGS):
-            return None
-        i += 1 if eq else 2
-    return i if i < len(argv) else None
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # a help flag or an unknown stage name sees every stage
-    i = _stage_index(argv)
-    parser, _ = build_parser(argv[i] if i is not None and argv[i] in _STAGES else None)
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         _STAGES[args.stage](args)
         return 0
     except ValidationFailure as e:

@@ -13,6 +13,11 @@ Record schemas by kind:
                    granularity, pit_index (chosen/rejected are nested
                    rationale objects)
 
+Field types: id, question, gold_answer and input are strings; steps is a
+list of strings; conclusion and extracted_answer are a string or null;
+pit_index is an integer or null (a JSON true is not an integer). A line
+whose field has another JSON type is a DatasetParseError naming that line.
+
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
 
@@ -189,13 +194,27 @@ def _rationale_to_dict(r: Rationale) -> dict[str, Any]:
     }
 
 
+def _field_type_error(key: str, want: str, value: Any) -> TypeError:
+    return TypeError(f"{key} must be {want}, not {type(value).__name__}")
+
+
 def _rationale_from_dict(d: dict[str, Any]) -> Rationale:
+    steps, conclusion, answer = d["steps"], d.get("conclusion"), d.get("extracted_answer")
+    if type(steps) is not list:
+        raise _field_type_error("steps", "a list of strings", steps)
+    for step in steps:
+        if type(step) is not str:
+            raise TypeError(f"steps must be a list of strings, but holds a {type(step).__name__}")
+    if conclusion is not None and type(conclusion) is not str:
+        raise _field_type_error("conclusion", "a string or null", conclusion)
+    if answer is not None and type(answer) is not str:
+        raise _field_type_error("extracted_answer", "a string or null", answer)
     return Rationale(
-        steps=d["steps"],
-        conclusion=d.get("conclusion"),
+        steps=steps,
+        conclusion=conclusion,
         producer=d["producer"],
         label=d["label"],
-        extracted_answer=d.get("extracted_answer"),
+        extracted_answer=answer,
     )
 
 
@@ -222,7 +241,15 @@ def record_to_dict(rec: Record) -> dict[str, Any]:
 
 
 def record_from_dict(d: dict[str, Any], kind: str) -> Record:
+    """The record a decoded dataset line holds; a field of the wrong JSON
+    type raises TypeError."""
+    if type(d["id"]) is not str:
+        raise _field_type_error("id", "a string", d["id"])
     if kind == KIND_D:
+        if type(d["question"]) is not str:
+            raise _field_type_error("question", "a string", d["question"])
+        if type(d["gold_answer"]) is not str:
+            raise _field_type_error("gold_answer", "a string", d["gold_answer"])
         return Problem(
             id=d["id"],
             question=d["question"],
@@ -232,13 +259,18 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
     if kind in (KIND_GEN, KIND_RFT):
         return RationaleRecord(problem_id=d["id"], rationale=_rationale_from_dict(d))
     if kind in (KIND_PAIR, KIND_GPAIR):
+        pit_index = d.get("pit_index")
+        if type(d["input"]) is not str:
+            raise _field_type_error("input", "a string", d["input"])
+        if pit_index is not None and type(pit_index) is not int:  # a JSON true is no int
+            raise _field_type_error("pit_index", "an integer or null", pit_index)
         return PairRecord(
             problem_id=d["id"],
             input=d["input"],
             chosen=_rationale_from_dict(d["chosen"]),
             rejected=_rationale_from_dict(d["rejected"]),
             granularity=d["granularity"],
-            pit_index=d.get("pit_index"),
+            pit_index=pit_index,
         )
     raise ValueError(f"unknown dataset kind: {kind!r}")
 

@@ -493,6 +493,27 @@ def test_unknown_problem_is_exit_2(tmp_path, capsys, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["rft", "pairs", "explore", "gpair", "sweep-k", "metrics"])
+def test_repeated_problem_id_is_exit_2(tmp_path, capsys, stage):
+    """Problem 2 given problem 1's id: a record could be graded or explored
+    against either problem, so every stage that reads the problems file
+    refuses it."""
+    base = chain(tmp_path / "run")
+    path = base / "problems.jsonl"
+    problems, header = read_dataset(path, KIND_D)
+    problems[1] = dataclasses.replace(problems[1], id=problems[0].id)
+    write_dataset(problems, header, path)
+    for name, kind in (("dgen.jsonl", KIND_GEN), ("drft.jsonl", KIND_RFT),
+                       ("samples.jsonl", KIND_GEN)):  # made from that file
+        records, source = read_dataset(base / name, kind)
+        write_dataset(records, dataclasses.replace(source, source_hash=""), base / name)
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, stage, *_STAGE_ARGS[stage](base)], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {path} repeats problem id {problems[0].id}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["explore", "gpair", "sweep-k", "train"])
 def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     """A D_PAIR dataset holds outcome pairs; the first other pair is named by
@@ -512,10 +533,60 @@ def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,kind,blank", [
+    ("dpair.jsonl", KIND_PAIR, lambda r: dataclasses.replace(r, input="")),
+    ("dgpair.jsonl", KIND_GPAIR, lambda r: dataclasses.replace(
+        r, rejected=dataclasses.replace(r.rejected, steps=(), label="ungraded"))),
+    ("dgpair.jsonl", KIND_GPAIR, lambda r: dataclasses.replace(
+        r, rejected=dataclasses.replace(r.rejected, steps=(" ", "\t")))),
+], ids=["empty-input", "no-rejected-steps", "blank-rejected-steps"])
+def test_train_pair_without_words_is_exit_2(tmp_path, capsys, name, kind, blank):
+    """The policy scores words, so a pair whose input or rejected side has
+    none cannot be trained on."""
+    base = chain(tmp_path / "run")
+    records, header = read_dataset(base / name, kind)
+    records[1] = blank(records[1])
+    bad = tmp_path / "bad.jsonl"
+    write_dataset(records, header, bad)
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "train", "--pairs-file", bad], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {bad} record 1 has no words in its input "
+                   "or in its rejected steps"]
+    assert not out.exists()
+
+
+# a record field of the wrong JSON type: case -> (file, path to the field, value)
+_MISTYPED = {
+    "id-int": ("problems.jsonl", ["id"], 7),
+    "question-int": ("problems.jsonl", ["question"], 12345),
+    "gold-answer-int": ("problems.jsonl", ["gold_answer"], 12),
+    "steps-string": ("dgen.jsonl", ["steps"], "Start with 5."),
+    "step-int": ("drft.jsonl", ["steps", 0], 12),
+    "conclusion-list": ("drft.jsonl", ["conclusion"], ["The answer is 12."]),
+    "extracted-answer-int": ("dgen.jsonl", ["extracted_answer"], 12),
+    "input-int": ("dpair.jsonl", ["input"], 3),
+    "rejected-step-int": ("dpair.jsonl", ["rejected", "steps", 0], 3),
+    "pit-index-true": ("dgpair.jsonl", ["pit_index"], True),
+    "pit-index-float": ("dgpair.jsonl", ["pit_index"], 1.0),
+}
+
+
 @pytest.mark.parametrize("case,line", [
     ("body-not-json", 3),
     ("bad-header", 1),
     ("body-not-utf8", 22),
+    ("id-int", 3),
+    ("question-int", 6),
+    ("gold-answer-int", 4),
+    ("steps-string", 9),
+    ("step-int", 2),
+    ("conclusion-list", 3),
+    ("extracted-answer-int", 4),
+    ("input-int", 2),
+    ("rejected-step-int", 3),
+    ("pit-index-true", 2),
+    ("pit-index-float", 2),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     base = chain(tmp_path / "run")
@@ -526,6 +597,23 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
         lines[line - 1] = "{not json"
         bad.write_text("\n".join(lines) + "\n")
         args = ["pairs", *problems, "--dgen", bad, "--drft", base / "drft.jsonl"]
+    elif case in _MISTYPED:
+        name, path, value = _MISTYPED[case]
+        lines = (base / name).read_text().splitlines()
+        record = json.loads(lines[line - 1])
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        lines[line - 1] = json.dumps(record)
+        bad.write_text("\n".join(lines) + "\n")
+        args = {"problems.jsonl": ["rft", "--problems-file", bad],
+                "dgen.jsonl": ["pairs", *problems, "--dgen", bad,
+                               "--drft", base / "drft.jsonl"],
+                "drft.jsonl": ["pairs", *problems, "--dgen", base / "dgen.jsonl",
+                               "--drft", bad],
+                "dpair.jsonl": ["explore", *problems, "--dpair", bad],
+                "dgpair.jsonl": ["train", "--pairs-file", bad]}[name]
     else:
         # two bytes that are not UTF-8 after the header and 20 sample lines
         bad.write_bytes((base / "samples.jsonl").read_bytes() + b"\xff\xfe")
@@ -534,6 +622,8 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     code, err = _run_stderr(["--out", out, *args], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: validation: {bad}: line {line}: ")
+    if case in _MISTYPED:
+        assert [key for key in _MISTYPED[case][1] if type(key) is str][-1] in err[0]
     assert not out.exists()
 
 
@@ -789,21 +879,6 @@ def test_gpair_and_sweep_k_write_the_same_dataset(tmp_path):
     assert any(r.pit_index > 1 for r in records)  # a rescued prefix, not only step 1
 
 
-@pytest.mark.parametrize("stage", sorted(_STAGE_ARGS))
-def test_one_stage_parser_parses_like_the_full_one(monkeypatch, stage):
-    argv = ["--seed", "3", "--out", "o", stage, *map(str, _STAGE_ARGS[stage](Path("in")))]
-    full, _ = cli.build_parser()
-    one, stage_parsers = cli.build_parser(stage)
-    assert list(stage_parsers) == [stage]
-    assert one.parse_args(argv) == full.parse_args(argv)
-    assert one.parse_args(argv[4:]) == full.parse_args(argv[4:])
-    real, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda only=None: built.append(only) or real(only))
-    assert cli._parse_args(argv) == full.parse_args(argv)
-    assert built == [stage]
-
-
 @pytest.mark.parametrize("argv,stage", [
     (["--help"], None),
     (["-h"], None),
@@ -813,19 +888,38 @@ def test_one_stage_parser_parses_like_the_full_one(monkeypatch, stage):
     (["--seed=2", "sweep-k", "-h"], "sweep-k"),
 ])
 def test_help_is_the_full_parsers(capsys, argv, stage):
-    parser, stage_parsers = cli.build_parser()
+    parser = cli.build_parser()
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 0
-    want = parser if stage is None else stage_parsers[stage]
-    assert capsys.readouterr().out == want.format_help()
+    if stage is not None:  # the subcommand's own parser
+        (stages,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+        parser = stages[stage]
+    assert capsys.readouterr().out == parser.format_help()
 
 
 @pytest.mark.parametrize("argv", [["nosuch"], ["--out", "o", "nosuch", "--k", "2"], []])
 def test_bad_stage_name_error_is_the_full_parsers(capsys, argv):
     with pytest.raises(cli.ValidationFailure) as want:
-        cli.build_parser()[0].parse_args(argv)
+        cli.build_parser().parse_args(argv)
     code, err = _run_stderr(argv, capsys)
     assert (code, err) == (2, [f"error: validation: {want.value}"])
     if argv:
         assert all(s.name in err[0] for s in cli._STAGE_DECLS)
+
+
+def test_one_parser_per_process(tmp_path):
+    """Importing the CLI builds no parser; the first `main` call builds one
+    and every later call reuses it."""
+    src = str(Path(steppref.__file__).resolve().parent.parent)
+    outs = [str(tmp_path / name) for name in ("a", "b")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json; from steppref import cli; "
+         "built = [cli.build_parser.cache_info().misses]; "
+         f"built += [(cli.main(['--out', out, 'synth', '--problems', '1']), "
+         f"cli.build_parser.cache_info().misses) for out in {outs!r}]; "
+         "print(json.dumps(built))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60, check=True)
+    assert json.loads(proc.stdout) == [0, [0, 1], [0, 1]]
+    assert cli.build_parser() is cli.build_parser()
