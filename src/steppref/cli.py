@@ -532,6 +532,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ValidationFailure(message)
 
+    def parse_args(self, args: list[str]) -> argparse.Namespace:
+        try:
+            return super().parse_args(args)
+        except ValidationFailure:
+            # argparse passes over an option it does not know, then reads the
+            # option's value as the stage name and fails on that: name the
+            # option instead
+            known = self._option_string_actions
+            stage = next((i for i, a in enumerate(args) if not a.startswith("-")
+                          and (i == 0 or args[i - 1] not in known)), len(args))
+            unknown = [a for a in args[:stage]
+                       if a.startswith("--") and a.split("=", 1)[0] not in known]
+            if not unknown:
+                raise
+            raise ValidationFailure("unrecognized arguments: " + " ".join(unknown)) from None
+
 
 @functools.cache
 def build_parser() -> _Parser:

@@ -21,10 +21,8 @@ whose field has another JSON type is a DatasetParseError naming that line.
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
 
-Reading decodes the body in chunks of a few hundred lines, each as strict
-UTF-8 and one `json.loads` of a JSON array. A chunk that is not exactly one
-valid record per line (see `_decode_chunk`) is decoded again line by line,
-so every DatasetParseError names its line.
+Reading decodes the body one line at a time, each as strict UTF-8 and one
+JSON value, skipping blank lines; each DatasetParseError names its line.
 """
 
 from __future__ import annotations
@@ -288,8 +286,7 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
     # bytes.splitlines splits at "\n", "\r" and "\r\n" only; str.splitlines
     # would also split inside a JSON string at characters json.dumps leaves
     # raw, such as U+2028.
-    data = Path(path).read_bytes()
-    lines = data.splitlines()
+    lines = Path(path).read_bytes().splitlines()
     if not lines:
         raise DatasetParseError(1, "missing header record")
     try:
@@ -302,54 +299,14 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
             f"line 1: header declares kind {header.kind}, expected {' or '.join(kinds)}"
         )
     records: list[Record] = []
-    # A line that spells the sentinel could fake one, so such a file is read
-    # line by line.
-    bulk = _SENTINEL not in data
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk = lines[start:start + _CHUNK_LINES]
-        decoded = _decode_chunk(chunk, header.kind) if bulk else None
-        records += _decode_lines(chunk, start + 1, header.kind) if decoded is None else decoded
-    return records, header
-
-
-# Parsing a whole file in one call would hold all of it as Python objects
-# at once; a few hundred lines keep the peak flat.
-_CHUNK_LINES = 256
-# "\u0000" is the only JSON spelling of a string holding just U+0000, so a
-# file without it cannot produce that value except through a separator.
-_SENTINEL = b"\\u0000"
-_SEPARATOR = b',"' + _SENTINEL + b'",'
-
-
-def _decode_chunk(chunk: list[bytes], kind: str) -> list[Record] | None:
-    """The records of `chunk` from one JSON parse, or None when the chunk is
-    not exactly one valid record per line.
-
-    The n-1 sentinels sit between the n lines. If they come back as every
-    second of 2n-1 elements, each is a top-level element, so the text
-    between two of them (one line) is exactly one top-level value: a line
-    left open, or holding two values, would shift them."""
-    try:
-        values = json.loads("[" + _SEPARATOR.join(chunk).decode("utf-8") + "]")
-        if len(values) != 2 * len(chunk) - 1 or values[1::2] != ["\x00"] * (len(chunk) - 1):
-            return None
-        return [record_from_dict(v, kind) for v in values[::2]]
-    except Exception:  # noqa: BLE001 - the per-line loop reports it by line
-        return None
-
-
-def _decode_lines(lines: list[bytes], first_line_no: int, kind: str) -> list[Record]:
-    """Decode `lines` (numbered from `first_line_no`) one at a time, skipping
-    blank ones; the first bad line raises DatasetParseError naming it."""
-    records = []
-    for line_no, line in enumerate(lines, start=first_line_no):
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line.decode("utf-8")), kind))
+            records.append(record_from_dict(json.loads(line.decode("utf-8")), header.kind))
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
-    return records
+    return records, header
 
 
 def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path) -> None:

@@ -100,17 +100,19 @@ class StubHandler(BaseHTTPRequestHandler):
             if server.delay_s:
                 time.sleep(server.delay_s)
             status, body, *headers = server.respond(payload)
-            data = json.dumps(body).encode()
-            self.send_response(status)
-            for name, value in (headers[0] if headers else {}).items():
-                self.send_header(name, value)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
         finally:
+            # leave the count before the response goes out: a client that has
+            # read it may send its next request at once
             with server.lock:
                 server.active -= 1
+        data = json.dumps(body).encode()
+        self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
     do_GET = do_POST  # a GET is recorded too, with an empty payload
 

@@ -458,6 +458,15 @@ def test_config_file_is_an_unknown_option(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_option_before_the_stage_is_named(tmp_path, capsys):
+    """argparse reads the value of an option it does not know as the stage
+    name; the error names the option, not its value."""
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "--config", "c.json", "synth"], capsys)
+    assert (code, err) == (2, ["error: validation: unrecognized arguments: --config"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage,flag,value", [("metrics", "--k", "0"),
                                               ("sweep-k", "--ks", "0,2")])
 def test_k_below_1_is_refused_before_inputs_are_read(tmp_path, capsys, stage, flag, value):

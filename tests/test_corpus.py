@@ -2,7 +2,6 @@ import builtins
 import dataclasses
 import errno
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,17 +122,10 @@ def _write_gen_body(path, lines: list[bytes], eol: bytes = b"\n") -> None:
     path.write_bytes(eol.join([head.encode(), *lines]) + eol)
 
 
-def _read_outcome(read):
-    try:
-        return read()
-    except DatasetParseError as e:
-        return e.line_no, str(e)
-
-
 def test_value_split_over_two_lines_fails_on_its_line(tmp_path):
     """Two lines that are one value between them, beside a line holding two
-    values, give a chunk as many values as lines; the joined parse must still
-    not take them."""
+    values, are as many values as lines; the reader must still not take
+    them."""
     good = corpus.dumps(record_to_dict(RationaleRecord("p1", Rationale(("a",))))).encode()
     cut = good.index(b',"producer"')
     path = tmp_path / "d.jsonl"
@@ -143,57 +135,65 @@ def test_value_split_over_two_lines_fails_on_its_line(tmp_path):
     assert err.value.line_no == 3
 
 
-def test_clean_body_is_decoded_in_bulk(tmp_path, monkeypatch):
-    rng = np.random.default_rng(4)
-    records = [RationaleRecord(f"p{i}", make_rationale(rng)) for i in range(600)]
-    path = tmp_path / "d.jsonl"
-    write_dataset(records, DatasetHeader(KIND_GEN), path)
-    monkeypatch.setattr(corpus, "_decode_lines", None)  # any per-line decode fails
-    assert read_dataset(path, KIND_GEN)[0] == records
-
-
 _SHAPES = ["ok"] * 4 + ["two", "split", "blank", "space", "bad-utf8", "u2028", "nul",
                         "bad-record"]
 
 
 @st.composite
 def _body_lines(draw):
-    """D_GEN body lines: valid records, and every line shape a joined parse
-    could misread."""
-    lines = []
+    """D_GEN body lines of every shape a reader could misread, and what
+    reading them must give: the records of the valid lines, or the number of
+    the first bad line (the header is line 1)."""
+    lines, records, bad = [], [], None
+
+    def add(line, ok=True):
+        nonlocal bad
+        if not ok and bad is None:
+            bad = len(lines) + 2
+        lines.append(line)
+
     for rec in draw(st.lists(_rationale_records, max_size=12)):
         d = record_to_dict(rec)
         line = corpus.dumps(d).encode()
         shape = draw(st.sampled_from(_SHAPES))
         if shape == "two":
-            lines.append(line + b"," + line)
+            add(line + b"," + line, ok=False)
         elif shape == "split":
             cut = draw(st.integers(1, len(line) - 1))
-            lines += [line[:cut], line[cut:]]
+            add(line[:cut], ok=False)  # an object cut short is no JSON value
+            add(line[cut:])
         elif shape in ("blank", "space"):
-            lines += [b"" if shape == "blank" else b" \t ", line]
+            add(b"" if shape == "blank" else b" \t ")
+            add(line)
+            records.append(rec)
         elif shape == "bad-utf8":
             cut = draw(st.integers(0, len(line)))
-            lines.append(line[:cut] + b"\xff" + line[cut:])
+            add(line[:cut] + b"\xff" + line[cut:], ok=False)
         elif shape in ("u2028", "nul"):
-            mark = "\u2028" if shape == "u2028" else "\x00"
-            lines.append(corpus.dumps({**d, "steps": [f"a{mark}b"]}).encode())
+            step = "a\u2028b" if shape == "u2028" else "a\x00b"
+            add(corpus.dumps({**d, "steps": [step]}).encode())
+            records.append(dataclasses.replace(
+                rec, rationale=dataclasses.replace(rec.rationale, steps=(step,))))
         elif shape == "bad-record":
-            lines.append(corpus.dumps({**d, "id": ""}).encode())
+            add(corpus.dumps({**d, "id": ""}).encode(), ok=False)
         else:
-            lines.append(line)
-    return lines
+            add(line)
+            records.append(rec)
+    return lines, records if bad is None else bad
 
 
-@given(_body_lines(), st.sampled_from([b"\n", b"\r\n"]), st.integers(1, 4))
+@given(_body_lines(), st.sampled_from([b"\n", b"\r\n"]))
 @settings(max_examples=300, deadline=None)
-def test_chunked_read_matches_per_line_hypothesis(tmp_path_factory, lines, eol, chunk_lines):
-    path = tmp_path_factory.mktemp("chunks") / "d.jsonl"
+def test_body_lines_read_one_at_a_time_hypothesis(tmp_path_factory, body, eol):
+    lines, want = body
+    path = tmp_path_factory.mktemp("body") / "d.jsonl"
     _write_gen_body(path, lines, eol)
-    with mock.patch.object(corpus, "_CHUNK_LINES", chunk_lines):
-        got = _read_outcome(lambda: read_dataset(path, KIND_GEN)[0])
-    body = path.read_bytes().splitlines()[1:]
-    assert got == _read_outcome(lambda: corpus._decode_lines(body, 2, KIND_GEN))
+    if isinstance(want, int):
+        with pytest.raises(DatasetParseError) as err:
+            read_dataset(path, KIND_GEN)
+        assert err.value.line_no == want
+    else:
+        assert read_dataset(path, KIND_GEN)[0] == want
 
 
 def test_missing_header(tmp_path):
