@@ -71,7 +71,6 @@ from .corpus import (
     KIND_RFT,
     DatasetHeader,
     DatasetParseError,
-    DatasetSchemaError,
     RationaleRecord,
     dumps,
     file_sha256,
@@ -169,7 +168,7 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
     for inp, path in given.items():
         try:
             records[inp.dest], header = read_dataset(path, *inp.kinds)
-        except (DatasetParseError, DatasetSchemaError) as e:
+        except DatasetParseError as e:
             raise ValidationFailure(f"{path}: {e}") from None
         if inp.source and header.source_hash not in ("", sha256[inp.source]):
             raise ValidationFailure(
@@ -517,7 +516,7 @@ _STAGE_DECLS = (
     Stage("metrics", "score prediction sets", _run_metrics,
           flags={"--k": dict(type=_list_of(int, counts=True), default="1")},
           inputs=(_PROBLEMS,
-                  Input("dgen", (KIND_GEN, KIND_RFT), source="problems_file"))),
+                  Input("dgen", (KIND_GEN,), source="problems_file"))),
 )
 
 # Looked up by name when a stage is dispatched, so a wrapper installed here

@@ -58,10 +58,6 @@ class DatasetParseError(ValueError):
         self.line_no = line_no
 
 
-class DatasetSchemaError(ValueError):
-    """Header kind is not among the kinds the reader accepts."""
-
-
 @dataclass(frozen=True)
 class Problem:
     id: str
@@ -276,10 +272,9 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
 def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHeader]:
     """Parse a dataset file whose header declares one of `kinds`.
 
-    A malformed line, or one that is not UTF-8, raises DatasetParseError,
-    which names the line; a header of another kind raises DatasetSchemaError,
-    which names line 1. Other header keys, such as the `created_with` that
-    earlier versions wrote, are ignored.
+    A malformed line, one that is not UTF-8, or a header of another kind
+    raises DatasetParseError, which names the line. Other header keys, such
+    as the `created_with` that earlier versions wrote, are ignored.
     """
     if not kinds or any(kind not in KINDS for kind in kinds):
         raise ValueError(f"unknown dataset kinds: {kinds!r}")
@@ -295,9 +290,8 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
     except Exception as e:
         raise DatasetParseError(1, f"bad header: {e}") from e
     if header.kind not in kinds:
-        raise DatasetSchemaError(
-            f"line 1: header declares kind {header.kind}, expected {' or '.join(kinds)}"
-        )
+        raise DatasetParseError(
+            1, f"header declares kind {header.kind}, expected {' or '.join(kinds)}")
     records: list[Record] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

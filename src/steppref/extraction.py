@@ -13,6 +13,7 @@ these rules (e.g. 0.5 vs 1/2) is deliberately out of scope.
 from __future__ import annotations
 
 import re
+import unicodedata
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -129,7 +130,14 @@ def _normalize_step(step: str) -> str:
     # Only non-ASCII digits (which \d also matches) or leading zeros need the rewrite.
     if collapsed.isascii() and not _LEADING_ZERO_RE.search(collapsed):
         return collapsed
-    return _DIGIT_RUN_RE.sub(lambda m: str(int(m.group(0))), collapsed)
+    return _DIGIT_RUN_RE.sub(_plain_number, collapsed)
+
+
+def _plain_number(m: re.Match) -> str:
+    """A digit run as str(int(run)) writes it, at any length: int() reads at
+    most 4300 digits from a string by default."""
+    run = "".join(str(unicodedata.decimal(ch)) for ch in m.group(0))
+    return run.lstrip("0") or "0"
 
 
 def dedup(rationales: list[Rationale]) -> list[Rationale]:

@@ -31,7 +31,8 @@ batch, so its HTTP requests overlap. Each per-prompt failure is a
 ``GenClientError`` reported in place, so one bad prompt never aborts the
 batch: a failure after retries (``ProviderError``), a short response,
 or a prompt the synthetic provider cannot continue (``PromptError``:
-a question off the template, or a malformed or off-problem prefix step).
+a question off the template, a malformed or off-problem prefix step, or a
+number too long to convert).
 The result is always the per-prompt list, even when every prompt failed.
 """
 
@@ -77,7 +78,8 @@ class ShortResponseError(GenClientError):
 
 class PromptError(GenClientError):
     """The synthetic provider cannot continue this prompt: the question is not
-    a template question, or a prefix step is malformed or off the problem."""
+    a template question, a prefix step is malformed or off the problem, or a
+    number is too long for int() to read or str() to write."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -
         problem = synthworld.problem_from_question(lines[0])
         return synthworld.complete_from(problem, prefix, cfg, (sampling.seed, prompt),
                                         sampling.n)
-    except (synthworld.QuestionParseError, synthworld.PrefixError) as e:
+    except ValueError as e:  # QuestionParseError and PrefixError are ones
         raise PromptError(str(e)) from e
 
 

@@ -16,14 +16,14 @@ kernel call each.
   seq_logprob(logits, ctx, plan)      -- per sequence, the sum of log
                                          softmax(logits[ctx])[tok]; and the
                                          softmax of each planned row
-  add_seq_grad(logits, ctx, coef,     -- a (planned rows x width) block of
-               plan, probs)              zeros, += coef * (onehot(tok) -
+  add_seq_grad(probs, ctx, coef,      -- a (planned rows x width) block of
+               plan)                     zeros, += coef * (onehot(tok) -
                                          softmax) at each position's row:
                                          the gradient, zero in other rows
 
-seq_logprob and add_seq_grad take the logits table and ctx first, whatever
-else they read, so that a wrapper (bench/tracing.py) sees each call's width
-and positions.
+Both kernels take a table of the batch's width first and ctx second, so that
+a wrapper (bench/tracing.py) sees each call's width and positions.
+seq_logprob does not read ctx itself; it takes it for that wrapper alone.
 seq_logprob softmaxes each distinct row once, and add_seq_grad reuses that
 softmax. Both give the bits of the per-position forms: each position's terms
 are the same operations, a sequence sums its own positions with numpy's
@@ -124,8 +124,8 @@ def seq_logprob(logits: np.ndarray, ctx: np.ndarray,
     return sums, exp
 
 
-def add_seq_grad(logits: np.ndarray, ctx: np.ndarray, coef: np.ndarray,
-                 plan: BatchPlan, probs: np.ndarray) -> np.ndarray:
+def add_seq_grad(probs: np.ndarray, ctx: np.ndarray, coef: np.ndarray,
+                 plan: BatchPlan) -> np.ndarray:
     """Gradient in logits[plan.rows] of sum_i coef[i] * log
     softmax(logits[ctx[i]])[tok[i]], from `probs`, seq_logprob's softmax of
     this batch: a block of zeros, one row per plan row, to which a 1-D

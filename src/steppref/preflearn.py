@@ -246,8 +246,7 @@ def _loss_pass(policy: ToyPolicy, flat: _Flat,
     sums, probs = kernels.seq_logprob(policy.logits, flat.ctx, plan)
     pol_lp = sums.tolist()
     loss, coefs = _terms(cfg, [p - r for p, r in zip(pol_lp, flat.ref_lp)])
-    block = kernels.add_seq_grad(policy.logits, flat.ctx, np.repeat(coefs, plan.lengths),
-                                 plan, probs)
+    block = kernels.add_seq_grad(probs, flat.ctx, np.repeat(coefs, plan.lengths), plan)
     return loss, block, pol_lp
 
 

@@ -68,13 +68,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        # Every step at worst multiplies by 3 from the top of an int64 range,
+        # so 1000 steps print in under 640 digits, the lowest limit CPython
+        # accepts for int/str conversion.
+        if not 1 <= self.t <= 1000:
+            raise ValueError("t must lie in [1, 1000]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         lo, hi = self.value_range
         if not 0 <= lo <= hi:  # the question and step grammars read unsigned operands
             raise ValueError("value_range must be (lo, hi) with 0 <= lo <= hi")
+        if hi >= 2**63:  # numpy draws operands as int64
+            raise ValueError("value_range must end below 2**63")
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,18 @@ def test_wrong_kind_validation(tmp_path):
     assert code == 2
 
 
+def test_metrics_refuses_d_rft(tmp_path, capsys):
+    """metrics scores sampled predictions; in D_RFT each one is the gold answer."""
+    base = chain(tmp_path / "run")
+    drft = base / "drft.jsonl"
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "metrics", "--problems-file",
+                             base / "problems.jsonl", "--dgen", drft], capsys)
+    assert (code, err) == (2, [f"error: validation: {drft}: line 1: header declares "
+                               "kind D_RFT, expected D_GEN"])
+    assert not out.exists()
+
+
 def test_stage_failure_removes_partial_outputs(tmp_path, monkeypatch):
     base = chain(tmp_path / "run")
     out = tmp_path / "boom"
@@ -307,6 +319,10 @@ def test_failed_clean_up_still_reports_the_stage_failure(tmp_path, monkeypatch, 
     assert err == ["error: stage-failure: RuntimeError: forced failure after the first write"]
 
 
+# more digits than int() reads from a string (CPython's default limit is 4300)
+_LONG_NUMBER = "1" * 5000
+
+
 def test_malformed_rejected_step_is_itemised(tmp_path):
     base = chain(tmp_path / "run")
     problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
@@ -315,25 +331,40 @@ def test_malformed_rejected_step_is_itemised(tmp_path):
     # first wrong at step 3, so an exact explorer rescues step 1 and
     # exploration reaches the malformed step 2
     rejected = trace_with_error(next(p for p in problems if p.id == bad.problem_id), 3)
-    steps = (rejected.steps[0], "two plus two is five.") + rejected.steps[2:]
-    pairs[bad_idx] = dataclasses.replace(
-        bad, rejected=dataclasses.replace(rejected, steps=steps))
-    write_dataset(pairs, header, base / "dpair.jsonl")
     inputs = ["--problems-file", base / "problems.jsonl", "--dpair", base / "dpair.jsonl"]
-    for stage, flags in (("explore", ["--k", 2]), ("gpair", ["--k", 2]),
-                         ("sweep-k", ["--ks", "1,2"])):
-        assert run(["--seed", 3, "--out", base, stage, *inputs, *flags,
-                    "--epsilon", 0.0]) == 0
-    rows = [json.loads(line) for line in (base / "pits.jsonl").read_text().splitlines()]
-    assert len(rows) == len(pairs)
-    errors = [row for row in rows if "error" in row]
-    assert [row["record_index"] for row in errors] == [bad_idx]
-    assert errors[0]["error"].startswith(f"provider failed at step 2 of {bad.problem_id}: ")
-    assert errors[0]["partial"] == [[2, 2]]
-    dropped = [json.loads(line)
-               for line in (base / "gpair_dropped.jsonl").read_text().splitlines()]
-    assert {"id": bad.problem_id, "record_index": bad_idx,
-            "reason": errors[0]["error"]} in dropped
+    for step in ("two plus two is five.", f"2+3={_LONG_NUMBER}."):
+        steps = (rejected.steps[0], step) + rejected.steps[2:]
+        pairs[bad_idx] = dataclasses.replace(
+            bad, rejected=dataclasses.replace(rejected, steps=steps))
+        write_dataset(pairs, header, base / "dpair.jsonl")
+        for stage, flags in (("explore", ["--k", 2]), ("gpair", ["--k", 2]),
+                             ("sweep-k", ["--ks", "1,2"])):
+            assert run(["--seed", 3, "--out", base, stage, *inputs, *flags,
+                        "--epsilon", 0.0]) == 0
+        rows = [json.loads(line) for line in (base / "pits.jsonl").read_text().splitlines()]
+        assert len(rows) == len(pairs)
+        errors = [row for row in rows if "error" in row]
+        assert [row["record_index"] for row in errors] == [bad_idx]
+        assert errors[0]["error"].startswith(f"provider failed at step 2 of {bad.problem_id}: ")
+        assert errors[0]["partial"] == [[2, 2]]
+        dropped = [json.loads(line)
+                   for line in (base / "gpair_dropped.jsonl").read_text().splitlines()]
+        assert {"id": bad.problem_id, "record_index": bad_idx,
+                "reason": errors[0]["error"]} in dropped
+
+
+def test_question_with_a_long_number_is_a_skip(tmp_path):
+    base = chain(tmp_path / "run")
+    path = base / "problems.jsonl"
+    problems, header = read_dataset(path, KIND_D)
+    problems[1] = dataclasses.replace(
+        problems[1], question=f"Start with {_LONG_NUMBER}. Add 3. What is the final value?")
+    write_dataset(problems, header, path)
+    assert run(["--seed", 3, "--out", base, "rft", "--problems-file", path,
+                "--n", 2]) == 0
+    skips = [json.loads(line) for line in (base / "rft_skips.jsonl").read_text().splitlines()]
+    assert [s["id"] for s in skips if s["reason"].startswith("provider-error: ")] == \
+        [problems[1].id]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -395,6 +426,8 @@ def _run_stderr(args, capsys):
     ["train", "--kto-weights", "1,1"],
     ["train", "--objective", "ipo", "--tau", 0.5, "--kto-weights", "1,1"],
     ["synth", "--epsilon", 0.3],
+    ["synth", "--value-range", "0:99999999999999999999"],
+    ["synth", "--t", 1001],
 ], ids=["flag-type", "n-0", "ipo-no-tau", "one-kto-weight", "ks-0",
         "model-without-endpoint", "max-in-flight-without-endpoint", "metrics-k-0",
         "metrics-k-9", "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
@@ -405,7 +438,8 @@ def _run_stderr(args, capsys):
         "metrics-k-repeated", "explore-temperature-negative", "gpair-temperature-nan",
         "sweep-k-temperature-inf", "rft-temperature-nan", "synth-problems-negative",
         "synth-samples-negative", "synth-value-range-negative", "dpo-tau", "kto-tau",
-        "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples"])
+        "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples",
+        "synth-value-range-past-int64", "synth-t-1001"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     base = chain(tmp_path / "run")
 

@@ -18,7 +18,6 @@ from steppref.corpus import (
     KIND_RFT,
     DatasetHeader,
     DatasetParseError,
-    DatasetSchemaError,
     LABELS,
     PRODUCERS,
     STYLES,
@@ -82,8 +81,9 @@ def test_kind_mismatch_names_both(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "pairs.jsonl"
     write_dataset([make_pair_record(rng)], DatasetHeader(KIND_PAIR), path)
-    with pytest.raises(DatasetSchemaError) as err:
+    with pytest.raises(DatasetParseError) as err:
         read_dataset(path, KIND_RFT)
+    assert err.value.line_no == 1
     assert "D_RFT" in str(err.value) and "D_PAIR" in str(err.value)
 
 

@@ -170,6 +170,13 @@ class TestDedup:
         a, b = _r(["buys 03 apples"]), _r(["buys 3 apples"])
         assert len(dedup([a, b])) == 1
 
+    def test_numbers_longer_than_int_reads(self):
+        """CPython's int() reads at most 4300 digits from a string by default."""
+        long = "1" * 5000
+        a, b = _r([f"x=0{long}"]), _r([f"x={long}"])
+        c, d = _r([f"x=١{long[1:]}"]), _r([f"x=0{long}2"])
+        assert dedup([a, b, c, d]) == [a, d]
+
     def test_idempotent_and_order_stable(self):
         rng = np.random.default_rng(7)
         rationales = [

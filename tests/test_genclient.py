@@ -106,6 +106,8 @@ class TestSyntheticProvider:
             p.question + "\n" + wrong[0] + "\ntwo plus two is five.",
             p.question + "\n" + wrong[0] + "\n999+999=1998.",  # off the problem
             p.question + "\n" + "\n".join(wrong + wrong[-1:]),
+            # an answer one digit longer than str() writes by default
+            f"Start with {'9' * 4300}. Multiply by 3. What is the final value?",
         ]
         for prompt in bad_prompts:
             with pytest.raises(PromptError):

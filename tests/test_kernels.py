@@ -55,7 +55,7 @@ def kernel_grad(logits, ctx, tok, coef):
     plan = kernels.plan_batch(ctx, tok, np.zeros(1, np.int64), logits.shape)
     probs = kernels.seq_logprob(logits, ctx, plan)[1]
     grad = np.zeros(logits.shape)
-    grad[plan.rows] = kernels.add_seq_grad(logits, ctx, coef, plan, probs)
+    grad[plan.rows] = kernels.add_seq_grad(probs, ctx, coef, plan)
     return grad
 
 
