@@ -2,17 +2,20 @@
 
 Each subcommand realizes one pipeline stage and writes exactly its declared
 artifacts plus a `<stage>_manifest.json` (config, input hashes, outputs,
-versions) into --out. The manifest's `config`, the one record of the run's
-settings, is the stage name, --seed where the stage draws randomness, null
-elsewhere, and every flag of the stage as resolved: nothing else, and no
-flag left out. A dataset header holds only its kind and source hash. A
-stage that re-pairs at step granularity lists every outcome pair it leaves
-out, with the reason (no pit, provider failure or assembly failure): `gpair`
-in `gpair_dropped.jsonl`, `sweep-k` in `sweep_dropped.jsonl` once per k.
+versions, numpy's enabled SIMD dispatch targets among them) into --out. The
+manifest's `config`, the one record of the run's settings, is the stage
+name, --seed where the stage draws randomness, null elsewhere, and every
+flag of the stage as resolved: nothing else, and no flag left out. A dataset
+header holds only its kind and source hash. A stage that re-pairs at step
+granularity lists every outcome pair it leaves out, with the reason (no pit,
+provider failure or assembly failure): `gpair` in `gpair_dropped.jsonl`,
+`sweep-k` in `sweep_dropped.jsonl` once per k.
 
-Settings come from flags alone, and a flag that a run does not read is
-refused. The one exception is --seed, which every stage accepts and which
-a stage that draws no randomness records as null. A run records `null` for
+Settings come from flags alone, each spelled in full: a prefix of a flag is
+an unrecognized argument. Each comma-separated item of a list value is a
+value, so `--ks 1,,2` is refused. A flag that a run does not read is
+refused. The one exception is --seed, which every stage accepts and which a
+stage that draws no randomness records as null. A run records `null` for
 each other flag it does not read.
 A sampling stage samples from the server at --endpoint if one is given,
 else from the synthetic solver, with which every stage is a pure function
@@ -82,6 +85,12 @@ from .genclient import ProviderHandle, SamplingConfig
 from .pipeline import ExploreConfig, PairingConfig, VARIANTS
 from .synthworld import SynthConfig
 
+try:  # the SIMD code numpy runs, on which a float's last bit may depend; private names
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    _DISPATCH = {"numpy_dispatch": [n for n in __cpu_dispatch__ if __cpu_features__.get(n)]}
+except ImportError:  # before numpy 2
+    _DISPATCH = {}
+
 
 class ValidationFailure(Exception):
     pass
@@ -136,7 +145,7 @@ class StageRun:
             "inputs": {str(Path(getattr(self.args, d))): h for d, h in self.sha256.items()},
             "outputs": [p.name for p in self.written],
             "versions": {"steppref": __version__, "python": platform.python_version(),
-                         "numpy": np.__version__},
+                         "numpy": np.__version__, **_DISPATCH},
         }
         self.write_text(f"{self.created_with['stage']}_manifest.json", json.dumps(
             manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
@@ -280,8 +289,7 @@ def _run_explore(run: StageRun) -> None:
     provider, cfg = run.cfg
     problems, d_pair = run.records["problems_file"], run.records["dpair"]
     by_id = {p.id: p for p in problems}
-    explored = pipeline.explore_all(problems, d_pair, provider, cfg.k,
-                                    cfg.temperature, cfg.seed)
+    explored = pipeline.explore_all(problems, d_pair, provider, cfg)
     rows = []
     for idx, (record, found) in enumerate(zip(d_pair, explored)):
         row = {"id": record.problem_id, "record_index": idx}
@@ -389,11 +397,9 @@ _value_range.__name__ = "LO:HI"  # argparse names a type in its errors
 
 
 def _list_of(convert: Callable[[str], Any], counts: bool = False) -> Callable[[str], list]:
-    """A comma-separated list; `counts` lists hold distinct values >= 1."""
+    """A comma-separated list, every item a value; `counts` lists hold distinct values >= 1."""
     def parse(text: str) -> list:
-        values = [convert(x) for x in text.split(",") if x != ""]
-        if not values:
-            raise ValueError(f"no values in {text!r}")
+        values = [convert(x) for x in text.split(",")]
         if counts and min(values) < 1:
             raise argparse.ArgumentTypeError(f"{text!r} holds a value below 1")
         if counts and len(set(values)) < len(values):
@@ -525,8 +531,10 @@ _STAGES = {stage.name: stage.run for stage in _STAGE_DECLS}
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reports a bad command line as a
-    ValidationFailure instead of printing usage and exiting."""
+    """An ArgumentParser that knows a flag by its full name only, and reports a
+    bad command line as a ValidationFailure instead of printing usage and
+    exiting. add_subparsers makes each stage's parser one too."""
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, allow_abbrev=False)
 
     def error(self, message: str):
         raise ValidationFailure(message)

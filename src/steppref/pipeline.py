@@ -8,7 +8,7 @@
    `max_pairs_per_problem` pairs per problem, and rejected payloads are
    stored without their conclusion line.
 3. explore_all: step-level rollouts for all rejected rationales at once.
-   Round i draws k completions from the i-step prefix of every rationale
+   Round i draws cfg.k completions from the i-step prefix of every rationale
    still on the frontier, in one `sample_batch`, and counts those that reach
    the gold answer. A rationale leaves at its first zero-success step (the
    pit), after its last step, or on a provider failure (its own
@@ -218,11 +218,9 @@ def explore_all(
     problems: list[Problem],
     d_pair: list[PairRecord],
     explorer: ProviderHandle,
-    k: int,
-    temperature: float,
-    seed: int,
+    cfg: ExploreConfig,
 ) -> list[Rollouts | ExplorationError]:
-    """Roll out k completions from every step prefix of every rejected side.
+    """Roll out cfg.k completions from every step prefix of every rejected side.
 
     Positionally aligned with `d_pair`: each record's rollout table, or its
     ExplorationError (with the tallies gathered before the failing step).
@@ -235,7 +233,7 @@ def explore_all(
         if record.problem_id not in by_id:
             raise ValueError(f"record references unknown problem {record.problem_id!r}")
     jobs = [(by_id[r.problem_id], r.rejected) for r in d_pair]
-    return _explore_frontier(jobs, explorer, k, temperature, seed)
+    return _explore_frontier(jobs, explorer, cfg)
 
 
 def _prefix_prompt(problem: Problem, steps: tuple[str, ...]) -> str:
@@ -247,9 +245,7 @@ def _prefix_prompt(problem: Problem, steps: tuple[str, ...]) -> str:
 def _explore_frontier(
     jobs: list[tuple[Problem, Rationale]],
     explorer: ProviderHandle,
-    k: int,
-    temperature: float,
-    seed: int,
+    cfg: ExploreConfig,
 ) -> list[Rollouts | ExplorationError]:
     """Level-synchronous exploration: round i sends the i-step prefixes of all
     unresolved rationales in one batch. A rationale leaves the frontier at its
@@ -257,7 +253,7 @@ def _explore_frontier(
     there are as many rounds as the deepest explored step."""
     if any(rejected.label != "incorrect" for _, rejected in jobs):
         raise ValueError("exploration expects a rationale labeled incorrect")
-    sampling = SamplingConfig(n=k, temperature=temperature, seed=seed)
+    sampling = SamplingConfig(n=cfg.k, temperature=cfg.temperature, seed=cfg.seed)
     out: list[Rollouts | ExplorationError] = [[] for _ in jobs]
     frontier = list(range(len(jobs)))
     step = 1
@@ -323,8 +319,7 @@ def explore_first_pit(
 
     Raises ExplorationError on a provider failure.
     """
-    (found,) = _explore_frontier([(problem, rejected)], explorer, cfg.k,
-                                 cfg.temperature, cfg.seed)
+    (found,) = _explore_frontier([(problem, rejected)], explorer, cfg)
     if isinstance(found, ExplorationError):
         raise found
     return read_pit(found, cfg.k, len(rejected.steps), problem, cfg.seed)
@@ -421,7 +416,7 @@ def build_granular_pairs(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    explored = explore_all(problems, d_pair, explorer, cfg.k, cfg.temperature, cfg.seed)
+    explored = explore_all(problems, d_pair, explorer, cfg)
     return _granular_entry(problems, d_pair, explored, cfg.k, cfg.seed, variant).build
 
 
@@ -434,9 +429,9 @@ def sweep_exploration_size(
 ) -> list[SweepEntry]:
     """Granular datasets for each exploration size in `ks`.
 
-    Requires nested sampling: each record is explored once at max(ks) and
-    the smaller-k results are read off the shared rollout prefix, so a
-    record's pit index can only move later (or vanish) as k grows.
+    Requires nested sampling: each record is explored once at max(ks), not
+    cfg.k, and the smaller-k results are read off the shared rollout prefix,
+    so a record's pit index can only move later (or vanish) as k grows.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -444,7 +439,6 @@ def sweep_exploration_size(
         raise ValueError("every k must be >= 1")
     if not cfg.nested_sampling:
         raise ValueError("sweep_exploration_size requires cfg.nested_sampling")
-    explored = explore_all(problems, d_pair, explorer, max(ks), cfg.temperature,
-                           cfg.seed)
+    explored = explore_all(problems, d_pair, explorer, replace(cfg, k=max(ks)))
     return [_granular_entry(problems, d_pair, explored, k, cfg.seed, "full")
             for k in ks]

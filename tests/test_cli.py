@@ -428,6 +428,10 @@ def _run_stderr(args, capsys):
     ["synth", "--epsilon", 0.3],
     ["synth", "--value-range", "0:99999999999999999999"],
     ["synth", "--t", 1001],
+    ["sweep-k", "--ks", "1,,2"],
+    ["sweep-k", "--ks", "2,"],
+    ["metrics", "--k", ""],
+    ["train", "--objective", "kto", "--kto-weights", "1,,1"],
 ], ids=["flag-type", "n-0", "ipo-no-tau", "one-kto-weight", "ks-0",
         "model-without-endpoint", "max-in-flight-without-endpoint", "metrics-k-0",
         "metrics-k-9", "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
@@ -439,7 +443,8 @@ def _run_stderr(args, capsys):
         "sweep-k-temperature-inf", "rft-temperature-nan", "synth-problems-negative",
         "synth-samples-negative", "synth-value-range-negative", "dpo-tau", "kto-tau",
         "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples",
-        "synth-value-range-past-int64", "synth-t-1001"])
+        "synth-value-range-past-int64", "synth-t-1001", "ks-empty-item", "ks-trailing-comma",
+        "metrics-k-empty", "kto-weights-empty-item"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     base = chain(tmp_path / "run")
 
@@ -925,7 +930,7 @@ def test_gpair_and_sweep_k_write_the_same_dataset(tmp_path):
 @pytest.mark.parametrize("argv,stage", [
     (["--help"], None),
     (["-h"], None),
-    (["--out", "o", "--he"], None),
+    (["--out", "o", "--help"], None),
     (["-h", "1", "rft"], None),
     (["rft", "--help"], "rft"),
     (["--seed=2", "sweep-k", "-h"], "sweep-k"),
@@ -939,6 +944,72 @@ def test_help_is_the_full_parsers(capsys, argv, stage):
         (stages,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
         parser = stages[stage]
     assert capsys.readouterr().out == parser.format_help()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--he"], "--he"),
+    (["--se", "5", "synth"], "--se"),
+    (["sweep-k", "--problems-file", "p.jsonl", "--dpair", "d.jsonl", "--k", "4"], "--k 4"),
+    (["train", "--pairs-file", "p.jsonl", "--alpha", "64"], "--alpha 64"),
+])
+def test_a_prefix_of_a_flag_is_refused(tmp_path, monkeypatch, capsys, argv, named):
+    """A flag is spelled in full. Prefix matching read these as --help,
+    --seed 5, --ks 4 and --alphabet 64."""
+    monkeypatch.chdir(tmp_path)  # the inputs named are missing
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, *argv], capsys)
+    assert (code, err) == (2, [f"error: validation: unrecognized arguments: {named}"])
+    assert not out.exists()
+
+
+def _truncated_flags():
+    """(stage, spelling) for each long flag of at least four characters less
+    its last character, where that is not itself a flag of the same parser;
+    stage None is the top-level parser."""
+    top = cli.build_parser()
+    (stages,) = [a.choices for a in top._actions if isinstance(a.choices, dict)]
+    for stage, parser in [(None, top), *stages.items()]:
+        flags = parser._option_string_actions
+        for flag in flags:
+            if flag.startswith("--") and len(flag) >= 4 and flag[:-1] not in flags:
+                yield stage, flag[:-1]
+
+
+@pytest.mark.parametrize("stage,spelling", list(_truncated_flags()))
+def test_every_flag_less_its_last_character_is_refused(tmp_path, monkeypatch, capsys, stage,
+                                                       spelling):
+    """Given the stage's required inputs, which argparse would report missing
+    first, the cut flag is named as an unrecognized argument. Its value, 5,
+    reads as a count, a number or a path under tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    out, value = tmp_path / "out", "5"
+    if stage is None:
+        argv, named = [spelling, value, "synth"], spelling
+    else:
+        missing = tmp_path / "missing.jsonl"
+        (decl,) = [s for s in cli._STAGE_DECLS if s.name == stage]
+        inputs = [a for i in decl.inputs for a in ("--" + i.dest.replace("_", "-"), missing)]
+        argv, named = [stage, *inputs, spelling, value], f"{spelling} {value}"
+    code, err = _run_stderr(["--out", out, *argv], capsys)
+    assert (code, err) == (2, [f"error: validation: unrecognized arguments: {named}"])
+    assert not out.exists()
+
+
+def test_manifest_records_the_numpy_dispatch_level(tmp_path):
+    """`versions` lists the SIMD dispatch targets numpy enabled in the process
+    that ran the stage, here and in a process with AVX512 dispatch turned off."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    enabled = [n for n in umath.__cpu_dispatch__ if umath.__cpu_features__[n]]
+    off = [n for n in umath.__cpu_dispatch__ if n == "X86_V4" or n.startswith("AVX512")]
+    src = str(Path(steppref.__file__).resolve().parent.parent)
+    for env, want in (({}, enabled), ({"NPY_DISABLE_CPU_FEATURES": " ".join(off)},
+                                      [n for n in enabled if n not in off])):
+        out = tmp_path / f"run{len(env)}"
+        subprocess.run([sys.executable, "-m", "steppref", "--out", str(out), "synth",
+                        "--problems", "1"], env={**os.environ, "PYTHONPATH": src, **env},
+                       timeout=60, check=True)
+        versions = json.loads((out / "synth_manifest.json").read_text())["versions"]
+        assert versions["numpy_dispatch"] == want
 
 
 @pytest.mark.parametrize("argv", [["nosuch"], ["--out", "o", "nosuch", "--k", "2"], []])

@@ -528,7 +528,8 @@ class TestBuildGranularPairs:
         cfg, p, record = self._setup(e=2)
         ghost = dataclasses.replace(record, problem_id="ghost")
         with pytest.raises(ValueError, match="ghost"):
-            explore_all([p], [record, ghost], _explorer(0.0), 2, 0.7, 0)
+            explore_all([p], [record, ghost], _explorer(0.0),
+                        ExploreConfig(k=2, temperature=0.7, seed=0))
 
     def test_read_pit_refuses_a_short_table(self):
         cfg, p, record = self._setup(e=2)
@@ -720,7 +721,7 @@ class TestFrontierMatchesSerial:
             # one batch per explored depth, covering every record that reached it
             assert len(calls) == max(len(t) for t in tables)
             assert calls == [sum(len(t) > i for t in tables) for i in range(len(calls))]
-        assert explore_all(problems, d_pair, explorer, k, 0.7, seed) == tables
+        assert explore_all(problems, d_pair, explorer, cfg) == tables
 
     @pytest.mark.parametrize("seed,pair_eps,eps,k", FRONTIER_CASES)
     def test_sweep(self, seed, pair_eps, eps, k):
@@ -795,7 +796,7 @@ class TestPerRecordFailures:
             and prompt.count("\n") >= 2))
         http = ProviderHandle.http(server.url, max_in_flight=4)
         cfg = ExploreConfig(k=k, seed=0)
-        found = explore_all(problems, d_pair, http, k, cfg.temperature, cfg.seed)
+        found = explore_all(problems, d_pair, http, cfg)
         err = found[2]
         assert isinstance(err, ExplorationError)
         assert str(err).startswith(f"provider failed at step 2 of {failing.id}: ")
@@ -845,7 +846,8 @@ def test_explore_grades_each_distinct_rollout_once(monkeypatch):
         return extract_answer(text, style)
 
     monkeypatch.setattr(pipeline, "extract_answer", counted)
-    assert explore_all(problems, d_pair, explorer, k, 0.7, 0) == want
+    assert explore_all(problems, d_pair, explorer,
+                       ExploreConfig(k=k, temperature=0.7, seed=0)) == want
     assert sorted(graded) == sorted(c for table in want for row in table
                                     for c in {c for c, _ in row})
     # a row from a prefix that already went wrong is k copies of one text
