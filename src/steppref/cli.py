@@ -41,11 +41,11 @@ Exit codes: 0 ok; 2 validation failure (bad or unread flag value, config
 object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
 missing, malformed or wrong-kind input, a record field of the wrong JSON
 type, source_hash mismatch, unknown problem, a problems file repeating a
-problem id, a D_PAIR input holding a non-outcome pair, a `train` pair whose
-input or rejected steps hold no words, an --out at or under a file): a
-single machine-parseable stderr line, naming the file and line of a
-malformed input line, nothing written; 1 stage failure: partial outputs are
-removed.
+problem id, a D_PAIR input holding a non-outcome pair, a D_RFT record not
+labeled correct, a `train` pair whose input or rejected steps hold no words,
+an --out at or under a file): a single machine-parseable stderr line, naming
+the file and line of a malformed input line, nothing written; 1 stage
+failure: partial outputs are removed.
 """
 
 from __future__ import annotations
@@ -189,6 +189,11 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
                 if r.granularity != GRAN_OUTCOME:
                     raise ValidationFailure(f"{path} record {i} has granularity {r.granularity}, "
                                             f"but a {KIND_PAIR} dataset holds {GRAN_OUTCOME} pairs")
+        if header.kind == KIND_RFT:
+            for i, r in enumerate(records[inp.dest]):
+                if r.rationale.label != "correct":
+                    raise ValidationFailure(f"{path} record {i} is labeled {r.rationale.label}, "
+                                            f"but a {KIND_RFT} dataset holds correct rationales")
     if "problems_file" in records:
         known: set[str] = set()
         for p in records["problems_file"]:

@@ -1,9 +1,10 @@
 """Analysis metrics over per-problem prediction sets.
 
-Prediction order inside a SampleSet is an input contract (descending
-sequence likelihood); every metric at k consumes the first k predictions.
-Majority ties break toward the earliest-appearing modal answer, which keeps
-maj@k deterministic.
+Prediction order inside a SampleSet is an input contract: every metric at k
+consumes the first k predictions. The `metrics` stage passes each problem's
+answers in the D_GEN file's order, which is the order they were sampled in.
+Majority ties break toward the modal answer that appears first, so maj@k is
+deterministic and, in `metrics`, a tie goes to the earliest sampled answer.
 """
 
 from __future__ import annotations
@@ -28,25 +29,6 @@ class SampleSet:
         object.__setattr__(self, "predictions", tuple(self.predictions))
         if not self.predictions:
             raise ValueError("predictions must be non-empty")
-
-
-@dataclass(frozen=True)
-class DiversityInput:
-    problem_id: str
-    embeddings: np.ndarray
-
-    def __post_init__(self) -> None:
-        try:
-            emb = np.asarray(self.embeddings, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"embedding dimension mismatch: {e}") from e
-        if emb.ndim != 2:
-            raise ValueError("embeddings must be a list of equal-length vectors")
-        if emb.shape[0] < 2:
-            raise ValueError("need at least two embeddings")
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("embeddings must be finite")
-        object.__setattr__(self, "embeddings", emb)
 
 
 def _check_k(sets: list[SampleSet], k: int) -> None:
@@ -91,11 +73,10 @@ def answer_stats(sets: list[SampleSet], k: int) -> list[tuple[int, float]]:
     return out
 
 
-def diversity(d: DiversityInput) -> float:
-    """Mean pairwise Euclidean distance over unordered embedding pairs."""
-    emb = d.embeddings
-    n = emb.shape[0]
-    diff = emb[:, None, :] - emb[None, :, :]
+def diversity(embeddings: np.ndarray) -> float:
+    """Mean pairwise Euclidean distance over the rows of a 2-D float array."""
+    n = embeddings.shape[0]
+    diff = embeddings[:, None, :] - embeddings[None, :, :]
     dists = np.sqrt((diff * diff).sum(axis=-1))
     iu = np.triu_indices(n, k=1)
     return float(dists[iu].sum() * 2.0 / (n * (n - 1)))

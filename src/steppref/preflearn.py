@@ -331,7 +331,8 @@ def tokenize_pair_records(
 
     The chosen sequence gets a terminal marker token; the rejected sequence
     does not (it never carries a conclusion/eos). The token->id mapping is
-    returned so a run's tokenization can be recorded.
+    returned too, but no stage records it yet: `train` discards it, and only
+    tests and the benchmark read it.
     """
     if alphabet_size < 3:
         raise ValueError("alphabet_size must be >= 3")

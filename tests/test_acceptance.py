@@ -22,7 +22,6 @@ import pytest
 import steppref
 from steppref.corpus import PairRecord, Problem, Rationale
 from steppref.evalmetrics import (
-    DiversityInput,
     SampleSet,
     answer_stats,
     diversity,
@@ -394,7 +393,7 @@ def test_acceptance_09_metrics_oracles():
             for k2 in range(j + 1, n):
                 total += float(np.linalg.norm(emb[j] - emb[k2]))
         want = 2.0 * total / (n * (n - 1))
-        assert abs(diversity(DiversityInput("d", emb)) - want) <= 1e-12
+        assert abs(diversity(emb) - want) <= 1e-12
     _passed(9, "metrics oracles", "100 fixtures")
 
 

@@ -581,6 +581,25 @@ def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["incorrect", "ungraded"])
+def test_d_rft_record_not_labeled_correct_is_exit_2(tmp_path, capsys, label):
+    """A D_RFT dataset holds correct rationales; pairing one that is not
+    would make a chosen side that is not correct."""
+    base = chain(tmp_path / "run")
+    records, header = read_dataset(base / "drft.jsonl", KIND_RFT)
+    records[1] = dataclasses.replace(
+        records[1], rationale=dataclasses.replace(records[1].rationale, label=label))
+    bad = tmp_path / "bad.jsonl"
+    write_dataset(records, header, bad)
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "pairs", *_STAGE_ARGS["pairs"](base),
+                             "--drft", bad], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {bad} record 1 is labeled {label}, "
+                   "but a D_RFT dataset holds correct rationales"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,kind,blank", [
     ("dpair.jsonl", KIND_PAIR, lambda r: dataclasses.replace(r, input="")),
     ("dgpair.jsonl", KIND_GPAIR, lambda r: dataclasses.replace(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steppref.evalmetrics import (
-    DiversityInput,
     MetricsBoundsError,
     SampleSet,
     answer_stats,
@@ -61,6 +60,8 @@ class TestPassAtK:
         with pytest.raises(MetricsBoundsError) as err:
             pass_at_k(sets, 3)
         assert "tiny-set" in str(err.value)
+        with pytest.raises(MetricsBoundsError, match="k must be >= 1"):
+            pass_at_k(sets, 0)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(2)
@@ -122,43 +123,31 @@ class TestAnswerStats:
 
 class TestDiversity:
     def test_identical_vectors_zero(self):
-        d = DiversityInput("a", np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert diversity(d) == 0.0
+        assert diversity(np.array([[1.0, 2.0], [1.0, 2.0]])) == 0.0
 
     def test_two_vectors_distance(self):
-        d = DiversityInput("a", np.array([[0.0, 0.0], [0.0, 2.0]]))
-        assert diversity(d) == pytest.approx(2.0, abs=1e-12)
+        d = diversity(np.array([[0.0, 0.0], [0.0, 2.0]]))
+        assert d == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(6)
         emb = rng.normal(size=(7, 4))
-        d = DiversityInput("a", emb)
         n = len(emb)
         total = 0.0
         for j in range(n - 1):
             for k in range(j + 1, n):
                 total += float(np.linalg.norm(emb[j] - emb[k]))
         want = 2.0 * total / (n * (n - 1))
-        assert diversity(d) == pytest.approx(want, abs=1e-12)
+        assert diversity(emb) == pytest.approx(want, abs=1e-12)
 
     def test_permutation_invariant_and_scaling(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(5, 3))
-        base = diversity(DiversityInput("a", emb))
-        perm = diversity(DiversityInput("a", emb[::-1].copy()))
+        base = diversity(emb)
+        perm = diversity(emb[::-1].copy())
         assert perm == pytest.approx(base, abs=1e-12)
-        scaled = diversity(DiversityInput("a", 3.0 * emb))
+        scaled = diversity(3.0 * emb)
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiversityInput("a", np.array([[1.0, 2.0]]))  # fewer than two vectors
-        with pytest.raises(ValueError):
-            DiversityInput("a", [[1.0, 2.0], [1.0]])  # ragged
-        with pytest.raises(ValueError):
-            DiversityInput("a", np.array([[1.0], [np.inf]]))
-        with pytest.raises(ValueError):
-            DiversityInput("a", [1.0, 2.0, 3.0])  # one vector, not a list of them
 
 
 @pytest.mark.parametrize("metric", [pass_at_k, maj_at_k])
