@@ -39,13 +39,14 @@ output it wrote if the body or the manifest raises.
 
 Exit codes: 0 ok; 2 validation failure (bad or unread flag value, config
 object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
-missing, malformed or wrong-kind input, a record field of the wrong JSON
-type, source_hash mismatch, unknown problem, a problems file repeating a
-problem id, a D_PAIR input holding a non-outcome pair, a D_RFT record not
-labeled correct, a `train` pair whose input or rejected steps hold no words,
-an --out at or under a file): a single machine-parseable stderr line, naming
-the file and line of a malformed input line, nothing written; 1 stage
-failure: partial outputs are removed.
+missing, malformed or wrong-kind input, a dataset field, header or body,
+that is missing or of the wrong JSON type, source_hash mismatch, unknown
+problem, a problems file repeating a problem id, a D_PAIR input holding a
+non-outcome pair, a D_RFT record not labeled correct, a `train` pair whose
+input or rejected steps hold no words, an --out at or under a file): a
+single machine-parseable stderr line, naming the file and line of a
+malformed input line and its field, nothing written; 1 stage failure:
+partial outputs are removed.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from typing import Any, Callable
 from urllib.parse import urlsplit
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # private names
 
 from . import __version__, evalmetrics, pipeline, preflearn, synthworld
 from .corpus import (
@@ -85,11 +87,8 @@ from .genclient import ProviderHandle, SamplingConfig
 from .pipeline import ExploreConfig, PairingConfig, VARIANTS
 from .synthworld import SynthConfig
 
-try:  # the SIMD code numpy runs, on which a float's last bit may depend; private names
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    _DISPATCH = {"numpy_dispatch": [n for n in __cpu_dispatch__ if __cpu_features__.get(n)]}
-except ImportError:  # before numpy 2
-    _DISPATCH = {}
+# the SIMD code numpy runs, on which a float's last bit may depend
+_NUMPY_DISPATCH = [n for n in __cpu_dispatch__ if __cpu_features__.get(n)]
 
 
 class ValidationFailure(Exception):
@@ -145,7 +144,7 @@ class StageRun:
             "inputs": {str(Path(getattr(self.args, d))): h for d, h in self.sha256.items()},
             "outputs": [p.name for p in self.written],
             "versions": {"steppref": __version__, "python": platform.python_version(),
-                         "numpy": np.__version__, **_DISPATCH},
+                         "numpy": np.__version__, "numpy_dispatch": _NUMPY_DISPATCH},
         }
         self.write_text(f"{self.created_with['stage']}_manifest.json", json.dumps(
             manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")

@@ -13,10 +13,14 @@ Record schemas by kind:
                    granularity, pit_index (chosen/rejected are nested
                    rationale objects)
 
-Field types: id, question, gold_answer and input are strings; steps is a
-list of strings; conclusion and extracted_answer are a string or null;
-pit_index is an integer or null (a JSON true is not an integer). A line
-whose field has another JSON type is a DatasetParseError naming that line.
+Field types: id, question, gold_answer, style, input, producer, label and
+granularity are strings; steps is a list of strings; chosen and rejected
+are objects; conclusion and extracted_answer are a string or null;
+pit_index is an integer or null (a JSON true is not an integer). The
+header's kind is a string, and so is its source_hash, which reads as ""
+(upstream unknown) when missing. A missing nullable field reads as null. A
+line that is not a JSON object, lacks a required field or holds a field of
+another JSON type is a DatasetParseError naming that line and the field.
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
@@ -188,28 +192,36 @@ def _rationale_to_dict(r: Rationale) -> dict[str, Any]:
     }
 
 
-def _field_type_error(key: str, want: str, value: Any) -> TypeError:
-    return TypeError(f"{key} must be {want}, not {type(value).__name__}")
+# The JSON types a field may hold, in a refusal's words; a JSON true is no int.
+_NULL = type(None)
+_JSON_TYPES = {(str,): "a string", (list,): "a list of strings", (dict,): "an object",
+               (str, _NULL): "a string or null", (int, _NULL): "an integer or null"}
+
+
+def _field(d: dict[str, Any], key: str, *json_types: type) -> Any:
+    """d[key] if its type is exactly one of `json_types` and a list holds only
+    strings; null if `key` is missing and null allowed; else a TypeError."""
+    try:
+        value = d[key]
+    except KeyError:
+        if _NULL in json_types:
+            return None
+        raise TypeError(f"{key} is missing")
+    except TypeError:  # d is a JSON value other than an object
+        raise TypeError(f"a dataset line must be a JSON object, not {type(d).__name__}")
+    if type(value) not in json_types:
+        raise TypeError(f"{key} must be {_JSON_TYPES[json_types]}, not {type(value).__name__}")
+    if type(value) is list:
+        for x in value:
+            if type(x) is not str:
+                raise TypeError(f"{key} must be a list of strings, but holds a {type(x).__name__}")
+    return value
 
 
 def _rationale_from_dict(d: dict[str, Any]) -> Rationale:
-    steps, conclusion, answer = d["steps"], d.get("conclusion"), d.get("extracted_answer")
-    if type(steps) is not list:
-        raise _field_type_error("steps", "a list of strings", steps)
-    for step in steps:
-        if type(step) is not str:
-            raise TypeError(f"steps must be a list of strings, but holds a {type(step).__name__}")
-    if conclusion is not None and type(conclusion) is not str:
-        raise _field_type_error("conclusion", "a string or null", conclusion)
-    if answer is not None and type(answer) is not str:
-        raise _field_type_error("extracted_answer", "a string or null", answer)
     return Rationale(
-        steps=steps,
-        conclusion=conclusion,
-        producer=d["producer"],
-        label=d["label"],
-        extracted_answer=answer,
-    )
+        _field(d, "steps", list), _field(d, "conclusion", str, _NULL), _field(d, "producer", str),
+        _field(d, "label", str), _field(d, "extracted_answer", str, _NULL))
 
 
 def record_to_dict(rec: Record) -> dict[str, Any]:
@@ -235,37 +247,18 @@ def record_to_dict(rec: Record) -> dict[str, Any]:
 
 
 def record_from_dict(d: dict[str, Any], kind: str) -> Record:
-    """The record a decoded dataset line holds; a field of the wrong JSON
-    type raises TypeError."""
-    if type(d["id"]) is not str:
-        raise _field_type_error("id", "a string", d["id"])
+    """The record a decoded dataset line holds; what `_field` refuses raises TypeError."""
+    problem_id = _field(d, "id", str)
     if kind == KIND_D:
-        if type(d["question"]) is not str:
-            raise _field_type_error("question", "a string", d["question"])
-        if type(d["gold_answer"]) is not str:
-            raise _field_type_error("gold_answer", "a string", d["gold_answer"])
-        return Problem(
-            id=d["id"],
-            question=d["question"],
-            gold_answer=d["gold_answer"],
-            style=d["style"],
-        )
+        return Problem(problem_id, _field(d, "question", str), _field(d, "gold_answer", str),
+                       _field(d, "style", str))
     if kind in (KIND_GEN, KIND_RFT):
-        return RationaleRecord(problem_id=d["id"], rationale=_rationale_from_dict(d))
+        return RationaleRecord(problem_id, _rationale_from_dict(d))
     if kind in (KIND_PAIR, KIND_GPAIR):
-        pit_index = d.get("pit_index")
-        if type(d["input"]) is not str:
-            raise _field_type_error("input", "a string", d["input"])
-        if pit_index is not None and type(pit_index) is not int:  # a JSON true is no int
-            raise _field_type_error("pit_index", "an integer or null", pit_index)
         return PairRecord(
-            problem_id=d["id"],
-            input=d["input"],
-            chosen=_rationale_from_dict(d["chosen"]),
-            rejected=_rationale_from_dict(d["rejected"]),
-            granularity=d["granularity"],
-            pit_index=pit_index,
-        )
+            problem_id, _field(d, "input", str), _rationale_from_dict(_field(d, "chosen", dict)),
+            _rationale_from_dict(_field(d, "rejected", dict)), _field(d, "granularity", str),
+            _field(d, "pit_index", int, _NULL))
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 
@@ -286,7 +279,8 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
         raise DatasetParseError(1, "missing header record")
     try:
         head = json.loads(lines[0].decode("utf-8"))
-        header = DatasetHeader(kind=head["kind"], source_hash=head.get("source_hash", ""))
+        header = DatasetHeader(_field(head, "kind", str), _field(head, "source_hash", str)
+                               if "source_hash" in head else "")
     except Exception as e:
         raise DatasetParseError(1, f"bad header: {e}") from e
     if header.kind not in kinds:

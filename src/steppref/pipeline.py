@@ -17,6 +17,12 @@
    granularity around the pit, with the Table-2-style ablation variants and
    a nested exploration-size sweep that explores once at max(ks). A variant
    is its granularity's suffix: variant "full" builds "granular-full" pairs.
+   At pit w the input is the question and the rejected steps before w. The
+   rejected side keeps step w ("full", "first-step") or steps w on
+   ("reject-all"). The chosen side is a rescue from that input: at w > 1 an
+   explorer completion, at w = 1 the outcome pair's chosen rationale. "full"
+   and "reject-all" keep it whole; "first-step" keeps its first step only,
+   with no conclusion or answer, labeled ungraded, at w = 1 as at w > 1.
 """
 
 from __future__ import annotations
@@ -338,6 +344,9 @@ def _assemble_granular(
                        steps=steps[w - 1:] if variant == "reject-all" else steps[w - 1: w])
     if w == 1:
         chosen = record.chosen
+        if variant == "first-step":
+            chosen = replace(chosen, steps=chosen.steps[:1], conclusion=None,
+                             label="ungraded", extracted_answer=None)
     else:
         rescue_steps, rescue_conclusion = split_steps(pit.rescue, problem.style)
         if variant == "first-step":

@@ -624,18 +624,49 @@ def test_train_pair_without_words_is_exit_2(tmp_path, capsys, name, kind, blank)
 
 
 # a record field of the wrong JSON type: case -> (file, path to the field, value)
+_MISSING = object()  # deletes the field
+
+# case: (file, path to the field, its new value, the line's refusal); an
+# empty path replaces the whole line
 _MISTYPED = {
-    "id-int": ("problems.jsonl", ["id"], 7),
-    "question-int": ("problems.jsonl", ["question"], 12345),
-    "gold-answer-int": ("problems.jsonl", ["gold_answer"], 12),
-    "steps-string": ("dgen.jsonl", ["steps"], "Start with 5."),
-    "step-int": ("drft.jsonl", ["steps", 0], 12),
-    "conclusion-list": ("drft.jsonl", ["conclusion"], ["The answer is 12."]),
-    "extracted-answer-int": ("dgen.jsonl", ["extracted_answer"], 12),
-    "input-int": ("dpair.jsonl", ["input"], 3),
-    "rejected-step-int": ("dpair.jsonl", ["rejected", "steps", 0], 3),
-    "pit-index-true": ("dgpair.jsonl", ["pit_index"], True),
-    "pit-index-float": ("dgpair.jsonl", ["pit_index"], 1.0),
+    "id-int": ("problems.jsonl", ["id"], 7, "id must be a string, not int"),
+    "question-int": ("problems.jsonl", ["question"], 12345,
+                     "question must be a string, not int"),
+    "question-missing": ("problems.jsonl", ["question"], _MISSING, "question is missing"),
+    "gold-answer-int": ("problems.jsonl", ["gold_answer"], 12,
+                        "gold_answer must be a string, not int"),
+    "style-int": ("problems.jsonl", ["style"], 1, "style must be a string, not int"),
+    "steps-string": ("dgen.jsonl", ["steps"], "Start with 5.",
+                     "steps must be a list of strings, not str"),
+    "steps-missing": ("dgen.jsonl", ["steps"], _MISSING, "steps is missing"),
+    "step-int": ("drft.jsonl", ["steps", 0], 12,
+                 "steps must be a list of strings, but holds a int"),
+    "conclusion-list": ("drft.jsonl", ["conclusion"], ["The answer is 12."],
+                        "conclusion must be a string or null, not list"),
+    "extracted-answer-int": ("dgen.jsonl", ["extracted_answer"], 12,
+                             "extracted_answer must be a string or null, not int"),
+    "producer-int": ("dgen.jsonl", ["producer"], 3, "producer must be a string, not int"),
+    "label-list": ("drft.jsonl", ["label"], ["correct"], "label must be a string, not list"),
+    "label-missing": ("drft.jsonl", ["label"], _MISSING, "label is missing"),
+    "line-array": ("dgen.jsonl", [], ["id", "p0"],
+                   "a dataset line must be a JSON object, not list"),
+    "input-int": ("dpair.jsonl", ["input"], 3, "input must be a string, not int"),
+    "rejected-step-int": ("dpair.jsonl", ["rejected", "steps", 0], 3,
+                          "steps must be a list of strings, but holds a int"),
+    "chosen-list": ("dpair.jsonl", ["chosen"], [], "chosen must be an object, not list"),
+    "rejected-list": ("dpair.jsonl", ["rejected"], ["x"],
+                      "rejected must be an object, not list"),
+    "chosen-missing": ("dpair.jsonl", ["chosen"], _MISSING, "chosen is missing"),
+    "source-hash-int": ("dpair.jsonl", ["source_hash"], 5,
+                        "bad header: source_hash must be a string, not int"),
+    "pit-index-true": ("dgpair.jsonl", ["pit_index"], True,
+                       "pit_index must be an integer or null, not bool"),
+    "pit-index-float": ("dgpair.jsonl", ["pit_index"], 1.0,
+                        "pit_index must be an integer or null, not float"),
+    "granularity-int": ("dgpair.jsonl", ["granularity"], 2,
+                        "granularity must be a string, not int"),
+    "granularity-missing": ("dgpair.jsonl", ["granularity"], _MISSING,
+                            "granularity is missing"),
 }
 
 
@@ -645,15 +676,28 @@ _MISTYPED = {
     ("body-not-utf8", 22),
     ("id-int", 3),
     ("question-int", 6),
+    ("question-missing", 2),
     ("gold-answer-int", 4),
+    ("style-int", 3),
     ("steps-string", 9),
+    ("steps-missing", 2),
     ("step-int", 2),
     ("conclusion-list", 3),
     ("extracted-answer-int", 4),
+    ("producer-int", 5),
+    ("label-list", 2),
+    ("label-missing", 3),
+    ("line-array", 4),
     ("input-int", 2),
     ("rejected-step-int", 3),
+    ("chosen-list", 2),
+    ("rejected-list", 3),
+    ("chosen-missing", 2),
+    ("source-hash-int", 1),
     ("pit-index-true", 2),
     ("pit-index-float", 2),
+    ("granularity-int", 3),
+    ("granularity-missing", 2),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     base = chain(tmp_path / "run")
@@ -665,13 +709,17 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
         bad.write_text("\n".join(lines) + "\n")
         args = ["pairs", *problems, "--dgen", bad, "--drft", base / "drft.jsonl"]
     elif case in _MISTYPED:
-        name, path, value = _MISTYPED[case]
+        name, path, value, _ = _MISTYPED[case]
         lines = (base / name).read_text().splitlines()
-        record = json.loads(lines[line - 1])
-        holder = record
+        record = holder = json.loads(lines[line - 1])
         for key in path[:-1]:
             holder = holder[key]
-        holder[path[-1]] = value
+        if not path:
+            record = value
+        elif value is _MISSING:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
         lines[line - 1] = json.dumps(record)
         bad.write_text("\n".join(lines) + "\n")
         args = {"problems.jsonl": ["rft", "--problems-file", bad],
@@ -690,7 +738,7 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, case, line):
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: validation: {bad}: line {line}: ")
     if case in _MISTYPED:
-        assert [key for key in _MISTYPED[case][1] if type(key) is str][-1] in err[0]
+        assert err[0] == f"error: validation: {bad}: line {line}: {_MISTYPED[case][3]}"
     assert not out.exists()
 
 
@@ -1017,7 +1065,7 @@ def test_every_flag_less_its_last_character_is_refused(tmp_path, monkeypatch, ca
 def test_manifest_records_the_numpy_dispatch_level(tmp_path):
     """`versions` lists the SIMD dispatch targets numpy enabled in the process
     that ran the stage, here and in a process with AVX512 dispatch turned off."""
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    import numpy._core._multiarray_umath as umath
     enabled = [n for n in umath.__cpu_dispatch__ if umath.__cpu_features__[n]]
     off = [n for n in umath.__cpu_dispatch__ if n == "X86_V4" or n.startswith("AVX512")]
     src = str(Path(steppref.__file__).resolve().parent.parent)

@@ -454,6 +454,18 @@ class TestBuildGranularPairs:
         assert rec.chosen == record.chosen
         assert rec.rejected.steps == (record.rejected.steps[0],)
 
+    def test_pit_at_one_first_step_keeps_one_chosen_step(self):
+        cfg, p, record = self._setup(e=1)
+        assert len(record.chosen.steps) > 1 and record.chosen.conclusion is not None
+        out = build_granular_pairs([p], [record], _explorer(0.0),
+                                   ExploreConfig(k=3, seed=2), "first-step")
+        (rec,) = out.records
+        assert rec.pit_index == 1 and rec.input == p.question
+        assert rec.chosen == Rationale(steps=record.chosen.steps[:1], conclusion=None,
+                                       producer=record.chosen.producer, label="ungraded",
+                                       extracted_answer=None)
+        assert rec.rejected.steps == (record.rejected.steps[0],)
+
     def test_no_pit_record_dropped(self, stub_server):
         cfg, p, record = self._setup(e=2)
 
