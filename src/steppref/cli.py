@@ -291,9 +291,8 @@ def _run_pairs(run: StageRun) -> None:
 
 def _run_explore(run: StageRun) -> None:
     provider, cfg = run.cfg
-    problems, d_pair = run.records["problems_file"], run.records["dpair"]
-    by_id = {p.id: p for p in problems}
-    explored = pipeline.explore_all(problems, d_pair, provider, cfg)
+    d_pair = run.records["dpair"]
+    explored = pipeline.explore_all(run.records["problems_file"], d_pair, provider, cfg)
     rows = []
     for idx, (record, found) in enumerate(zip(d_pair, explored)):
         row = {"id": record.problem_id, "record_index": idx}
@@ -301,7 +300,7 @@ def _run_explore(run: StageRun) -> None:
             row.update(error=str(found), partial=found.partial)
         else:
             pit = pipeline.read_pit(found, cfg.k, len(record.rejected.steps),
-                                    by_id[record.problem_id], cfg.seed)
+                                    record.problem_id, cfg.seed)
             row.update(pit_index=pit.pit_index,
                        per_step_success=[list(t) for t in pit.per_step_success],
                        rescue_present=pit.rescue is not None)

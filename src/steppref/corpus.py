@@ -20,7 +20,8 @@ pit_index is an integer or null (a JSON true is not an integer). The
 header's kind is a string, and so is its source_hash, which reads as ""
 (upstream unknown) when missing. A missing nullable field reads as null. A
 line that is not a JSON object, lacks a required field or holds a field of
-another JSON type is a DatasetParseError naming that line and the field.
+another JSON type is a DatasetParseError naming that line and the field, a
+pair's nested field by its side ("rejected.steps").
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
@@ -198,30 +199,35 @@ _JSON_TYPES = {(str,): "a string", (list,): "a list of strings", (dict,): "an ob
                (str, _NULL): "a string or null", (int, _NULL): "an integer or null"}
 
 
-def _field(d: dict[str, Any], key: str, *json_types: type) -> Any:
+def _field(d: dict[str, Any], key: str, *json_types: type, side: str = "") -> Any:
     """d[key] if its type is exactly one of `json_types` and a list holds only
-    strings; null if `key` is missing and null allowed; else a TypeError."""
+    strings; null if `key` is missing and null allowed; else a TypeError that
+    names the field `side` + `key`, as in "rejected.steps"."""
     try:
         value = d[key]
     except KeyError:
         if _NULL in json_types:
             return None
-        raise TypeError(f"{key} is missing")
+        raise TypeError(f"{side}{key} is missing")
     except TypeError:  # d is a JSON value other than an object
         raise TypeError(f"a dataset line must be a JSON object, not {type(d).__name__}")
     if type(value) not in json_types:
-        raise TypeError(f"{key} must be {_JSON_TYPES[json_types]}, not {type(value).__name__}")
+        raise TypeError(
+            f"{side}{key} must be {_JSON_TYPES[json_types]}, not {type(value).__name__}")
     if type(value) is list:
         for x in value:
             if type(x) is not str:
-                raise TypeError(f"{key} must be a list of strings, but holds a {type(x).__name__}")
+                raise TypeError(
+                    f"{side}{key} must be a list of strings, but holds a {type(x).__name__}")
     return value
 
 
-def _rationale_from_dict(d: dict[str, Any]) -> Rationale:
+def _rationale_from_dict(d: dict[str, Any], side: str = "") -> Rationale:
+    """A rationale; `side` is "chosen." or "rejected." inside a pair."""
     return Rationale(
-        _field(d, "steps", list), _field(d, "conclusion", str, _NULL), _field(d, "producer", str),
-        _field(d, "label", str), _field(d, "extracted_answer", str, _NULL))
+        _field(d, "steps", list, side=side), _field(d, "conclusion", str, _NULL, side=side),
+        _field(d, "producer", str, side=side), _field(d, "label", str, side=side),
+        _field(d, "extracted_answer", str, _NULL, side=side))
 
 
 def record_to_dict(rec: Record) -> dict[str, Any]:
@@ -256,9 +262,10 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
         return RationaleRecord(problem_id, _rationale_from_dict(d))
     if kind in (KIND_PAIR, KIND_GPAIR):
         return PairRecord(
-            problem_id, _field(d, "input", str), _rationale_from_dict(_field(d, "chosen", dict)),
-            _rationale_from_dict(_field(d, "rejected", dict)), _field(d, "granularity", str),
-            _field(d, "pit_index", int, _NULL))
+            problem_id, _field(d, "input", str),
+            _rationale_from_dict(_field(d, "chosen", dict), "chosen."),
+            _rationale_from_dict(_field(d, "rejected", dict), "rejected."),
+            _field(d, "granularity", str), _field(d, "pit_index", int, _NULL))
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 

@@ -19,10 +19,11 @@
    is its granularity's suffix: variant "full" builds "granular-full" pairs.
    At pit w the input is the question and the rejected steps before w. The
    rejected side keeps step w ("full", "first-step") or steps w on
-   ("reject-all"). The chosen side is a rescue from that input: at w > 1 an
-   explorer completion, at w = 1 the outcome pair's chosen rationale. "full"
-   and "reject-all" keep it whole; "first-step" keeps its first step only,
-   with no conclusion or answer, labeled ungraded, at w = 1 as at w > 1.
+   ("reject-all"). The chosen side is found first: at w = 1 the outcome
+   pair's chosen rationale, at w > 1 a rescue, an explorer completion from
+   that input, graded like any sample. "full" and "reject-all" keep it
+   whole; "first-step" then cuts it once, to its first step with no
+   conclusion or answer, labeled ungraded.
 """
 
 from __future__ import annotations
@@ -128,6 +129,18 @@ def _tokens(r: Rationale) -> list[str]:
     return " ".join(r.steps).split()
 
 
+def _graded(problem: Problem, text: str, producer: str) -> Rationale:
+    """A completion as steps and a conclusion, labeled correct or incorrect by
+    its extracted answer against the gold one. A completion with no step (a
+    bare answer declaration is no reasoning) raises EmptyRationaleError."""
+    steps, conclusion = split_steps(text, problem.style)
+    if not steps:
+        raise EmptyRationaleError("completion has no step")
+    extracted = extract_answer(text, problem.style)
+    label = "correct" if extracted == problem.gold_answer else "incorrect"
+    return Rationale(tuple(steps), conclusion, producer, label, extracted)
+
+
 def build_rft(
     problems: list[Problem],
     provider: ProviderHandle,
@@ -150,17 +163,9 @@ def build_rft(
         rationales = []
         for text in dict.fromkeys(result):
             try:
-                steps, conclusion = split_steps(text, problem.style)
+                rationales.append(_graded(problem, text, "SFT"))
             except EmptyRationaleError:
                 continue
-            if not steps:
-                # A bare answer declaration with no reasoning is unusable.
-                continue
-            extracted = extract_answer(text, problem.style)
-            label = "correct" if extracted == problem.gold_answer else "incorrect"
-            rationales.append(
-                Rationale(tuple(steps), conclusion, "SFT", label, extracted)
-            )
         if not rationales:
             out.skipped.append(SkipEntry(problem.id, "no-parseable-samples"))
             continue
@@ -292,7 +297,7 @@ def read_pit(
     table: Rollouts,
     k: int,
     n_steps: int,
-    problem: Problem,
+    problem_id: str,
     seed: int,
 ) -> PitResult:
     """The first pit at exploration size k, read off the first k rollouts of
@@ -310,7 +315,7 @@ def read_pit(
     rescue = None
     if pit is not None and pit > 1:
         pool = [c for c, ok in table[pit - 2][:k] if ok]
-        rng = rng_for(seed, "rescue", problem.id, pit, k)
+        rng = rng_for(seed, "rescue", problem_id, pit, k)
         rescue = pool[int(rng.integers(0, len(pool)))]
     return PitResult(pit_index=pit, per_step_success=tuple(tallies), rescue=rescue)
 
@@ -328,7 +333,7 @@ def explore_first_pit(
     (found,) = _explore_frontier([(problem, rejected)], explorer, cfg)
     if isinstance(found, ExplorationError):
         raise found
-    return read_pit(found, cfg.k, len(rejected.steps), problem, cfg.seed)
+    return read_pit(found, cfg.k, len(rejected.steps), problem.id, cfg.seed)
 
 
 def _assemble_granular(
@@ -342,31 +347,11 @@ def _assemble_granular(
     # an outcome pair's rejected side is labeled incorrect and has no conclusion
     rejected = replace(record.rejected, extracted_answer=None,
                        steps=steps[w - 1:] if variant == "reject-all" else steps[w - 1: w])
-    if w == 1:
-        chosen = record.chosen
-        if variant == "first-step":
-            chosen = replace(chosen, steps=chosen.steps[:1], conclusion=None,
-                             label="ungraded", extracted_answer=None)
-    else:
-        rescue_steps, rescue_conclusion = split_steps(pit.rescue, problem.style)
-        if variant == "first-step":
-            if not rescue_steps:
-                raise ValueError("rescue completion has no step to keep")
-            chosen = Rationale(
-                steps=(rescue_steps[0],),
-                conclusion=None,
-                producer="EXPLORER",
-                label="ungraded",
-                extracted_answer=None,
-            )
-        else:
-            chosen = Rationale(
-                steps=tuple(rescue_steps),
-                conclusion=rescue_conclusion,
-                producer="EXPLORER",
-                label="correct",
-                extracted_answer=extract_answer(pit.rescue, problem.style),
-            )
+    # a rescue reached the gold answer, so it grades correct
+    chosen = record.chosen if w == 1 else _graded(problem, pit.rescue, "EXPLORER")
+    if variant == "first-step":
+        chosen = replace(chosen, steps=chosen.steps[:1], conclusion=None,
+                         label="ungraded", extracted_answer=None)
     return PairRecord(
         problem_id=problem.id,
         input=_prefix_prompt(problem, steps[:w - 1]),
@@ -395,7 +380,7 @@ def _granular_entry(
             out.failures.append(DropEntry(record.problem_id, idx, str(found)))
             continue
         problem = by_id[record.problem_id]
-        pit = read_pit(found, k, len(record.rejected.steps), problem, seed)
+        pit = read_pit(found, k, len(record.rejected.steps), problem.id, seed)
         if pit.pit_index is None:
             out.dropped.append(DropEntry(record.problem_id, idx, "no-pit"))
             continue

@@ -190,7 +190,7 @@ def test_rescue_without_a_step_is_an_assembly_drop(tmp_path, stub_server, varian
     rows = [json.loads(line) for line in (out / "gpair_dropped.jsonl").read_text().splitlines()]
     assert [(row["id"], row["record_index"]) for row in rows] == [
         (r.problem_id, i) for i, r in enumerate(pairs) if r.problem_id in bare]
-    assert all(row["reason"].startswith("assembly: ") for row in rows)
+    assert all(row["reason"] == "assembly: completion has no step" for row in rows)
     kept, _ = read_dataset(out / "dgpair.jsonl", KIND_GPAIR)
     assert [g.problem_id for g in kept] == [r.problem_id for r in pairs
                                             if r.problem_id not in bare]
@@ -652,7 +652,9 @@ _MISTYPED = {
                    "a dataset line must be a JSON object, not list"),
     "input-int": ("dpair.jsonl", ["input"], 3, "input must be a string, not int"),
     "rejected-step-int": ("dpair.jsonl", ["rejected", "steps", 0], 3,
-                          "steps must be a list of strings, but holds a int"),
+                          "rejected.steps must be a list of strings, but holds a int"),
+    "chosen-conclusion-list": ("dpair.jsonl", ["chosen", "conclusion"], ["x"],
+                               "chosen.conclusion must be a string or null, not list"),
     "chosen-list": ("dpair.jsonl", ["chosen"], [], "chosen must be an object, not list"),
     "rejected-list": ("dpair.jsonl", ["rejected"], ["x"],
                       "rejected must be an object, not list"),
@@ -690,6 +692,7 @@ _MISTYPED = {
     ("line-array", 4),
     ("input-int", 2),
     ("rejected-step-int", 3),
+    ("chosen-conclusion-list", 2),
     ("chosen-list", 2),
     ("rejected-list", 3),
     ("chosen-missing", 2),

@@ -5,10 +5,12 @@ byte-identity check. Each stage runs once at seed 0, and the sha256 of each
 file the chain wrote, dataset headers and manifests included, must equal the
 table, so a change that claims byte-identical output proves it. The run
 directory is hashed as `<run>`, and each manifest's `versions` key, its last,
-is left out: Python and numpy versions differ between machines. The chain
-runs in-process here, as one `python -m steppref` process per stage in
-acceptance 10, and as one process per stage of any command with --check,
-which names each file that is missing or differs:
+is left out: Python and numpy versions differ between machines. A row that
+names a `--variant` writes into its own directory, and its files are keyed
+`<variant>/<file>`. The chain runs in-process here, as one `python -m
+steppref` process per stage in acceptance 10, and as one process per stage
+of any command with --check, which names each file that is missing or
+differs:
 
     PYTHONPATH=src python tests/test_golden.py --check "$(mktemp -d)/chain" python -m steppref
 
@@ -38,6 +40,10 @@ STAGES = [
      "--k", "3"],
     ["gpair", "--problems-file", "problems.jsonl", "--dpair", "dpair.jsonl",
      "--k", "3"],
+    ["gpair", "--problems-file", "problems.jsonl", "--dpair", "dpair.jsonl",
+     "--k", "3", "--variant", "first-step"],
+    ["gpair", "--problems-file", "problems.jsonl", "--dpair", "dpair.jsonl",
+     "--k", "3", "--variant", "reject-all"],
     ["sweep-k", "--problems-file", "problems.jsonl", "--dpair", "dpair.jsonl",
      "--ks", "1,2,4", "--epsilon", "0.4"],
     ["train", "--pairs-file", "dgpair.jsonl", "--epochs", "3", "--alphabet", "64",
@@ -53,13 +59,14 @@ def chain_digests(base: Path, launch=main) -> dict[str, str]:
     base.mkdir(parents=True, exist_ok=True)
     for stage in STAGES:
         args = [str(base / a) if a.endswith(".jsonl") else a for a in stage]
-        assert launch(["--seed", "0", "--out", str(base), *args]) == 0, stage
+        out = base / stage[stage.index("--variant") + 1] if "--variant" in stage else base
+        assert launch(["--seed", "0", "--out", str(out), *args]) == 0, stage
     digests = {}
-    for path in sorted(base.iterdir()):
+    for path in sorted(p for p in base.rglob("*") if p.is_file()):
         data = path.read_bytes().replace(str(base).encode(), b"<run>")
         if path.name.endswith("_manifest.json"):
             data = data[:data.index(b',\n  "versions": ')]
-        digests[path.name] = hashlib.sha256(data).hexdigest()
+        digests[path.relative_to(base).as_posix()] = hashlib.sha256(data).hexdigest()
     return digests
 
 

@@ -437,12 +437,15 @@ class TestBuildGranularPairs:
                                    ExploreConfig(k=3, seed=2), "first-step")
         (rec,) = out.records
         assert rec.granularity == "granular-first-step"
-        assert len(rec.chosen.steps) == 1
-        assert rec.chosen.conclusion is None
-        # the single kept step continues the prefix correctly
+        # the full variant's chosen side, cut to its first step
         full = build_granular_pairs([p], [record], _explorer(0.0),
                                     ExploreConfig(k=3, seed=2), "full").records[0]
-        assert rec.chosen.steps[0] == full.chosen.steps[0]
+        assert rec.pit_index == full.pit_index == 3 and rec.input == full.input
+        assert len(full.chosen.steps) > 1 and full.chosen.conclusion is not None
+        assert rec.chosen == Rationale(steps=full.chosen.steps[:1], conclusion=None,
+                                       producer=full.chosen.producer, label="ungraded",
+                                       extracted_answer=None)
+        assert rec.rejected == full.rejected
 
     def test_pit_at_one_uses_original_chosen(self):
         cfg, p, record = self._setup(e=1)
@@ -546,7 +549,7 @@ class TestBuildGranularPairs:
     def test_read_pit_refuses_a_short_table(self):
         cfg, p, record = self._setup(e=2)
         with pytest.raises(RuntimeError, match="shorter"):
-            read_pit([[("x", True)]], 1, 2, p, 0)
+            read_pit([[("x", True)]], 1, 2, p.id, 0)
 
 
 class TestSweep:
