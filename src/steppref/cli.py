@@ -22,7 +22,9 @@ else from the synthetic solver, with which every stage is a pure function
 of (flags, seed): rerunning a stage with identical inputs produces
 byte-identical files. So --model and --max-in-flight need --endpoint, and
 --epsilon (the synthetic solver's error rate) is refused beside it, and in
-`synth` without --samples. An endpoint must be an http(s) URL; an HTTP run
+`synth` without --samples. The synthetic solver reads --temperature only as
+zero (one greedy text) or not zero, so without --endpoint it takes 0 or its
+default alone. An endpoint must be an http(s) URL; an HTTP run
 records its effective --max-in-flight. Of `train`'s objective flags,
 --beta is read by dpo and kto, --tau by ipo, which needs it, and
 --kto-weights by kto. A flag that fills a config field takes its default
@@ -244,6 +246,9 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
     if args.endpoint is None:
         if args.model is not None or args.max_in_flight is not None:
             raise ValueError("--model and --max-in-flight need --endpoint")
+        if args.temperature not in (0, SamplingConfig.temperature):
+            raise ValueError("--temperature without --endpoint is 0 or "
+                             f"{SamplingConfig.temperature}; the synthetic solver reads no other")
         if args.epsilon is None:
             args.epsilon = SynthConfig.epsilon
         return ProviderHandle.synthetic(SynthConfig(t=1, epsilon=args.epsilon,

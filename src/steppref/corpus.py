@@ -21,7 +21,8 @@ header's kind is a string, and so is its source_hash, which reads as ""
 (upstream unknown) when missing. A missing nullable field reads as null. A
 line that is not a JSON object, lacks a required field or holds a field of
 another JSON type is a DatasetParseError naming that line and the field, a
-pair's nested field by its side ("rejected.steps").
+pair's nested field by its side ("rejected.steps"). A value refusal inside a
+pair names its side too ("rejected: unknown label: 'bogus'").
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
@@ -223,11 +224,16 @@ def _field(d: dict[str, Any], key: str, *json_types: type, side: str = "") -> An
 
 
 def _rationale_from_dict(d: dict[str, Any], side: str = "") -> Rationale:
-    """A rationale; `side` is "chosen." or "rejected." inside a pair."""
-    return Rationale(
+    """A rationale; `side` is "chosen." or "rejected." inside a pair, and a
+    value the rationale refuses there is named by its side."""
+    fields = (
         _field(d, "steps", list, side=side), _field(d, "conclusion", str, _NULL, side=side),
         _field(d, "producer", str, side=side), _field(d, "label", str, side=side),
         _field(d, "extracted_answer", str, _NULL, side=side))
+    try:
+        return Rationale(*fields)
+    except ValueError as e:
+        raise ValueError(f"{side[:-1]}: {e}" if side else str(e)) from e
 
 
 def record_to_dict(rec: Record) -> dict[str, Any]:

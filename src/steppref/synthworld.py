@@ -32,14 +32,8 @@ from .corpus import Problem, Rationale
 from .extraction import canonicalize
 from .rng import rng_for, stable_seed
 
-OP_ADD = "add"
-OP_SUB = "subtract"
-OP_MUL = "multiply"
-
-_OP_WORDS = {OP_ADD: "Add", OP_SUB: "Subtract", OP_MUL: "Multiply by"}
-_OP_SYMBOLS = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*"}
+_OP_WORDS = {"+": "Add", "-": "Subtract", "*": "Multiply by"}
 _WORD_OPS = {v: k for k, v in _OP_WORDS.items()}
-_SYMBOL_OPS = {v: k for k, v in _OP_SYMBOLS.items()}
 
 _MULTIPLIERS = (2, 3)  # never 0 or 1: keeps corruption offsets alive downstream
 _DELTAS = (-3, -2, -1, 1, 2, 3)
@@ -89,20 +83,17 @@ class SynthTrace:
 
 
 def _apply(op: str, value: int, operand: int) -> int:
-    if op == OP_ADD:
+    if op == "+":
         return value + operand
-    if op == OP_SUB:
+    if op == "-":
         return value - operand
     return value * operand
 
 
-def _fmt_step(op: str, operand: int, prev: int, declared: int) -> str:
-    return f"{prev}{_OP_SYMBOLS[op]}{operand}={declared}."
-
-
 @lru_cache(maxsize=4096)
 def parse_question(question: str) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """(start value, ((op, operand), ...)) for a templated question."""
+    """(start value, ((op, operand), ...)) for a templated question; an op is
+    its step symbol, "+", "-" or "*"."""
     m = _QUESTION_RE.match(question)
     if not m:
         raise QuestionParseError(f"not a synthetic question: {question!r}")
@@ -125,8 +116,8 @@ def gen_problem(cfg: SynthConfig, idx: int) -> Problem:
         # Mostly additive chains keep running values in a narrow band, so
         # different problems genuinely share intermediate states.
         r = rng.random()
-        kind = OP_ADD if r < 0.4 else OP_SUB if r < 0.8 else OP_MUL
-        if kind == OP_MUL:
+        kind = "+" if r < 0.4 else "-" if r < 0.8 else "*"
+        if kind == "*":
             operand = int(_MULTIPLIERS[int(rng.integers(0, len(_MULTIPLIERS)))])
         else:
             operand = int(rng.integers(lo, hi + 1))
@@ -165,7 +156,7 @@ def _walk(ops: tuple[tuple[str, int], ...], value: int, wrong: bool, epsilon: fl
         if not wrong and rng.random() < epsilon:
             declared += int(_DELTAS[int(rng.integers(0, len(_DELTAS)))])
             wrong, corrupted = True, i
-        lines.append(_fmt_step(op, operand, value, declared))
+        lines.append(f"{value}{op}{operand}={declared}.")
         value = declared
     return lines, value, corrupted
 
@@ -204,13 +195,10 @@ def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool, tuple]
         m = _STEP_RE.match(line.strip())
         if not m:
             raise PrefixError(f"step {i} violates the step grammar: {line!r}")
-        op, operand, declared = _SYMBOL_OPS[m.group(2)], int(m.group(3)), int(m.group(4))
-        expected_op, expected_operand = ops[i - 1]
-        if (op, operand) != (expected_op, expected_operand):
-            raise PrefixError(
-                f"step {i} applies {op} {operand} but the problem expects "
-                f"{expected_op} {expected_operand}"
-            )
+        op, operand, declared = m.group(2), int(m.group(3)), int(m.group(4))
+        if (op, operand) != ops[i - 1]:
+            raise PrefixError("step {} applies {}{} but the problem expects {}{}"
+                              .format(i, op, operand, *ops[i - 1]))
         if declared != _apply(op, value, operand):
             wrong = True
         value = declared

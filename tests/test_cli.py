@@ -432,6 +432,8 @@ def _run_stderr(args, capsys):
     ["sweep-k", "--ks", "2,"],
     ["metrics", "--k", ""],
     ["train", "--objective", "kto", "--kto-weights", "1,,1"],
+    ["rft", "--temperature", 1.3],
+    ["gpair", "--temperature", 0.5],
 ], ids=["flag-type", "n-0", "ipo-no-tau", "one-kto-weight", "ks-0",
         "model-without-endpoint", "max-in-flight-without-endpoint", "metrics-k-0",
         "metrics-k-9", "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
@@ -444,7 +446,8 @@ def _run_stderr(args, capsys):
         "synth-samples-negative", "synth-value-range-negative", "dpo-tau", "kto-tau",
         "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples",
         "synth-value-range-past-int64", "synth-t-1001", "ks-empty-item", "ks-trailing-comma",
-        "metrics-k-empty", "kto-weights-empty-item"])
+        "metrics-k-empty", "kto-weights-empty-item", "rft-temperature-1.3",
+        "gpair-temperature-0.5"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     base = chain(tmp_path / "run")
 
@@ -474,6 +477,15 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: validation:")
     assert not out.exists()
+
+
+def test_synthetic_run_takes_temperature_0(tmp_path):
+    # the synthetic solver reads 0 as one greedy text per prompt
+    base = tmp_path / "run"
+    assert run(["--out", base, "synth", "--problems", 3, "--t", 2]) == 0
+    assert run(["--out", base, "rft", "--problems-file", base / "problems.jsonl",
+                "--temperature", 0]) == 0
+    assert json.loads((base / "rft_manifest.json").read_text())["config"]["temperature"] == 0
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -659,6 +671,10 @@ _MISTYPED = {
     "rejected-list": ("dpair.jsonl", ["rejected"], ["x"],
                       "rejected must be an object, not list"),
     "chosen-missing": ("dpair.jsonl", ["chosen"], _MISSING, "chosen is missing"),
+    "rejected-label-bogus": ("dpair.jsonl", ["rejected", "label"], "bogus",
+                             "rejected: unknown label: 'bogus'"),
+    "chosen-step-empty": ("dpair.jsonl", ["chosen", "steps"], [""],
+                          "chosen: steps must be non-empty lines"),
     "source-hash-int": ("dpair.jsonl", ["source_hash"], 5,
                         "bad header: source_hash must be a string, not int"),
     "pit-index-true": ("dgpair.jsonl", ["pit_index"], True,
@@ -696,6 +712,8 @@ _MISTYPED = {
     ("chosen-list", 2),
     ("rejected-list", 3),
     ("chosen-missing", 2),
+    ("rejected-label-bogus", 3),
+    ("chosen-step-empty", 2),
     ("source-hash-int", 1),
     ("pit-index-true", 2),
     ("pit-index-float", 2),

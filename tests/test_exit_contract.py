@@ -14,6 +14,15 @@ style, pit indices, another problem's id, cut, repeated or foreign steps, a
 and last body line of each input, so no random draw has to find them. A
 hypothesis property draws from those values and from ill-typed ones on any
 body line.
+
+Flag values are checked the same way on the unchanged inputs: each chain
+row runs once per flag of its stage and per value of that flag type's pool,
+which holds ill-typed, empty, negative, zero, nan, inf and list forms. A flag
+whose value scales work, memory or threads takes only values it refuses, or
+the row's own value, and no value is a URL, since a real endpoint retries
+with sleeps. There `train` may also exit 1, as `stage-failure:
+DivergenceError`: a finite --beta can still overflow its loss, and that is
+its documented stage failure.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steppref.cli import main
+from steppref.cli import _STAGE_DECLS, main
 from steppref.corpus import GRANULARITIES, LABELS, PRODUCERS
 from steppref.extraction import STYLES
 
@@ -40,6 +49,22 @@ INPUTS = ["problems.jsonl", "dgen.jsonl", "drft.jsonl", "samples.jsonl",
 READERS = {name: [row for row in STAGES if name in row] for name in INPUTS}
 DELETE = object()  # the field is removed
 ILL_TYPED = [None, 0, -1, 1.5, True, "", "x", [], ["x"], {}, "0", 10**30]
+
+FLAGS = {decl.name: decl.flags for decl in _STAGE_DECLS}
+# one pool per flag type, keyed by the name of the flag's argparse type; a
+# flag with choices draws them too
+FLAG_POOLS = {
+    "int": ["x", "", "-1", "0", "1.5", "nan", "inf", "1,,2", "1,2"],
+    "float": ["x", "", "-1", "0", "-0", "0.7", "1e-300", "1e308", "nan", "inf", "-inf",
+              "1,,2"],
+    "comma-separated int": ["", ",", "2,", "1,,2", "-1,2", "0", "1,1", "x", "1.5", "nan"],
+    "comma-separated float": ["", ",", "2,", "1,,2", "-1,2", "0,0", "nan,1", "inf,1",
+                              "1e308,1", "1,2,3", "x"],
+    "LO:HI": ["", "x", "0:0", "3:2", "-1:4", "0:99999999999999999999", "nan:1", "1:2:3"],
+    "str": ["", "x", "localhost:80", "ftp://host/v1", "http://", "1,,2"],
+}
+SCALING = {"--n", "--problems", "--samples", "--t", "--k", "--ks", "--epochs",
+           "--max-in-flight", "--alphabet", "--order"}
 
 
 def _long(text: str) -> str:
@@ -185,3 +210,40 @@ def test_one_field_mutation_keeps_the_exit_contract_hypothesis(golden_inputs, tm
                                                                 data):
     with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
         assert _mutate(golden_inputs, *data.draw(_mutations(golden_inputs)), Path(tmp)) == []
+
+
+def _flag_values(row: list[str], flag: str) -> list[str]:
+    """The pool of `flag` in the stage of `row`; for a flag in SCALING, only
+    the row's own value and the pool's values that are not unsigned integers."""
+    kwargs = FLAGS[row[0]][flag]
+    pool = [*kwargs.get("choices", ()), *FLAG_POOLS[kwargs.get("type", str).__name__]]
+    if flag not in SCALING:
+        return pool
+    own = [row[row.index(flag) + 1]] if flag in row else []
+    return own + [v for v in pool if not re.fullmatch(r"\d+(,\d+)*", v)]
+
+
+def _flag_breaches(base: Path, row: list[str], flag: str, value: str, tmp: Path) -> list[str]:
+    """Run `row` with `flag` set to `value` last, so that it wins; return the
+    contract's breaches."""
+    out = tmp / "out"
+    code, err = _main([*row, f"{flag}={value}"], base, {}, out)
+    lines, where = err.splitlines(), f"{row[0]} {flag}={value!r}: exit {code}"
+    if code == 1 and row[0] == "train":
+        ok = len(lines) == 1 and lines[0].startswith("error: stage-failure: DivergenceError: ")
+    elif code == 2:
+        ok = len(lines) == 1 and lines[0].startswith("error: validation: ") \
+            and not out.exists()
+    else:
+        ok = code == 0 and not (flag in SCALING and value not in row)
+    return [] if ok else [f"{where}: {lines}"]
+
+
+@pytest.mark.parametrize("row", STAGES, ids=lambda row: " ".join(row[:1] + row[-2:]))
+def test_flag_values_keep_the_exit_contract(golden_inputs, tmp_path, row):
+    breaches = []
+    for flag in FLAGS[row[0]]:
+        for value in _flag_values(row, flag):
+            with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+                breaches += _flag_breaches(golden_inputs, row, flag, value, Path(tmp))
+    assert not breaches, "\n".join(breaches[:20])

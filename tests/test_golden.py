@@ -14,6 +14,11 @@ differs:
 
     PYTHONPATH=src python tests/test_golden.py --check "$(mktemp -d)/chain" python -m steppref
 
+--check also reads the dispatch targets named in NPY_DISABLE_CPU_FEATURES
+(split on spaces or commas) and names each manifest of the run, in any
+directory, whose `versions.numpy_dispatch` lists one: numpy ignored the
+variable there, and the run did not check what it was meant to.
+
 A change that moves output bytes on purpose regenerates the table and says so:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +99,15 @@ if __name__ == "__main__":
         bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
         for name in bad:
             print(name, "missing" if name not in got else "differs from the table")
+        off = set(os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split())
+        manifests = sorted(Path(sys.argv[2]).rglob("*_manifest.json"))
+        for path in manifests:
+            listed = off & set(json.loads(path.read_text())["versions"]["numpy_dispatch"])
+            if listed:
+                bad.append(path)
+                print(path, "lists turned-off dispatch targets", *sorted(listed))
+        if off:
+            print(f"{len(manifests)} manifests checked against turned-off targets", *sorted(off))
         sys.exit(1 if bad else 0)
     else:
         sys.exit("usage: test_golden.py --write | --check DIR COMMAND...")

@@ -169,7 +169,9 @@ class TestCompleteFrom:
     def test_prefix_with_wrong_operation(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
-        with pytest.raises(PrefixError):
+        # the problem's first op is "Add 8."
+        with pytest.raises(PrefixError,
+                           match=r"^step 1 applies \+999 but the problem expects \+8$"):
             complete_from(p, ["999+999=1998."], cfg, 0, 1)
 
     def test_too_long_prefix(self):
