@@ -132,8 +132,7 @@ def _sample_synthetic(cfg: SynthConfig, prompt: str, sampling: SamplingConfig) -
         # Greedy decoding of the toy solver is its error-free chain.
         cfg = dataclasses.replace(cfg, epsilon=0.0)
     try:
-        problem = synthworld.problem_from_question(lines[0])
-        return synthworld.complete_from(problem, prefix, cfg, (sampling.seed, prompt),
+        return synthworld.complete_from(lines[0], prefix, cfg, (sampling.seed, prompt),
                                         sampling.n)
     except ValueError as e:  # QuestionParseError and PrefixError are ones
         raise PromptError(str(e)) from e

@@ -132,17 +132,6 @@ def gen_problem(cfg: SynthConfig, idx: int) -> Problem:
     )
 
 
-def problem_from_question(question: str) -> Problem:
-    """Reconstruct a Problem from bare question text (id derived from content)."""
-    start, ops = parse_question(question)
-    value = start
-    for op, operand in ops:
-        value = _apply(op, value, operand)
-    pid = f"q-{stable_seed(question) % 10**12:012d}"
-    return Problem(id=pid, question=question, gold_answer=canonicalize(str(value)),
-                   style="answer-line")
-
-
 def _walk(ops: tuple[tuple[str, int], ...], value: int, wrong: bool, epsilon: float,
           rng) -> tuple[list[str], int, int | None]:
     """Apply `ops` from `value`, one step line each. While the chain is still
@@ -182,9 +171,9 @@ def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int,
     return traces[0] if n is None else traces
 
 
-def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool, tuple]:
+def check_prefix(question: str, prefix_steps: list[str]) -> tuple[int, bool, tuple]:
     """(value after the prefix, whether it went wrong, the ops left after it)."""
-    start, ops = parse_question(p.question)
+    start, ops = parse_question(question)
     if len(prefix_steps) > len(ops):
         raise PrefixError(
             f"prefix has {len(prefix_steps)} steps but the problem has {len(ops)}"
@@ -205,15 +194,17 @@ def check_prefix(p: Problem, prefix_steps: list[str]) -> tuple[int, bool, tuple]
     return value, wrong, ops[len(prefix_steps):]
 
 
-def complete_from(p: Problem, prefix_steps: list[str], cfg: SynthConfig,
+def complete_from(question: str, prefix_steps: list[str], cfg: SynthConfig,
                   stream: object, n: int) -> list[str]:
     """n continuations of a partial solution under the epsilon process, walked
     in index order from one generator per `stream`: the first k of n equal a
     k-draw. A wrong prefix is propagated with exact arithmetic, so its answer
     is wrong with certainty and independent of `stream`: no generator is
     built, and one text comes back n times."""
-    value, wrong, ops = check_prefix(p, prefix_steps)
-    rng = None if wrong else rng_for(cfg.seed, "complete", p.id, stream)
+    value, wrong, ops = check_prefix(question, prefix_steps)
+    # The key names the question in every draw: changing it moves every synthetic byte.
+    rng = None if wrong else rng_for(cfg.seed, "complete",
+                                     f"q-{stable_seed(question) % 10**12:012d}", stream)
     texts = []
     for _ in range(1 if wrong else n):
         lines, final, _ = _walk(ops, value, wrong, cfg.epsilon, rng)

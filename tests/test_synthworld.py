@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steppref.corpus import Problem
 from steppref.extraction import extract_answer
 from steppref.synthworld import (
     PrefixError,
@@ -13,7 +14,6 @@ from steppref.synthworld import (
     SynthConfig,
     complete_from,
     gen_problem,
-    problem_from_question,
     simulate_solution,
 )
 
@@ -68,16 +68,9 @@ class TestGenProblem:
                 p = gen_problem(cfg, idx)
                 assert p.gold_answer == str(eval_question_oracle(p.question))
 
-    def test_problem_from_question_matches(self):
-        cfg = SynthConfig(t=4, seed=9)
-        p = gen_problem(cfg, 7)
-        q = problem_from_question(p.question)
-        assert q.gold_answer == p.gold_answer
-        assert q.question == p.question
-
     def test_bad_question(self):
         with pytest.raises(QuestionParseError):
-            problem_from_question("How many apples?")
+            complete_from("How many apples?", [], SynthConfig(), 0, 1)
 
 
 class TestSimulate:
@@ -140,7 +133,7 @@ class TestCompleteFrom:
         cfg = SynthConfig(t=3, epsilon=0.4, seed=4)
         p = gen_problem(cfg, 0)
         gold = simulate_solution(p, dataclasses.replace(cfg, epsilon=0.0), 0).rationale
-        (completion,) = complete_from(p, list(gold.steps), cfg, 9, 1)
+        (completion,) = complete_from(p.question, list(gold.steps), cfg, 9, 1)
         assert completion == gold.conclusion
         assert extract_answer(completion, p.style) == p.gold_answer
 
@@ -150,7 +143,7 @@ class TestCompleteFrom:
         for error_at in (1, 3, 5):
             bad = trace_with_error(p, error_at)
             for prefix_len in range(error_at, 6):
-                for completion in complete_from(p, list(bad.steps[:prefix_len]), cfg, 0, 10):
+                for completion in complete_from(p.question, list(bad.steps[:prefix_len]), cfg, 0, 10):
                     got = extract_answer(completion, p.style)
                     assert got != p.gold_answer
 
@@ -158,13 +151,13 @@ class TestCompleteFrom:
         cfg = SynthConfig(t=4, epsilon=0.0, seed=7)
         p = gen_problem(cfg, 3)
         tr = simulate_solution(p, cfg, 0)
-        assert complete_from(p, [], cfg, 123, 1) == [tr.rationale.text()]
+        assert complete_from(p.question, [], cfg, 123, 1) == [tr.rationale.text()]
 
     def test_unparseable_prefix(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
         with pytest.raises(PrefixError):
-            complete_from(p, ["first we think hard"], cfg, 0, 1)
+            complete_from(p.question, ["first we think hard"], cfg, 0, 1)
 
     def test_prefix_with_wrong_operation(self):
         cfg = SynthConfig(t=3, epsilon=0.0, seed=8)
@@ -172,14 +165,14 @@ class TestCompleteFrom:
         # the problem's first op is "Add 8."
         with pytest.raises(PrefixError,
                            match=r"^step 1 applies \+999 but the problem expects \+8$"):
-            complete_from(p, ["999+999=1998."], cfg, 0, 1)
+            complete_from(p.question, ["999+999=1998."], cfg, 0, 1)
 
     def test_too_long_prefix(self):
         cfg = SynthConfig(t=2, epsilon=0.0, seed=8)
         p = gen_problem(cfg, 0)
         gold = simulate_solution(p, cfg, 0).rationale
         with pytest.raises(PrefixError):
-            complete_from(p, list(gold.steps) + [gold.steps[-1]], cfg, 0, 1)
+            complete_from(p.question, list(gold.steps) + [gold.steps[-1]], cfg, 0, 1)
 
 
 class TestOracle:
@@ -192,9 +185,9 @@ class TestOracle:
                 assert oracle_first_error(p, tr.rationale) == tr.true_first_error
 
     def test_hand_built_error_at_two(self):
-        p = problem_from_question(
-            "Start with 10. Add 5. Multiply by 2. What is the final value?"
-        )
+        p = Problem(id="hand",
+                    question="Start with 10. Add 5. Multiply by 2. What is the final value?",
+                    gold_answer="30", style="answer-line")
         r = trace_with_error(p, error_at=2, delta=1)
         assert r.steps == ("10+5=15.", "15*2=31.")
         assert oracle_first_error(p, r) == 2
@@ -212,7 +205,7 @@ class TestOracle:
         broken = dataclasses.replace(gold, steps=(gold.steps[0], "then magic"),
                                      label="ungraded", extracted_answer=None)
         with pytest.raises(PrefixError, match="^step 2 violates the step grammar"):
-            complete_from(p, list(broken.steps), cfg, 0, 1)
+            complete_from(p.question, list(broken.steps), cfg, 0, 1)
         assert oracle_first_error(p, broken) == 2
 
 
