@@ -24,8 +24,10 @@ byte-identical files. So --model and --max-in-flight need --endpoint, and
 --epsilon (the synthetic solver's error rate) is refused beside it, and in
 `synth` without --samples. The synthetic solver reads --temperature only as
 zero (one greedy text) or not zero, so without --endpoint it takes 0 or its
-default alone. An endpoint must be an http(s) URL; an HTTP run
-records its effective --max-in-flight. Of `train`'s objective flags,
+default alone; -0 is recorded and sent as 0.0. An endpoint must be an
+http(s) URL that http.client sends: no space or control character, a port
+in 0-65535, and a non-empty --model if one is given. An HTTP run records
+its effective --max-in-flight. Of `train`'s objective flags,
 --beta is read by dpo and kto, --tau by ipo, which needs it, and
 --kto-weights by kto. A flag that fills a config field takes its default
 from that field.
@@ -42,13 +44,13 @@ output it wrote if the body or the manifest raises.
 Exit codes: 0 ok; 2 validation failure (bad or unread flag value, config
 object rejecting its values, a `train` policy table over MAX_TABLE_ENTRIES,
 missing, malformed or wrong-kind input, a dataset field, header or body,
-that is missing or of the wrong JSON type, source_hash mismatch, unknown
-problem, a problems file repeating a problem id, a D_PAIR input holding a
-non-outcome pair, a D_RFT record not labeled correct, a `train` pair whose
-input or rejected steps hold no words, an --out at or under a file): a
-single machine-parseable stderr line, naming the file and line of a
-malformed input line and its field, nothing written; 1 stage failure:
-partial outputs are removed.
+that is missing or of the wrong JSON type, a dataset line breaking its
+kind's rule (a repeated problem id, a D_RFT record not labeled correct, a
+pair whose granularity is not its file's kind), source_hash mismatch,
+unknown problem, a `train` pair whose input or rejected steps hold no
+words, an --out at or under a file): a single machine-parseable stderr
+line, naming the file and line of a malformed input line and its field,
+nothing written; 1 stage failure: partial outputs are removed.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # 
 
 from . import __version__, evalmetrics, pipeline, preflearn, synthworld
 from .corpus import (
-    GRAN_OUTCOME,
     KIND_D,
     KIND_GEN,
     KIND_GPAIR,
@@ -185,22 +186,8 @@ def _read_inputs(inputs: tuple[Input, ...], args: argparse.Namespace
                 f"{path} has source_hash {header.source_hash}, but "
                 f"{getattr(args, inp.source)} has sha256 {sha256[inp.source]}"
             )
-        if header.kind == KIND_PAIR:
-            for i, r in enumerate(records[inp.dest]):
-                if r.granularity != GRAN_OUTCOME:
-                    raise ValidationFailure(f"{path} record {i} has granularity {r.granularity}, "
-                                            f"but a {KIND_PAIR} dataset holds {GRAN_OUTCOME} pairs")
-        if header.kind == KIND_RFT:
-            for i, r in enumerate(records[inp.dest]):
-                if r.rationale.label != "correct":
-                    raise ValidationFailure(f"{path} record {i} is labeled {r.rationale.label}, "
-                                            f"but a {KIND_RFT} dataset holds correct rationales")
     if "problems_file" in records:
-        known: set[str] = set()
-        for p in records["problems_file"]:
-            if p.id in known:
-                raise ValidationFailure(f"{args.problems_file} repeats problem id {p.id}")
-            known.add(p.id)
+        known = {p.id for p in records["problems_file"]}
         for dest, recs in records.items():
             missing = [r.problem_id for r in recs
                        if dest != "problems_file" and r.problem_id not in known]
@@ -243,6 +230,8 @@ def _dest(flag: str) -> str:
 
 def _provider(args: argparse.Namespace) -> ProviderHandle:
     """Resolve the provider flags in place: an endpoint alone selects HTTP."""
+    if args.temperature == 0:  # -0 is recorded and sent as 0.0
+        args.temperature = 0.0
     if args.endpoint is None:
         if args.model is not None or args.max_in_flight is not None:
             raise ValueError("--model and --max-in-flight need --endpoint")
@@ -259,6 +248,14 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
     url = urlsplit(args.endpoint)
     if url.scheme not in ("http", "https") or not url.netloc:
         raise ValueError(f"--endpoint {args.endpoint!r} is not an http(s) URL")
+    if any(c <= " " or c == "\x7f" for c in args.endpoint):  # http.client sends none
+        raise ValueError(f"--endpoint {args.endpoint!r} holds a space or a control character")
+    try:
+        url.port
+    except ValueError as e:  # a port that is not a number in 0-65535
+        raise ValueError(f"--endpoint {args.endpoint!r}: {e}") from None
+    if args.model == "":  # an empty name is sent as no name
+        raise ValueError("--model must not be empty")
     if args.max_in_flight is None:
         args.max_in_flight = ProviderHandle.max_in_flight
     return ProviderHandle.http(args.endpoint, args.model, max_in_flight=args.max_in_flight)

@@ -6,12 +6,12 @@ a file's bytes depend on its kind, source hash and records alone; the
 settings it was made with are in the manifest of the stage that wrote it.
 Record schemas by kind:
 
-  D                problems: id, question, gold_answer, style
+  D                problems: id, question, gold_answer, style; ids distinct
   D_GEN / D_RFT    rationales: id (problem id) + steps, conclusion,
-                   producer, label, extracted_answer
+                   producer, label, extracted_answer; D_RFT: only correct
   D_PAIR / D_GPAIR preference pairs: id, input, chosen, rejected,
                    granularity, pit_index (chosen/rejected are nested
-                   rationale objects)
+                   rationale objects); D_PAIR: outcome, D_GPAIR: granular
 
 Field types: id, question, gold_answer, style, input, producer, label and
 granularity are strings; steps is a list of strings; chosen and rejected
@@ -22,7 +22,8 @@ header's kind is a string, and so is its source_hash, which reads as ""
 line that is not a JSON object, lacks a required field or holds a field of
 another JSON type is a DatasetParseError naming that line and the field, a
 pair's nested field by its side ("rejected.steps"). A value refusal inside a
-pair names its side too ("rejected: unknown label: 'bogus'").
+pair names its side too ("rejected: unknown label: 'bogus'"). A line that
+breaks its kind's rule above is refused at that line too.
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
@@ -265,22 +266,30 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
         return Problem(problem_id, _field(d, "question", str), _field(d, "gold_answer", str),
                        _field(d, "style", str))
     if kind in (KIND_GEN, KIND_RFT):
-        return RationaleRecord(problem_id, _rationale_from_dict(d))
+        rationale = _rationale_from_dict(d)
+        if kind == KIND_RFT and rationale.label != "correct":
+            raise ValueError(f"label {rationale.label} does not belong in a {kind} dataset")
+        return RationaleRecord(problem_id, rationale)
     if kind in (KIND_PAIR, KIND_GPAIR):
-        return PairRecord(
+        pair = PairRecord(
             problem_id, _field(d, "input", str),
             _rationale_from_dict(_field(d, "chosen", dict), "chosen."),
             _rationale_from_dict(_field(d, "rejected", dict), "rejected."),
             _field(d, "granularity", str), _field(d, "pit_index", int, _NULL))
+        if (kind == KIND_PAIR) != (pair.granularity == GRAN_OUTCOME):
+            raise ValueError(f"granularity {pair.granularity} does not belong in a {kind} dataset")
+        return pair
     raise ValueError(f"unknown dataset kind: {kind!r}")
 
 
 def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHeader]:
     """Parse a dataset file whose header declares one of `kinds`.
 
-    A malformed line, one that is not UTF-8, or a header of another kind
-    raises DatasetParseError, which names the line. Other header keys, such
-    as the `created_with` that earlier versions wrote, are ignored.
+    A malformed line, one that is not UTF-8 or breaks its kind's rule (D's
+    ids distinct, D_RFT's rationales correct, D_PAIR's pairs outcome and
+    D_GPAIR's granular), or a header of another kind raises
+    DatasetParseError, which names the line. Other header keys, such as the
+    `created_with` that earlier versions wrote, are ignored.
     """
     if not kinds or any(kind not in KINDS for kind in kinds):
         raise ValueError(f"unknown dataset kinds: {kinds!r}")
@@ -300,13 +309,17 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
         raise DatasetParseError(
             1, f"header declares kind {header.kind}, expected {' or '.join(kinds)}")
     records: list[Record] = []
+    first_line: dict[str, int] = {}  # problem id -> the line that names it
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line.decode("utf-8")), header.kind))
+            rec = record_from_dict(json.loads(line.decode("utf-8")), header.kind)
+            if header.kind == KIND_D and first_line.setdefault(rec.id, line_no) != line_no:
+                raise ValueError(f"problem id {rec.id} is already on line {first_line[rec.id]}")
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
+        records.append(rec)
     return records, header
 
 

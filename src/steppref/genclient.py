@@ -15,11 +15,12 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
   * ``synth_config`` -- the in-repo toy solver. The prompt contract is: first
     line is the question, any following lines are solution steps already
     taken. Completions are a function of (seed, prompt): one
-    ``synthworld.complete_from`` call per prompt, whose draws come in index
-    order from one generator, so the first k completions of a larger draw
-    equal a smaller draw (nested sampling holds by construction). From a
-    prefix that already went wrong they do not depend on the seed either, so
-    the provider builds one completion and returns it n times.
+    ``synthworld.complete_from`` call per prompt, keyed by the question text,
+    whose draws come in index order from one generator, so the first k
+    completions of a larger draw equal a smaller draw (nested sampling holds
+    by construction). From a prefix that already went wrong they do not
+    depend on the seed either, so the provider builds one completion and
+    returns it n times.
 
 ``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
 provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.
@@ -244,8 +245,6 @@ def sample_batch(
 
     Failed prompts hold their GenClientError in place of a list.
     """
-    if not prompts:
-        raise ValueError("prompts must be non-empty")
 
     def sample_or_error(prompt: str) -> list[str] | GenClientError:
         try:

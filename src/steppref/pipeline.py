@@ -153,8 +153,6 @@ def build_rft(
     are listed in the skip report rather than dropped silently.
     """
     out = RftBuild()
-    if not problems:
-        return out
     results = genclient.sample_batch(provider, [p.question for p in problems], cfg)
     for problem, result in zip(problems, results):
         if isinstance(result, GenClientError):

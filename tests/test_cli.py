@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -434,6 +435,10 @@ def _run_stderr(args, capsys):
     ["train", "--objective", "kto", "--kto-weights", "1,,1"],
     ["rft", "--temperature", 1.3],
     ["gpair", "--temperature", 0.5],
+    ["rft", "--endpoint", "http://127.0.0.1:9/v1", "--model", ""],
+    ["rft", "--endpoint", "http://127.0.0.1:x/v1"],
+    ["rft", "--endpoint", "http://127.0.0.1:9/v 1"],
+    ["rft", "--endpoint", "http://127.0.0.1:99999/v1"],
 ], ids=["flag-type", "n-0", "ipo-no-tau", "one-kto-weight", "ks-0",
         "model-without-endpoint", "max-in-flight-without-endpoint", "metrics-k-0",
         "metrics-k-9", "epsilon-with-endpoint", "endpoint-empty", "endpoint-no-scheme",
@@ -447,7 +452,8 @@ def _run_stderr(args, capsys):
         "ipo-beta", "dpo-kto-weights", "ipo-kto-weights", "synth-epsilon-no-samples",
         "synth-value-range-past-int64", "synth-t-1001", "ks-empty-item", "ks-trailing-comma",
         "metrics-k-empty", "kto-weights-empty-item", "rft-temperature-1.3",
-        "gpair-temperature-0.5"])
+        "gpair-temperature-0.5", "model-empty", "endpoint-port-not-a-number",
+        "endpoint-space", "endpoint-port-out-of-range"])
 def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     base = chain(tmp_path / "run")
 
@@ -479,13 +485,27 @@ def test_bad_value_is_one_line_exit_2(tmp_path, capsys, stage_args):
     assert not out.exists()
 
 
-def test_synthetic_run_takes_temperature_0(tmp_path):
-    # the synthetic solver reads 0 as one greedy text per prompt
+@pytest.mark.parametrize("zero", ["0", "-0"])
+def test_synthetic_run_takes_temperature_0(tmp_path, zero):
+    # the synthetic solver reads 0 as one greedy text per prompt; -0 is 0 too
     base = tmp_path / "run"
     assert run(["--out", base, "synth", "--problems", 3, "--t", 2]) == 0
     assert run(["--out", base, "rft", "--problems-file", base / "problems.jsonl",
-                "--temperature", 0]) == 0
-    assert json.loads((base / "rft_manifest.json").read_text())["config"]["temperature"] == 0
+                f"--temperature={zero}"]) == 0
+    recorded = json.loads((base / "rft_manifest.json").read_text())["config"]["temperature"]
+    assert recorded == 0 and math.copysign(1, recorded) == 1
+
+
+def test_http_run_sends_temperature_minus_0_as_0(tmp_path, stub_server):
+    server = stub_server(lambda payload: (200, {"choices": [{"text": "The answer is 1."}]}))
+    base = tmp_path / "run"
+    assert run(["--out", base, "synth", "--problems", 2, "--t", 2]) == 0
+    assert run(["--out", base, "rft", "--problems-file", base / "problems.jsonl", "--n", 1,
+                "--endpoint", server.url, "--temperature=-0"]) == 0
+    recorded = json.loads((base / "rft_manifest.json").read_text())["config"]["temperature"]
+    sent = [call["temperature"] for call in server.calls]
+    assert len(sent) == 2 and all(t == 0 and math.copysign(1, t) == 1
+                                  for t in [recorded, *sent])
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -570,14 +590,15 @@ def test_repeated_problem_id_is_exit_2(tmp_path, capsys, stage):
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, stage, *_STAGE_ARGS[stage](base)], capsys)
     assert code == 2
-    assert err == [f"error: validation: {path} repeats problem id {problems[0].id}"]
+    assert err == [f"error: validation: {path}: line 3: problem id {problems[0].id} "
+                   "is already on line 2"]
     assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["explore", "gpair", "sweep-k", "train"])
 def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     """A D_PAIR dataset holds outcome pairs; the first other pair is named by
-    its record index."""
+    its file line."""
     base = chain(tmp_path / "run")
     outcome, header = read_dataset(base / "dpair.jsonl", KIND_PAIR)
     granular, _ = read_dataset(base / "dgpair.jsonl", KIND_GPAIR)
@@ -588,8 +609,24 @@ def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     code, err = _run_stderr(["--out", out, stage, *_STAGE_ARGS[stage](base), flag, bad],
                             capsys)
     assert code == 2
-    assert err == [f"error: validation: {bad} record {len(outcome)} has granularity "
-                   f"{granular[0].granularity}, but a D_PAIR dataset holds outcome pairs"]
+    assert err == [f"error: validation: {bad}: line {len(outcome) + 2}: granularity "
+                   f"{granular[0].granularity} does not belong in a D_PAIR dataset"]
+    assert not out.exists()
+
+
+def test_outcome_pair_in_a_d_gpair_input_is_exit_2(tmp_path, capsys):
+    """A D_GPAIR dataset holds granular pairs, so `train` refuses one that
+    holds an outcome pair."""
+    base = chain(tmp_path / "run")
+    lines = (base / "dgpair.jsonl").read_text().splitlines()
+    lines[2] = (base / "dpair.jsonl").read_text().splitlines()[1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "train", "--pairs-file", bad], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {bad}: line 3: granularity outcome "
+                   "does not belong in a D_GPAIR dataset"]
     assert not out.exists()
 
 
@@ -607,8 +644,26 @@ def test_d_rft_record_not_labeled_correct_is_exit_2(tmp_path, capsys, label):
     code, err = _run_stderr(["--out", out, "pairs", *_STAGE_ARGS["pairs"](base),
                              "--drft", bad], capsys)
     assert code == 2
-    assert err == [f"error: validation: {bad} record 1 is labeled {label}, "
-                   "but a D_RFT dataset holds correct rationales"]
+    assert err == [f"error: validation: {bad}: line 3: label {label} "
+                   "does not belong in a D_RFT dataset"]
+    assert not out.exists()
+
+
+def test_refusal_after_a_blank_line_names_the_file_line(tmp_path, capsys):
+    """The reader skips a blank line, but a refusal still names the line of
+    the file, not the index of the record."""
+    base = chain(tmp_path / "run")
+    lines = (base / "drft.jsonl").read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "label": "incorrect"})
+    lines.insert(1, "")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, err = _run_stderr(["--out", out, "pairs", *_STAGE_ARGS["pairs"](base),
+                             "--drft", bad], capsys)
+    assert code == 2
+    assert err == [f"error: validation: {bad}: line 4: label incorrect "
+                   "does not belong in a D_RFT dataset"]
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from steppref.corpus import (
     GRANULARITIES,
     KIND_D,
     KIND_GEN,
+    KIND_GPAIR,
     KIND_PAIR,
     KIND_RFT,
     DatasetHeader,
@@ -38,12 +39,14 @@ from conftest import make_pair_record, make_rationale
 def test_pair_roundtrip_100_random(tmp_path):
     rng = np.random.default_rng(0)
     records = [make_pair_record(rng, granular=bool(rng.integers(0, 2))) for _ in range(100)]
-    header = DatasetHeader(KIND_PAIR, source_hash="abc")
-    path = tmp_path / "pairs.jsonl"
-    write_dataset(records, header, path)
-    back, back_header = read_dataset(path, KIND_PAIR)
-    assert back == records
-    assert back_header == header
+    for kind in (KIND_PAIR, KIND_GPAIR):  # outcome pairs in the one, granular in the other
+        kept = [r for r in records if (r.granularity == GRAN_OUTCOME) == (kind == KIND_PAIR)]
+        header = DatasetHeader(kind, source_hash="abc")
+        path = tmp_path / f"{kind}.jsonl"
+        write_dataset(kept, header, path)
+        back, back_header = read_dataset(path, kind)
+        assert back == kept
+        assert back_header == header
 
 
 def test_roundtrip_byte_stable(tmp_path):
@@ -109,7 +112,7 @@ def test_parse_error_carries_line_number(tmp_path):
     head = json.dumps({"kind": "D_RFT", "created_with": {}, "source_hash": ""})
     good = json.dumps({
         "id": "p1", "steps": ["a"], "conclusion": None, "producer": "SFT",
-        "label": "ungraded", "extracted_answer": None,
+        "label": "correct", "extracted_answer": "1",
     })
     path.write_text(head + "\n" + good + "\n{not json\n")
     with pytest.raises(DatasetParseError) as err:
@@ -152,7 +155,7 @@ def _body_lines(draw):
             bad = len(lines) + 2
         lines.append(line)
 
-    for rec in draw(st.lists(_rationale_records, max_size=12)):
+    for rec in draw(st.lists(_rationale_records(), max_size=12)):
         d = record_to_dict(rec)
         line = corpus.dumps(d).encode()
         shape = draw(st.sampled_from(_SHAPES))
@@ -351,12 +354,13 @@ def _rationales(draw, label=None, conclusion=True):
 
 _problems = st.builds(Problem, id=_ids, question=_texts, gold_answer=_golds,
                       style=st.sampled_from(STYLES))
-_rationale_records = st.builds(RationaleRecord, problem_id=_ids, rationale=_rationales())
+def _rationale_records(label=None):
+    return st.builds(RationaleRecord, problem_id=_ids, rationale=_rationales(label))
 
 
 @st.composite
-def _pair_records(draw):
-    granularity = draw(st.sampled_from(GRANULARITIES))
+def _pair_records(draw, granularities):
+    granularity = draw(st.sampled_from(granularities))
     outcome = granularity == GRAN_OUTCOME
     return PairRecord(
         problem_id=draw(_ids), input=draw(_texts),
@@ -367,10 +371,14 @@ def _pair_records(draw):
     )
 
 
+# Each kind's rule holds: distinct problem ids, D_RFT rationales labeled
+# correct, D_PAIR outcome pairs and D_GPAIR granular ones.
 _datasets = st.one_of(
-    st.tuples(st.just(KIND_D), st.lists(_problems, max_size=4)),
-    st.tuples(st.sampled_from([KIND_GEN, KIND_RFT]), st.lists(_rationale_records, max_size=4)),
-    st.tuples(st.just(KIND_PAIR), st.lists(_pair_records(), max_size=4)),
+    st.tuples(st.just(KIND_D), st.lists(_problems, max_size=4, unique_by=lambda p: p.id)),
+    st.tuples(st.just(KIND_GEN), st.lists(_rationale_records(), max_size=4)),
+    st.tuples(st.just(KIND_RFT), st.lists(_rationale_records("correct"), max_size=4)),
+    st.tuples(st.just(KIND_PAIR), st.lists(_pair_records([GRAN_OUTCOME]), max_size=4)),
+    st.tuples(st.just(KIND_GPAIR), st.lists(_pair_records(GRANULARITIES[1:]), max_size=4)),
 )
 
 

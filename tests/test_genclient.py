@@ -312,9 +312,10 @@ class TestSampleBatch:
         assert finished != sorted(finished)
         assert results == [[f"got:p{i}"] for i in range(6)]
 
-    def test_empty_prompts_rejected(self):
-        with pytest.raises(ValueError):
-            sample_batch(synth_provider(), [], SamplingConfig(n=1))
+    def test_empty_prompts_give_empty(self):
+        # the endpoint is never reached: no prompt, no request
+        for provider in (synth_provider(), ProviderHandle.http("http://127.0.0.1:9/v1")):
+            assert sample_batch(provider, [], SamplingConfig(n=1)) == []
 
     def test_synthetic_batch_alignment(self):
         provider = synth_provider(eps=0.2, seed=1)

@@ -143,7 +143,8 @@ class TestCompleteFrom:
         for error_at in (1, 3, 5):
             bad = trace_with_error(p, error_at)
             for prefix_len in range(error_at, 6):
-                for completion in complete_from(p.question, list(bad.steps[:prefix_len]), cfg, 0, 10):
+                prefix = list(bad.steps[:prefix_len])
+                for completion in complete_from(p.question, prefix, cfg, 0, 10):
                     got = extract_answer(completion, p.style)
                     assert got != p.gold_answer
 
