@@ -245,15 +245,15 @@ def _provider(args: argparse.Namespace) -> ProviderHandle:
     if args.epsilon is not None:
         raise ValueError("--epsilon is the synthetic solver's error rate; "
                          "an endpoint has none")
-    url = urlsplit(args.endpoint)
+    try:
+        url = urlsplit(args.endpoint)
+        url.port
+    except ValueError as e:  # an unclosed IPv6 bracket, or a port not a number in 0-65535
+        raise ValueError(f"--endpoint {args.endpoint!r}: {e}") from None
     if url.scheme not in ("http", "https") or not url.netloc:
         raise ValueError(f"--endpoint {args.endpoint!r} is not an http(s) URL")
     if any(c <= " " or c == "\x7f" for c in args.endpoint):  # http.client sends none
         raise ValueError(f"--endpoint {args.endpoint!r} holds a space or a control character")
-    try:
-        url.port
-    except ValueError as e:  # a port that is not a number in 0-65535
-        raise ValueError(f"--endpoint {args.endpoint!r}: {e}") from None
     if args.model == "":  # an empty name is sent as no name
         raise ValueError("--model must not be empty")
     if args.max_in_flight is None:

@@ -23,7 +23,8 @@ line that is not a JSON object, lacks a required field or holds a field of
 another JSON type is a DatasetParseError naming that line and the field, a
 pair's nested field by its side ("rejected.steps"). A value refusal inside a
 pair names its side too ("rejected: unknown label: 'bogus'"). A line that
-breaks its kind's rule above is refused at that line too.
+breaks its kind's rule above is refused at that line too, and the writer
+refuses such a record, naming the line it would take, before it writes.
 
 Serialization is deterministic (sorted keys, compact separators, explicit
 nulls) so identical records always produce identical bytes.
@@ -266,20 +267,30 @@ def record_from_dict(d: dict[str, Any], kind: str) -> Record:
         return Problem(problem_id, _field(d, "question", str), _field(d, "gold_answer", str),
                        _field(d, "style", str))
     if kind in (KIND_GEN, KIND_RFT):
-        rationale = _rationale_from_dict(d)
-        if kind == KIND_RFT and rationale.label != "correct":
-            raise ValueError(f"label {rationale.label} does not belong in a {kind} dataset")
-        return RationaleRecord(problem_id, rationale)
+        return RationaleRecord(problem_id, _rationale_from_dict(d))
     if kind in (KIND_PAIR, KIND_GPAIR):
-        pair = PairRecord(
+        return PairRecord(
             problem_id, _field(d, "input", str),
             _rationale_from_dict(_field(d, "chosen", dict), "chosen."),
             _rationale_from_dict(_field(d, "rejected", dict), "rejected."),
             _field(d, "granularity", str), _field(d, "pit_index", int, _NULL))
-        if (kind == KIND_PAIR) != (pair.granularity == GRAN_OUTCOME):
-            raise ValueError(f"granularity {pair.granularity} does not belong in a {kind} dataset")
-        return pair
     raise ValueError(f"unknown dataset kind: {kind!r}")
+
+
+def _check_rule(kind: str, rec: Record, line_no: int, first_line: dict[str, int]) -> None:
+    """Refuse `rec` on line `line_no` of a `kind` dataset if it is another
+    kind's type or breaks its kind's rule: D's ids distinct, D_RFT's
+    rationales correct, D_PAIR's pairs outcome and D_GPAIR's granular.
+    `first_line` maps each D id met so far to the line that names it."""
+    if not isinstance(rec, _RECORD_TYPES[kind]):
+        raise ValueError(
+            f"record of type {type(rec).__name__} does not belong in a {kind} dataset")
+    if kind == KIND_D and first_line.setdefault(rec.id, line_no) != line_no:
+        raise ValueError(f"problem id {rec.id} is already on line {first_line[rec.id]}")
+    if kind == KIND_RFT and rec.rationale.label != "correct":
+        raise ValueError(f"label {rec.rationale.label} does not belong in a {kind} dataset")
+    if isinstance(rec, PairRecord) and (kind == KIND_PAIR) != (rec.granularity == GRAN_OUTCOME):
+        raise ValueError(f"granularity {rec.granularity} does not belong in a {kind} dataset")
 
 
 def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHeader]:
@@ -315,8 +326,7 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
             continue
         try:
             rec = record_from_dict(json.loads(line.decode("utf-8")), header.kind)
-            if header.kind == KIND_D and first_line.setdefault(rec.id, line_no) != line_no:
-                raise ValueError(f"problem id {rec.id} is already on line {first_line[rec.id]}")
+            _check_rule(header.kind, rec, line_no, first_line)
         except Exception as e:
             raise DatasetParseError(line_no, str(e)) from e
         records.append(rec)
@@ -324,17 +334,18 @@ def read_dataset(path: str | Path, *kinds: str) -> tuple[list[Record], DatasetHe
 
 
 def write_dataset(records: list[Record], header: DatasetHeader, path: str | Path) -> None:
-    """Write header + records; rejects mixed/mismatched records before writing.
+    """Write header + records. A record the reader would refuse for its type
+    or its kind's rule raises a ValueError naming the line it would take,
+    before anything is written.
 
     header.source_hash is advisory and is not checked against anything here.
     """
-    want = _RECORD_TYPES[header.kind]
-    for rec in records:
-        if not isinstance(rec, want):
-            raise ValueError(
-                f"record of type {type(rec).__name__} does not belong in a "
-                f"{header.kind} dataset"
-            )
+    first_line: dict[str, int] = {}
+    for line_no, rec in enumerate(records, start=2):
+        try:
+            _check_rule(header.kind, rec, line_no, first_line)
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     out = [dumps({"kind": header.kind, "source_hash": header.source_hash})]
     out.extend(dumps(record_to_dict(r)) for r in records)
     write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

@@ -16,11 +16,11 @@ A ``ProviderHandle`` holds exactly one of them, which decides how it samples:
     line is the question, any following lines are solution steps already
     taken. Completions are a function of (seed, prompt): one
     ``synthworld.complete_from`` call per prompt, keyed by the question text,
-    whose draws come in index order from one generator, so the first k
-    completions of a larger draw equal a smaller draw (nested sampling holds
-    by construction). From a prefix that already went wrong they do not
-    depend on the seed either, so the provider builds one completion and
-    returns it n times.
+    whose one generator draws one n-row uniform block, completion i reading
+    row i. Rows fill in order from one stream, so the first k completions of
+    a larger draw equal a smaller draw (nested sampling holds by
+    construction). From a prefix that already went wrong they do not depend
+    on the seed either, so the provider builds one completion, returns it n times.
 
 ``sample_batch`` fans HTTP prompts out over a thread pool bounded by the
 provider's ``max_in_flight``; synthetic prompts, pure Python, run inline.

@@ -132,34 +132,36 @@ def gen_problem(cfg: SynthConfig, idx: int) -> Problem:
     )
 
 
-def _walk(ops: tuple[tuple[str, int], ...], value: int, wrong: bool, epsilon: float,
-          rng) -> tuple[list[str], int, int | None]:
-    """Apply `ops` from `value`, one step line each. While the chain is still
-    right, each step is offset by a `_DELTAS` draw with probability epsilon.
-    Returns (step lines, final value, 1-based index in `ops` of the corrupted
-    step or None)."""
+def _walk(ops: tuple[tuple[str, int], ...], value: int, epsilon: float,
+          row: list[float] | None) -> tuple[list[str], int, int | None]:
+    """Apply `ops` from `value`, one step line each. `row`, one walk's row of
+    its generator's uniform block, holds an entry per op and one more, u: the
+    first step whose entry is below epsilon is offset by
+    `_DELTAS[int(u * len(_DELTAS))]`. No row (a prefix already wrong), no
+    offset. Returns (step lines, final value, 1-based index of that step or None)."""
     lines: list[str] = []
-    corrupted: int | None = None
-    for i, (op, operand) in enumerate(ops, start=1):
+    hit: int | None = None
+    for j, (op, operand) in enumerate(ops, start=1):
         declared = _apply(op, value, operand)
-        if not wrong and rng.random() < epsilon:
-            declared += int(_DELTAS[int(rng.integers(0, len(_DELTAS)))])
-            wrong, corrupted = True, i
+        if row is not None and hit is None and row[j - 1] < epsilon:
+            declared += _DELTAS[int(row[-1] * len(_DELTAS))]
+            hit = j
         lines.append(f"{value}{op}{operand}={declared}.")
         value = declared
-    return lines, value, corrupted
+    return lines, value, hit
 
 
 def simulate_solution(p: Problem, cfg: SynthConfig, draw_seed: int,
                       n: int | None = None) -> SynthTrace | list[SynthTrace]:
-    """Sampled solutions (corruption strikes each step with prob epsilon), drawn
-    in index order from one generator per `draw_seed`: the first k of n equal
-    a k-draw. Without `n`, the first draw alone."""
+    """Sampled solutions (corruption strikes each step with prob epsilon), walk i
+    reading row i of one `(n, len(ops) + 1)` uniform block, filled in C order
+    from one generator per `draw_seed`: the first k of n equal a k-draw.
+    Without `n`, the first draw alone."""
     start, ops = parse_question(p.question)
     rng = rng_for(cfg.seed, "draw", p.id, draw_seed)
     traces = []
-    for _ in range(1 if n is None else n):
-        steps, value, first_error = _walk(ops, start, False, cfg.epsilon, rng)
+    for row in rng.random((1 if n is None else n, len(ops) + 1)).tolist():
+        steps, value, first_error = _walk(ops, start, cfg.epsilon, row)
         rationale = Rationale(
             steps=tuple(steps),
             conclusion=f"The answer is {value}.",
@@ -196,17 +198,18 @@ def check_prefix(question: str, prefix_steps: list[str]) -> tuple[int, bool, tup
 
 def complete_from(question: str, prefix_steps: list[str], cfg: SynthConfig,
                   stream: object, n: int) -> list[str]:
-    """n continuations of a partial solution under the epsilon process, walked
-    in index order from one generator per `stream`: the first k of n equal a
-    k-draw. A wrong prefix is propagated with exact arithmetic, so its answer
-    is wrong with certainty and independent of `stream`: no generator is
-    built, and one text comes back n times."""
+    """n continuations of a partial solution under the epsilon process, walk i
+    reading row i of one `(n, len(ops left) + 1)` uniform block, filled in C
+    order from one generator per `stream`: the first k of n equal a k-draw. A
+    wrong prefix is propagated with exact arithmetic, so its answer is wrong
+    with certainty and independent of `stream`: no generator, one text n times."""
     value, wrong, ops = check_prefix(question, prefix_steps)
     # The key names the question in every draw: changing it moves every synthetic byte.
-    rng = None if wrong else rng_for(cfg.seed, "complete",
-                                     f"q-{stable_seed(question) % 10**12:012d}", stream)
+    rows = [None] if wrong else rng_for(
+        cfg.seed, "complete", f"q-{stable_seed(question) % 10**12:012d}", stream,
+    ).random((n, len(ops) + 1)).tolist()
     texts = []
-    for _ in range(1 if wrong else n):
-        lines, final, _ = _walk(ops, value, wrong, cfg.epsilon, rng)
+    for row in rows:
+        lines, final, _ = _walk(ops, value, cfg.epsilon, row)
         texts.append("\n".join([*lines, f"The answer is {final}."]))
     return texts * n if wrong else texts

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from steppref.corpus import PairRecord, Problem, Rationale
+from steppref.corpus import PairRecord, Problem, Rationale, dumps, record_to_dict
 
 from oracles import evaluate, question_ops
 
@@ -83,6 +83,14 @@ def correct_rationale(problem: Problem) -> Rationale:
     steps, value = _chain(problem, 0, 0)
     return Rationale(steps=steps, conclusion=f"The answer is {value}.", producer="SYNTH",
                      label="correct", extracted_answer=str(value))
+
+
+def write_lines(records, header, path) -> None:
+    """The lines write_dataset writes, without its refusals: a file that
+    breaks its kind's rule, for a reader to refuse."""
+    lines = [{"kind": header.kind, "source_hash": header.source_hash},
+             *map(record_to_dict, records)]
+    path.write_text("".join(dumps(d) + "\n" for d in lines))
 
 
 class StubHandler(BaseHTTPRequestHandler):

@@ -19,6 +19,7 @@ from steppref.corpus import (
     KIND_GPAIR,
     KIND_PAIR,
     KIND_RFT,
+    PairRecord,
     read_dataset,
     write_dataset,
 )
@@ -27,7 +28,7 @@ from steppref.pipeline import ExploreConfig, PairingConfig
 from steppref.preflearn import ObjectiveConfig
 from steppref.synthworld import SynthConfig
 
-from conftest import trace_with_error
+from conftest import correct_rationale, trace_with_error, write_lines
 
 
 def run(args):
@@ -508,6 +509,16 @@ def test_http_run_sends_temperature_minus_0_as_0(tmp_path, stub_server):
                                   for t in [recorded, *sent])
 
 
+def test_endpoint_with_an_unclosed_ipv6_bracket_names_the_flag(tmp_path, capsys):
+    base = tmp_path / "run"
+    assert run(["--out", base, "synth", "--problems", 2, "--t", 2]) == 0
+    code, err = _run_stderr(["--out", tmp_path / "out", "rft", "--problems-file",
+                             base / "problems.jsonl", "--endpoint", "http://[::1/v1"], capsys)
+    assert code == 2
+    assert err == ["error: validation: --endpoint 'http://[::1/v1': Invalid IPv6 URL"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_out_at_or_under_a_file_is_exit_2(tmp_path, capsys, sub):
     afile = tmp_path / "afile"
@@ -582,7 +593,7 @@ def test_repeated_problem_id_is_exit_2(tmp_path, capsys, stage):
     path = base / "problems.jsonl"
     problems, header = read_dataset(path, KIND_D)
     problems[1] = dataclasses.replace(problems[1], id=problems[0].id)
-    write_dataset(problems, header, path)
+    write_lines(problems, header, path)
     for name, kind in (("dgen.jsonl", KIND_GEN), ("drft.jsonl", KIND_RFT),
                        ("samples.jsonl", KIND_GEN)):  # made from that file
         records, source = read_dataset(base / name, kind)
@@ -603,7 +614,7 @@ def test_granular_pair_in_a_d_pair_input_is_exit_2(tmp_path, capsys, stage):
     outcome, header = read_dataset(base / "dpair.jsonl", KIND_PAIR)
     granular, _ = read_dataset(base / "dgpair.jsonl", KIND_GPAIR)
     bad = tmp_path / "bad.jsonl"
-    write_dataset(outcome + granular, header, bad)
+    write_lines(outcome + granular, header, bad)
     flag = "--pairs-file" if stage == "train" else "--dpair"
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, stage, *_STAGE_ARGS[stage](base), flag, bad],
@@ -639,7 +650,7 @@ def test_d_rft_record_not_labeled_correct_is_exit_2(tmp_path, capsys, label):
     records[1] = dataclasses.replace(
         records[1], rationale=dataclasses.replace(records[1].rationale, label=label))
     bad = tmp_path / "bad.jsonl"
-    write_dataset(records, header, bad)
+    write_lines(records, header, bad)
     out = tmp_path / "out"
     code, err = _run_stderr(["--out", out, "pairs", *_STAGE_ARGS["pairs"](base),
                              "--drft", bad], capsys)
@@ -1059,6 +1070,15 @@ def test_gpair_manifest_records_epsilon(tmp_path):
 def test_gpair_and_sweep_k_write_the_same_dataset(tmp_path):
     """A granular dataset at k is the same file whichever stage explored it."""
     base = chain(tmp_path / "run", seed=0, problems=8, t=4)
+    # Each problem gains a pair whose first error is at step 2. At epsilon 0.2
+    # all four rollouts from its step 1 miss the gold with probability
+    # (1 - 0.8**3)**4 < 0.06, independently per problem, so some pit lies past
+    # step 1 unless all eight miss (probability below 1e-9).
+    problems, _ = read_dataset(base / "problems.jsonl", KIND_D)
+    pairs, header = read_dataset(base / "dpair.jsonl", KIND_PAIR)
+    pairs += [PairRecord(p.id, p.question, correct_rationale(p), trace_with_error(p, 2))
+              for p in problems]
+    write_dataset(pairs, header, base / "dpair.jsonl")
     inputs = ["--problems-file", base / "problems.jsonl", "--dpair", base / "dpair.jsonl",
               "--epsilon", 0.2]
     assert run(["--seed", 0, "--out", tmp_path / "g", "gpair", *inputs, "--k", 4]) == 0

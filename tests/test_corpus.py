@@ -33,7 +33,7 @@ from steppref.corpus import (
 )
 from steppref.extraction import canonicalize
 
-from conftest import make_pair_record, make_rationale
+from conftest import make_pair_record, make_rationale, write_lines
 
 
 def test_pair_roundtrip_100_random(tmp_path):
@@ -97,6 +97,43 @@ def test_mixed_kinds_rejected_before_write(tmp_path):
     with pytest.raises(ValueError):
         write_dataset(records, DatasetHeader(KIND_PAIR), path)
     assert not path.exists()
+
+
+def _kind_rule_breaks():
+    """(kind, records, refusal) for each kind's rule, the breaking record last."""
+    rng = np.random.default_rng(6)
+    problem = Problem("p1", "q", "1")
+    outcome, granular = make_pair_record(rng), make_pair_record(rng, granular=True)
+    return [
+        (KIND_D, [problem, Problem("p2", "q", "2"), dataclasses.replace(problem, question="r")],
+         "line 4: problem id p1 is already on line 2"),
+        (KIND_RFT, [RationaleRecord("p1", make_rationale(rng, "correct")),
+                    RationaleRecord("p1", make_rationale(rng, "incorrect"))],
+         "line 3: label incorrect does not belong in a D_RFT dataset"),
+        (KIND_RFT, [RationaleRecord("p1", make_rationale(rng))],
+         "line 2: label ungraded does not belong in a D_RFT dataset"),
+        (KIND_PAIR, [outcome, granular],
+         "line 3: granularity granular-full does not belong in a D_PAIR dataset"),
+        (KIND_GPAIR, [granular, outcome],
+         "line 3: granularity outcome does not belong in a D_GPAIR dataset"),
+    ]
+
+
+@pytest.mark.parametrize("kind,records,refusal", _kind_rule_breaks(),
+                         ids=["d-repeated-id", "rft-incorrect", "rft-ungraded",
+                              "pair-granular", "gpair-outcome"])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, kind, records, refusal):
+    """The writer refuses a record breaking its kind's rule before it writes,
+    in the words the reader uses for that line of the file."""
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError) as err:
+        write_dataset(records, DatasetHeader(kind), path)
+    assert str(err.value) == refusal
+    assert list(tmp_path.iterdir()) == []
+    write_lines(records, DatasetHeader(kind), path)
+    with pytest.raises(DatasetParseError) as err:
+        read_dataset(path, kind)
+    assert str(err.value) == refusal
 
 
 def test_source_hash_not_enforced_on_write(tmp_path):

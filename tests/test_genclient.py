@@ -331,10 +331,10 @@ class TestSampleBatch:
 # here without synthworld: questions are read and steps evaluated by the
 # oracles module. A prompt whose prefix is still right builds one generator,
 # default_rng(stable_seed(cfg.seed, "complete", problem id, (seed, prompt))),
-# the problem id derived from the question text, and takes its completions
-# from it in index order: while the chain is still right, one random() per
-# step, and on a hit (below epsilon, which is 0 at temperature 0) one
-# integers(0, 6) into the deltas.
+# the problem id derived from the question text, and draws one uniform block
+# from it, random((n, steps left + 1)). Completion i reads row i: its first
+# step whose entry is below epsilon (which is 0 at temperature 0) is offset
+# by deltas[int(row[-1] * 6)].
 # A prefix that already went wrong takes no draw: every completion propagates
 # it with exact arithmetic.
 
@@ -348,17 +348,19 @@ def _reference_sample(p, prefix, epsilon, synth_seed, seed, prompt, n):
         declared = int(line.split("=")[1].rstrip("."))
         wrong = wrong or declared != evaluate(symbol, value, operand)
         value = declared
+    rest = ops[len(prefix):]
     problem_id = f"q-{stable_seed(p.question) % 10**12:012d}"
-    rng = None if wrong else np.random.default_rng(
-        stable_seed(synth_seed, "complete", problem_id, (seed, prompt)))
+    block = np.ones((n, len(rest) + 1)) if wrong else np.random.default_rng(
+        stable_seed(synth_seed, "complete", problem_id, (seed, prompt))
+    ).random((n, len(rest) + 1))
     texts = []
-    for _ in range(n):
-        v, hit, lines = value, wrong, []
-        for symbol, operand in ops[len(prefix):]:
+    for row in block:
+        hits = [j for j in range(len(rest)) if row[j] < epsilon]
+        v, lines = value, []
+        for j, (symbol, operand) in enumerate(rest):
             declared = evaluate(symbol, v, operand)
-            if not hit and rng.random() < epsilon:
-                declared += _REF_DELTAS[int(rng.integers(0, 6))]
-                hit = True
+            if hits and j == hits[0]:
+                declared += _REF_DELTAS[int(row[-1] * 6)]
             lines.append(f"{v}{symbol}{operand}={declared}.")
             v = declared
         texts.append("\n".join([*lines, f"The answer is {v}."]))
@@ -407,14 +409,26 @@ def test_sample_draws_nest_hypothesis(idx, t, epsilon, error_at, delta, cut, tem
 
 
 def test_wrong_prefix_builds_no_generator(monkeypatch, tmp_path):
+    """A wrong prefix builds no generator, and each generator built makes
+    exactly one draw call: its walks' uniform block."""
     provider = synth_provider(eps=0.5, seed=2)
     p = gen_problem(provider.synth_config, 1)
     bad = trace_with_error(p, 2)
-    seeded = []
+    seeded, draws = [], []
+
+    class Counted:
+        def __init__(self, rng, purpose):
+            self.rng, self.purpose = rng, purpose
+
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                draws.append(self.purpose)
+                return getattr(self.rng, name)(*args, **kwargs)
+            return call
 
     def counted(*parts):
         seeded.append(parts)
-        return np.random.default_rng(stable_seed(*parts))
+        return Counted(np.random.default_rng(stable_seed(*parts)), parts[1])
 
     monkeypatch.setattr(synthworld, "rng_for", counted)
     # a wrong prefix builds none
@@ -422,14 +436,18 @@ def test_wrong_prefix_builds_no_generator(monkeypatch, tmp_path):
         prompt = "\n".join([p.question, *bad.steps[:cut]])
         texts = sample(provider, prompt, SamplingConfig(n=5, seed=1))
         assert len(texts) == 5 and len(set(texts)) == 1
-    assert seeded == []
-    # a prefix that is still right builds exactly one, whatever n
+    assert seeded == [] and draws == []
+    # a prefix that is still right builds exactly one, and draws from it once, whatever n
     for n in (1, 5, 32):
         seeded.clear()
+        draws.clear()
         sample(provider, p.question + "\n" + bad.steps[0], SamplingConfig(n=n))
         assert len(seeded) == 1 and seeded[0][1] == "complete"
-    # synth --samples builds one per problem
+        assert draws == ["complete"]
+    # synth --samples builds one per problem, and draws from each once
     seeded.clear()
+    draws.clear()
     assert main(["--seed", "0", "--out", str(tmp_path), "synth", "--problems", "3",
                  "--samples", "5"]) == 0
     assert [parts[1] for parts in seeded].count("draw") == 3
+    assert draws.count("draw") == 3

@@ -22,6 +22,10 @@ variable there, and the run did not check what it was meant to.
 A change that moves output bytes on purpose regenerates the table and says so:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+--write prints one line per file against the table it replaces: `kept`
+(same digest), `moved` (another digest), `new` (not in the old table) or
+`gone` (no longer written).
 """
 
 from __future__ import annotations
@@ -89,9 +93,13 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         import tempfile
 
+        old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
         with tempfile.TemporaryDirectory() as tmp:
-            GOLDEN.write_text(json.dumps(chain_digests(Path(tmp) / "run"), indent=2,
-                                         sort_keys=True) + "\n")
+            new = chain_digests(Path(tmp) / "run")
+        GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+        for name in sorted(old.keys() | new.keys()):
+            print(name, "gone" if name not in new else "new" if name not in old
+                  else "kept" if old[name] == new[name] else "moved")
         print(f"wrote {GOLDEN}")
     elif sys.argv[1:2] == ["--check"] and len(sys.argv) > 3:
         want = json.loads(GOLDEN.read_text())
